@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -88,11 +89,42 @@ def parse_pom(xml_text: str) -> PomDocument:
 
 @dataclass(frozen=True)
 class RepositoryEntry:
-    """Index record for one artifact version on disk."""
+    """Index record for one artifact version on disk.
 
+    ``coordinate`` is the one the directory path implies. The POM is read,
+    parsed and checked against it on the first read of ``document``, and the
+    content source is looked up on the first read of ``content_path``; each
+    result is then kept on the entry.
+    """
+
+    coordinate: Coordinate
     pom_path: Path
-    document: PomDocument
-    content_path: Path | None
+
+    @cached_property
+    def document(self) -> PomDocument:
+        try:
+            text = self.pom_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IoFailure(f"cannot read {self.pom_path}: {exc}") from exc
+        document = parse_pom(text)
+        if document.coordinate != self.coordinate:
+            raise CoordinateMismatch(
+                f"{self.pom_path} declares {document.coordinate} but its "
+                f"directory implies {self.coordinate}"
+            )
+        return document
+
+    @cached_property
+    def content_path(self) -> Path | None:
+        """A sibling ``artifact.jar`` (preferred) or ``classes.txt``, if any."""
+        try:
+            for name in (JAR_NAME, CLASSLIST_NAME):
+                candidate = self.pom_path.parent / name
+                if candidate.is_file():
+                    return candidate
+        except OSError as exc:
+            raise IoFailure(f"cannot read {self.pom_path.parent}: {exc}") from exc
+        return None
 
 
 @dataclass(frozen=True)
@@ -109,9 +141,9 @@ class Repository:
 def load_repository(root_directory: Path | str) -> Repository:
     """Index every ``pom.xml`` found in the three-level repository layout.
 
-    Each POM's declared coordinate must match the coordinate implied by its
-    directory path. A sibling ``artifact.jar`` (preferred) or ``classes.txt``
-    becomes the artifact's content source.
+    Only paths are read here: each entry's coordinate comes from its
+    directory names. A POM is parsed when ``fetch_pom`` first asks for it,
+    so a POM that resolution never reaches is never read.
     """
     root = Path(root_directory)
     if not root.is_dir():
@@ -125,26 +157,20 @@ def load_repository(root_directory: Path | str) -> Repository:
                 GroupArtifact(version_dir.parent.parent.name, version_dir.parent.name),
                 version_dir.name,
             )
-            document = parse_pom(pom_path.read_text(encoding="utf-8"))
-            if document.coordinate != derived:
-                raise CoordinateMismatch(
-                    f"{pom_path} declares {document.coordinate} but its "
-                    f"directory implies {derived}"
-                )
-            content: Path | None = None
-            for name in (JAR_NAME, CLASSLIST_NAME):
-                candidate = version_dir / name
-                if candidate.is_file():
-                    content = candidate
-                    break
-            entries[derived] = RepositoryEntry(pom_path, document, content)
-    except (OSError, UnicodeDecodeError) as exc:
+            entries[derived] = RepositoryEntry(derived, pom_path)
+    except OSError as exc:
         raise IoFailure(f"cannot read repository under {root}: {exc}") from exc
     return Repository(root, entries)
 
 
 def fetch_pom(repo: Repository, coordinate: Coordinate) -> PomDocument:
-    """Return the parsed document for a coordinate."""
+    """Return the parsed document for a coordinate, parsing it on first use.
+
+    The first call for a coordinate reads its POM and raises ``IoFailure``,
+    ``MalformedXml`` (or another parse error) or ``CoordinateMismatch`` if
+    it is unreadable, malformed or declares another coordinate; later calls
+    return the same document object.
+    """
     entry = repo.entries.get(coordinate)
     if entry is None:
         raise PomNotFound(f"{coordinate} is not present in {repo.root_directory}")

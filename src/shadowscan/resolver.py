@@ -42,25 +42,11 @@ class Conflict:
 
 
 @dataclass(frozen=True)
-class MissingDependency:
-    """A declared coordinate that the repository cannot supply."""
-
-    coordinate: Coordinate
-    requester_path: TreePath
-
-
-@dataclass(frozen=True)
 class ResolutionReport:
-    """Outcome of resolve(): the pruned tree plus its conflict table.
-
-    ``unresolvable`` stays None on the success path; resolve() aborts with
-    UnresolvableDependency instead. The field exists so callers that catch
-    the error can still assemble a uniform report.
-    """
+    """Outcome of resolve(): the pruned tree plus its conflict table."""
 
     tree: ResolvedTree
     conflicts: tuple[Conflict, ...]
-    unresolvable: MissingDependency | None = None
 
 
 @dataclass

@@ -160,7 +160,10 @@ def memory_repo(poms: dict[str, list[str]]) -> Repository:
                 for index, dep in enumerate(dependency_texts)
             ),
         )
-        entries[coordinate] = RepositoryEntry(Path("<memory>/pom.xml"), document, None)
+        entry = RepositoryEntry(coordinate, Path("<memory>/pom.xml"))
+        # Fill the entry's memoized fields so that nothing is read from disk.
+        vars(entry).update(document=document, content_path=None)
+        entries[coordinate] = entry
     return Repository(Path("<memory>"), entries)
 
 

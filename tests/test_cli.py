@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from shadowscan.cli import main
-from tests.helpers import FIXTURES, make_repo
+from tests.helpers import FIXTURES, coord, make_repo, write_pom
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
 ATTACK = ["--repo", str(FIXTURES / "poc-attack-order"), "--root", "org.example:victim:1.0"]
@@ -293,3 +294,49 @@ class TestPlumbing:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "com.example:Project:1.0"
+
+
+class TestLazyPomParsing:
+    """Only the POMs that resolution reaches are read, so only they can fail a command."""
+
+    COMMANDS = [["resolve"], ["scan"], ["check", "--rules", "sealed,modules"], ["compare"]]
+
+    @staticmethod
+    def attack_copy(tmp_path):
+        repo = tmp_path / "repo"
+        shutil.copytree(FIXTURES / "poc-attack-order", repo)
+        return repo
+
+    def json_outputs(self, capsys, repo):
+        args = ["--repo", str(repo), "--root", "org.example:victim:1.0", "--format", "json"]
+        return [run(capsys, *command, *args) for command in self.COMMANDS]
+
+    @staticmethod
+    def truncate(pom):
+        text = pom.read_text(encoding="utf-8")
+        pom.write_text(text[: len(text) // 2], encoding="utf-8")
+
+    @pytest.mark.parametrize("defect", ["truncated", "mismatched"])
+    def test_unreached_bad_pom_changes_nothing(self, capsys, tmp_path, defect):
+        repo = self.attack_copy(tmp_path)
+        clean = self.json_outputs(capsys, repo)
+        directory = repo / "org.stray" / "unreached" / "1.0"
+        directory.mkdir(parents=True)
+        version = "2.0" if defect == "mismatched" else "1.0"
+        write_pom(directory, coord(f"org.stray:unreached:{version}"), [])
+        if defect == "truncated":
+            self.truncate(directory / "pom.xml")
+        assert self.json_outputs(capsys, repo) == clean
+        assert [code for code, _, _ in clean] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_reached_malformed_pom_is_an_input_error(self, capsys, tmp_path, command):
+        repo = self.attack_copy(tmp_path)
+        self.truncate(repo / "org.evil" / "fakelibrary" / "1.0" / "pom.xml")
+        code, out, err = run(
+            capsys, *command, "--repo", str(repo), "--root", "org.example:victim:1.0",
+            "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: not well-formed XML")

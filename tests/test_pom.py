@@ -16,6 +16,7 @@ from shadowscan.errors import (
     PomNotFound,
 )
 from shadowscan.pom import fetch_pom, load_repository, parse_pom
+from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, make_repo
 
 SAFE_ORDER_POM = """
@@ -193,8 +194,16 @@ class TestLoadRepository:
         make_repo(tmp_path, {"org.test:nicelibrary:1.2": []})
         pom = tmp_path / "org.test" / "nicelibrary" / "1.2" / "pom.xml"
         pom.write_text(pom.read_text().replace("1.2", "1.3"), encoding="utf-8")
+        repo = load_repository(tmp_path)
         with pytest.raises(CoordinateMismatch):
-            load_repository(tmp_path)
+            fetch_pom(repo, coord("org.test:nicelibrary:1.2"))
+
+    def test_undecodable_pom_fails_at_first_fetch(self, tmp_path):
+        make_repo(tmp_path, {"g:a:1": []})
+        (tmp_path / "g" / "a" / "1" / "pom.xml").write_bytes(b"<project>\xff</project>")
+        repo = load_repository(tmp_path)
+        with pytest.raises(IoFailure):
+            fetch_pom(repo, coord("g:a:1"))
 
     def test_content_sources_indexed(self):
         repo = load_repository(FIXTURES / "poc-attack-order")
@@ -234,3 +243,29 @@ class TestFetchPom:
         assert fetch_pom(repo, coord("g:b:2")).coordinate == coord("g:b:2")
         with pytest.raises(PomNotFound):
             fetch_pom(repo, coord("g:c:1"))
+
+    def test_parses_each_reached_pom_once_and_no_other(self, tmp_path, monkeypatch):
+        poms = {
+            "g:root:1": ["g:a:1", "g:b:1"],
+            "g:a:1": ["g:x:1"],
+            "g:b:1": ["g:x:1", "g:y:1"],
+            "g:x:1": [],
+            "g:y:1": ["g:x:2"],
+            "g:x:2": ["g:unreached:1"],
+            "g:unreached:1": [],
+        }
+        repo = load_repository(make_repo(tmp_path, poms))
+        parsed = []
+
+        def counting_parse(text):
+            document = parse_pom(text)
+            parsed.append(str(document.coordinate))
+            return document
+
+        monkeypatch.setattr("shadowscan.pom.parse_pom", counting_parse)
+        root = fetch_pom(repo, coord("g:root:1"))
+        resolve(repo, root)
+        assert sorted(parsed) == ["g:a:1", "g:b:1", "g:root:1", "g:x:1", "g:y:1"]
+        assert fetch_pom(repo, coord("g:root:1")) is root
+        assert fetch_pom(repo, coord("g:x:1")) is fetch_pom(repo, coord("g:x:1"))
+        assert len(parsed) == 5
