@@ -148,21 +148,26 @@ class EcosystemComparison:
 def compare_ecosystems(
     tree: ResolvedTree, inventories_by_coord: Mapping[Coordinate, ClassInventory]
 ) -> EcosystemComparison:
-    """Compare the winner of every duplicated class across both orderings."""
-    maps: dict[Ecosystem, EffectiveClassMap] = {}
-    for ecosystem in (Ecosystem.MAVEN, Ecosystem.GRADLE):
-        classpath = build_classpath(tree, ecosystem)
-        ordered: list[ClassInventory] = []
-        for coordinate in classpath.entries:
-            inventory = inventories_by_coord.get(coordinate)
-            if inventory is None:
-                raise MissingContent(f"no inventory supplied for {coordinate}")
-            ordered.append(inventory)
-        maps[ecosystem] = effective_classes(ordered)
-    gradle_bindings = maps[Ecosystem.GRADLE].bindings
+    """Compare the winner of every duplicated class across both orderings.
+
+    Both orderings hold the same artifacts, so one class index in Maven order
+    serves both: the Maven winner is a class's first provider, the Gradle
+    winner the provider at the earliest Gradle classpath position.
+    """
+    maven = build_classpath(tree, Ecosystem.MAVEN).entries
+    gradle = build_classpath(tree, Ecosystem.GRADLE).entries
+    gradle_position = {coordinate: index for index, coordinate in enumerate(gradle)}
+    rank = [gradle_position[coordinate] for coordinate in maven]
+    # class name -> Maven positions of its providers, in Maven order
+    providers: dict[FullyQualifiedClassName, list[int]] = {}
+    for index, coordinate in enumerate(maven):
+        inventory = inventories_by_coord.get(coordinate)
+        if inventory is None:
+            raise MissingContent(f"no inventory supplied for {coordinate}")
+        for cls in inventory.classes:
+            providers.setdefault(cls, []).append(index)
     entries = tuple(
-        WinnerComparison(class_name, binding.winner, gradle_bindings[class_name].winner)
-        for class_name, binding in sorted(maps[Ecosystem.MAVEN].bindings.items())
-        if binding.shadowed
+        WinnerComparison(class_name, maven[found[0]], maven[min(found, key=rank.__getitem__)])
+        for class_name, found in sorted(item for item in providers.items() if len(item[1]) > 1)
     )
     return EcosystemComparison(entries)

@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any, NoReturn, Sequence
 
 from shadowscan.analysis import (
@@ -60,23 +59,19 @@ _RULE_TOKENS = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
-    """Versioned, JSON-serializable result of one command invocation."""
+def _json_report(command: str, inputs: dict[str, Any], payload: dict[str, Any]) -> str:
+    """The versioned JSON document of one command invocation."""
+    data = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": inputs,
+        "payload": payload,
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
-    schema_version: int
-    command: str
-    inputs: dict[str, Any]
-    payload: dict[str, Any]
 
-    def to_json(self) -> str:
-        data = {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "inputs": self.inputs,
-            "payload": self.payload,
-        }
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _text_report(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +171,20 @@ def _status_suffix(node: ResolvedNode) -> str:
 
 
 def _tree_lines(root: ResolvedNode) -> list[str]:
-    lines = [str(root.coordinate)]
-
-    def visit(node: ResolvedNode, prefix: str) -> None:
-        for index, child in enumerate(node.children):
-            last = index == len(node.children) - 1
-            lines.append(f"{prefix}+-{child.coordinate}{_status_suffix(child)}")
-            visit(child, prefix + ("   " if last else "|  "))
-
-    visit(root, "")
+    lines: list[str] = []
+    # pre-order walk; each entry holds a node, its line and its children's prefix
+    stack = [(root, str(root.coordinate), "")]
+    while stack:
+        node, line, prefix = stack.pop()
+        lines.append(line)
+        last = len(node.children) - 1
+        for index in range(last, -1, -1):
+            child = node.children[index]
+            stack.append((
+                child,
+                f"{prefix}+-{child.coordinate}{_status_suffix(child)}",
+                prefix + ("   " if index == last else "|  "),
+            ))
     return lines
 
 
@@ -266,65 +266,62 @@ def _base_inputs(args: argparse.Namespace) -> dict[str, Any]:
     return {"repo": args.repo, "root": args.root, "max_depth": args.max_depth}
 
 
-def cmd_resolve(args: argparse.Namespace) -> tuple[int, Report, str]:
+# Each command returns its exit code and its stdout in the requested format;
+# the other format is never built.
+
+def cmd_resolve(args: argparse.Namespace) -> tuple[int, str]:
     _, resolution = _load_resolution(args)
-    report = Report(
-        SCHEMA_VERSION,
-        "resolve",
-        _base_inputs(args),
-        {
+    if args.format == "json":
+        payload = {
             "tree": _node_payload(resolution.tree.root),
             "conflicts": _conflicts_payload(resolution),
-        },
-    )
-    text = "\n".join(_tree_lines(resolution.tree.root) + [""] + _conflict_lines(resolution))
-    return EXIT_OK, report, text
+        }
+        return EXIT_OK, _json_report("resolve", _base_inputs(args), payload)
+    lines = _tree_lines(resolution.tree.root) + [""] + _conflict_lines(resolution)
+    return EXIT_OK, _text_report(lines)
 
 
-def cmd_classpath(args: argparse.Namespace) -> tuple[int, Report, str]:
+def cmd_classpath(args: argparse.Namespace) -> tuple[int, str]:
     _, resolution = _load_resolution(args)
     classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
-    layout_payload = None
-    lines = [str(entry) for entry in classpath.entries] or ["(empty classpath)"]
+    layout = None
     if args.layout != "none":
         layout = emit_layout(resolution.tree, LayoutMode(args.layout))
-        layout_payload = {"mode": layout.mode.value, "lines": list(layout.lines)}
-        lines += [""] + list(layout.lines)
-    inputs = _base_inputs(args) | {"ecosystem": args.ecosystem, "layout": args.layout}
-    report = Report(
-        SCHEMA_VERSION,
-        "classpath",
-        inputs,
-        {
+    if args.format == "json":
+        inputs = _base_inputs(args) | {"ecosystem": args.ecosystem, "layout": args.layout}
+        payload = {
             "ecosystem": classpath.ecosystem.value,
             "root_precedes": classpath.root_precedes,
             "entries": [str(entry) for entry in classpath.entries],
-            "layout": layout_payload,
-        },
-    )
-    return EXIT_OK, report, "\n".join(lines)
+            "layout": None if layout is None else {
+                "mode": layout.mode.value,
+                "lines": list(layout.lines),
+            },
+        }
+        return EXIT_OK, _json_report("classpath", inputs, payload)
+    lines = [str(entry) for entry in classpath.entries] or ["(empty classpath)"]
+    if layout is not None:
+        lines += [""] + list(layout.lines)
+    return EXIT_OK, _text_report(lines)
 
 
-def cmd_scan(args: argparse.Namespace) -> tuple[int, Report, str]:
+def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
     repo, resolution = _load_resolution(args)
     classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
     inventories = inventory_all(repo, classpath)
     findings = detect_shadowing(effective_classes(inventories), resolution.tree)
-    inputs = _base_inputs(args) | {
-        "ecosystem": args.ecosystem,
-        "fail_on_shadow": args.fail_on_shadow,
-    }
-    report = Report(
-        SCHEMA_VERSION,
-        "scan",
-        inputs,
-        {"ecosystem": args.ecosystem, "findings": _findings_payload(findings)},
-    )
     code = EXIT_SHADOWS_FOUND if findings and args.fail_on_shadow else EXIT_OK
-    return code, report, "\n".join(_finding_lines(findings))
+    if args.format == "json":
+        inputs = _base_inputs(args) | {
+            "ecosystem": args.ecosystem,
+            "fail_on_shadow": args.fail_on_shadow,
+        }
+        payload = {"ecosystem": args.ecosystem, "findings": _findings_payload(findings)}
+        return code, _json_report("scan", inputs, payload)
+    return code, _text_report(_finding_lines(findings))
 
 
-def cmd_hijack(args: argparse.Namespace) -> tuple[int, Report, str]:
+def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
     _, resolution = _load_resolution(args)
     ecosystem = Ecosystem(args.ecosystem)
     classpath = build_classpath(resolution.tree, ecosystem)
@@ -338,29 +335,23 @@ def cmd_hijack(args: argparse.Namespace) -> tuple[int, Report, str]:
         mode = "surface"
         members = hijack_surface(resolution.tree, ecosystem, subject)
     ordered = [entry for entry in classpath.entries if entry in members]
-    artifacts = [
-        {"coordinate": str(entry), "path": list(nodes[entry].path)} for entry in ordered
-    ]
-    inputs = _base_inputs(args) | {
-        "ecosystem": args.ecosystem,
-        "attacker": args.attacker,
-        "target": args.target,
-    }
-    report = Report(
-        SCHEMA_VERSION,
-        "hijack",
-        inputs,
-        {"mode": mode, "subject": str(subject), "artifacts": artifacts},
-    )
+    if args.format == "json":
+        inputs = _base_inputs(args) | {
+            "ecosystem": args.ecosystem,
+            "attacker": args.attacker,
+            "target": args.target,
+        }
+        artifacts = [
+            {"coordinate": str(entry), "path": list(nodes[entry].path)} for entry in ordered
+        ]
+        payload = {"mode": mode, "subject": str(subject), "artifacts": artifacts}
+        return EXIT_OK, _json_report("hijack", inputs, payload)
     lines = [f"{mode} of {subject} ({ecosystem.value}):"]
-    if artifacts:
-        lines += [f"  {a['coordinate']} (path {a['path']})" for a in artifacts]
-    else:
-        lines.append("  (empty)")
-    return EXIT_OK, report, "\n".join(lines)
+    lines += [f"  {entry} (path {list(nodes[entry].path)})" for entry in ordered] or ["  (empty)"]
+    return EXIT_OK, _text_report(lines)
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[int, Report, str]:
+def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     repo, resolution = _load_resolution(args)
     classpath = build_classpath(resolution.tree, Ecosystem.MAVEN)
     inventories = inventory_all(repo, classpath)
@@ -374,48 +365,37 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, Report, str]:
             verdicts.append(check_sealed(inventories, class_map))
         else:
             verdicts.append(check_modules(inventories, args.root_module))
-    inputs = _base_inputs(args) | {
-        "rules": [rule.value for rule in args.rules],
-        "allowlist": args.allowlist,
-        "root_module": args.root_module,
-    }
-    report = Report(
-        SCHEMA_VERSION,
-        "check",
-        inputs,
-        {"verdicts": [_verdict_payload(verdict) for verdict in verdicts]},
-    )
-    lines: list[str] = []
-    for verdict in verdicts:
-        lines.extend(_verdict_lines(verdict))
     code = EXIT_OK if all(verdict.passed for verdict in verdicts) else EXIT_MITIGATION_FAILED
-    return code, report, "\n".join(lines)
+    if args.format == "json":
+        inputs = _base_inputs(args) | {
+            "rules": [rule.value for rule in args.rules],
+            "allowlist": args.allowlist,
+            "root_module": args.root_module,
+        }
+        payload = {"verdicts": [_verdict_payload(verdict) for verdict in verdicts]}
+        return code, _json_report("check", inputs, payload)
+    return code, _text_report([line for verdict in verdicts for line in _verdict_lines(verdict)])
 
 
-def cmd_compare(args: argparse.Namespace) -> tuple[int, Report, str]:
+def cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
     repo, resolution = _load_resolution(args)
     classpath = build_classpath(resolution.tree, Ecosystem.MAVEN)
     inventories_by_coord = {
         coordinate: load_inventory(repo, coordinate) for coordinate in classpath.entries
     }
     comparison = compare_ecosystems(resolution.tree, inventories_by_coord)
-    report = Report(
-        SCHEMA_VERSION,
-        "compare",
-        _base_inputs(args),
-        {
-            "classes": [
-                {
-                    "class_name": str(entry.class_name),
-                    "maven_winner": str(entry.maven_winner),
-                    "gradle_winner": str(entry.gradle_winner),
-                    "differs": entry.differs,
-                }
-                for entry in comparison.entries
-            ]
-        },
-    )
-    return EXIT_OK, report, "\n".join(_comparison_lines(comparison))
+    if args.format == "json":
+        classes = [
+            {
+                "class_name": str(entry.class_name),
+                "maven_winner": str(entry.maven_winner),
+                "gradle_winner": str(entry.gradle_winner),
+                "differs": entry.differs,
+            }
+            for entry in comparison.entries
+        ]
+        return EXIT_OK, _json_report("compare", _base_inputs(args), {"classes": classes})
+    return EXIT_OK, _text_report(_comparison_lines(comparison))
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +475,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: no repository given (--repo or ${REPO_ENV_VAR})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        code, report, text = args.handler(args)
+        code, output = args.handler(args)
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION_ERROR
     except ShadowscanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        print(text)
+    sys.stdout.write(output)
     return code

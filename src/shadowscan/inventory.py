@@ -5,6 +5,7 @@ from __future__ import annotations
 import zipfile
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from shadowscan.errors import (
@@ -47,7 +48,7 @@ class ClassInventory:
         if self.module_name is not None and not self.is_module:
             raise ValueError("module_name requires is_module")
 
-    @property
+    @cached_property
     def packages(self) -> frozenset[str]:
         return frozenset(cls.package for cls in self.classes)
 
@@ -152,11 +153,11 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
     )
 
 
-def _validated_dotted(value: str, where: str) -> str:
+def _validated_dotted(value: str, path: Path, line_number: int) -> str:
     try:
         return str(FullyQualifiedClassName(value))
     except InvalidClassName as exc:
-        raise InvalidClassName(f"{where}: {exc}") from exc
+        raise InvalidClassName(f"{path}:{line_number}: {exc}") from exc
 
 
 def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventory:
@@ -179,24 +180,23 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        where = f"{path}:{line_number}"
         if line.startswith("@"):
             directive, _, argument = line.partition(" ")
             argument = argument.strip()
             if directive == "@sealed" and argument:
-                sealed.add(_validated_dotted(argument, where))
+                sealed.add(_validated_dotted(argument, path, line_number))
             elif directive == "@module" and argument:
                 is_module = True
-                module_name = _validated_dotted(argument, where)
+                module_name = _validated_dotted(argument, path, line_number)
             else:
-                raise InvalidClassName(f"{where}: unsupported directive {line!r}")
+                raise InvalidClassName(f"{path}:{line_number}: unsupported directive {line!r}")
             continue
         try:
             fqcn = FullyQualifiedClassName(line)
         except InvalidClassName as exc:
-            raise InvalidClassName(f"{where}: {exc}") from exc
+            raise InvalidClassName(f"{path}:{line_number}: {exc}") from exc
         if fqcn in seen:
-            raise DuplicateClassName(f"{where}: {fqcn} listed twice")
+            raise DuplicateClassName(f"{path}:{line_number}: {fqcn} listed twice")
         seen.add(fqcn)
         classes.append(fqcn)
     return ClassInventory(coordinate, tuple(classes), frozenset(sealed), is_module, module_name)

@@ -126,15 +126,14 @@ def check_sealed(
     archive is consulted. An attacker replacing the entire package defeats
     sealing, so that case passes here by design.
     """
-    winners_by_package: dict[str, list[Coordinate]] = {}
+    # dict keys double as an insertion-ordered set of each package's winners
+    winners_by_package: dict[str, dict[Coordinate, None]] = {}
     for class_name, binding in class_map.bindings.items():
-        bucket = winners_by_package.setdefault(class_name.package, [])
-        if binding.winner not in bucket:
-            bucket.append(binding.winner)
+        winners_by_package.setdefault(class_name.package, {})[binding.winner] = None
     violations: list[SealedPackageViolation] = []
     for inventory in inventories:
         for package in sorted(inventory.sealed_packages):
-            winners = winners_by_package.get(package, [])
+            winners = winners_by_package.get(package, {})
             if len(winners) >= 2 and inventory.coordinate in winners:
                 violations.append(
                     SealedPackageViolation(package, inventory.coordinate, tuple(winners))
@@ -157,12 +156,10 @@ def check_modules(
             True,
             diagnostic="module protection inactive: the project is not a module",
         )
-    providers: dict[str, list[Coordinate]] = {}
+    providers: dict[str, dict[Coordinate, None]] = {}
     for inventory in inventories:
-        for package in sorted(inventory.packages):
-            bucket = providers.setdefault(package, [])
-            if inventory.coordinate not in bucket:
-                bucket.append(inventory.coordinate)
+        for package in inventory.packages:
+            providers.setdefault(package, {})[inventory.coordinate] = None
     violations = tuple(
         SplitPackageViolation(package, tuple(coordinates))
         for package, coordinates in sorted(providers.items())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -10,11 +11,15 @@ from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoo
 TreePath = tuple[int, ...]
 """Child indices leading from the root to a node; the empty tuple is the root."""
 
+# In str patterns ``\s`` matches exactly the characters for which str.isspace() holds.
+_TOKEN_FORBIDDEN = re.compile(r"[:\s]")
+_CLASS_NAME = re.compile(r"[^./\s]+(?:\.[^./\s]+)*")
+
 
 def _coordinate_token(value: str, label: str) -> str:
     if not value:
         raise InvalidCoordinate(f"{label} must be a nonempty string")
-    if ":" in value or any(ch.isspace() for ch in value):
+    if _TOKEN_FORBIDDEN.search(value):
         raise InvalidCoordinate(f"{label} {value!r} must not contain ':' or whitespace")
     return value
 
@@ -218,30 +223,27 @@ def dfs_order(tree: ResolvedTree, include_omitted: bool = True) -> list[Resolved
     were never expanded, so nothing exists below them.
     """
     out: list[ResolvedNode] = []
-
-    def visit(node: ResolvedNode) -> None:
-        if not include_omitted and not node.included:
-            return
-        out.append(node)
-        for child in node.children:
-            visit(child)
-
-    visit(tree.root)
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if include_omitted or node.included:
+            out.append(node)
+            stack.extend(reversed(node.children))
     return out
 
 
 class FullyQualifiedClassName(str):
     """Dot-separated class name such as ``org.test.NiceClass``.
 
-    Inner-class markers (``$``) are kept verbatim within a segment.
+    Every segment is nonempty and free of ``/`` and whitespace. Inner-class
+    markers (``$``) are kept verbatim within a segment.
     """
 
     __slots__ = ()
 
     def __new__(cls, value: str) -> FullyQualifiedClassName:
-        for segment in value.split("."):
-            if not segment or "/" in segment or any(ch.isspace() for ch in segment):
-                raise InvalidClassName(f"invalid fully qualified class name {value!r}")
+        if not _CLASS_NAME.fullmatch(value):
+            raise InvalidClassName(f"invalid fully qualified class name {value!r}")
         return super().__new__(cls, value)
 
     @property

@@ -12,6 +12,7 @@ from typing import Mapping
 
 from shadowscan.errors import (
     CoordinateMismatch,
+    InvalidCoordinate,
     IoFailure,
     MalformedXml,
     MissingCoordinate,
@@ -142,8 +143,9 @@ def load_repository(root_directory: Path | str) -> Repository:
     """Index every ``pom.xml`` found in the three-level repository layout.
 
     Only paths are read here: each entry's coordinate comes from its
-    directory names. A POM is parsed when ``fetch_pom`` first asks for it,
-    so a POM that resolution never reaches is never read.
+    directory names, and a path whose names are not valid coordinate tokens
+    is skipped with a warning. A POM is parsed when ``fetch_pom`` first asks
+    for it, so a POM that resolution never reaches is never read.
     """
     root = Path(root_directory)
     if not root.is_dir():
@@ -153,10 +155,15 @@ def load_repository(root_directory: Path | str) -> Repository:
         pom_paths = sorted(root.glob("*/*/*/pom.xml"))
         for pom_path in pom_paths:
             version_dir = pom_path.parent
-            derived = Coordinate(
-                GroupArtifact(version_dir.parent.parent.name, version_dir.parent.name),
-                version_dir.name,
-            )
+            try:
+                derived = Coordinate(
+                    GroupArtifact(version_dir.parent.parent.name, version_dir.parent.name),
+                    version_dir.name,
+                )
+            except InvalidCoordinate as exc:
+                # no valid coordinate can name this entry, so nothing can reach it
+                logger.warning("skipping %s: %s", pom_path, exc)
+                continue
             entries[derived] = RepositoryEntry(derived, pom_path)
     except OSError as exc:
         raise IoFailure(f"cannot read repository under {root}: {exc}") from exc

@@ -59,15 +59,26 @@ class _Draft:
     children: list["_Draft"] = field(default_factory=list)
 
 
-def _freeze(draft: _Draft) -> ResolvedNode:
-    return ResolvedNode(
-        coordinate=draft.coordinate,
-        path=draft.path,
-        depth=draft.depth,
-        bfs_index=draft.bfs_index,
-        status=draft.status,
-        children=tuple(_freeze(child) for child in draft.children),
-    )
+def _freeze(root: _Draft) -> ResolvedNode:
+    """Build the immutable tree bottom-up, without recursion.
+
+    In level order every child comes after its parent, so walking that order
+    backwards finds each node's children already frozen.
+    """
+    level_order = [root]
+    for draft in level_order:
+        level_order.extend(draft.children)
+    frozen: dict[int, ResolvedNode] = {}
+    for draft in reversed(level_order):
+        frozen[draft.bfs_index] = ResolvedNode(
+            coordinate=draft.coordinate,
+            path=draft.path,
+            depth=draft.depth,
+            bfs_index=draft.bfs_index,
+            status=draft.status,
+            children=tuple(frozen.pop(child.bfs_index) for child in draft.children),
+        )
+    return frozen[root.bfs_index]
 
 
 def resolve(

@@ -6,9 +6,22 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import Mapping, Sequence
 
-from shadowscan.analysis import EffectiveClassMap, effective_classes
+from shadowscan.analysis import (
+    EcosystemComparison,
+    EffectiveClassMap,
+    WinnerComparison,
+    effective_classes,
+)
+from shadowscan.errors import MissingContent
 from shadowscan.inventory import ClassInventory, inventory_all
+from shadowscan.mitigations import (
+    MitigationRule,
+    MitigationVerdict,
+    SealedPackageViolation,
+    SplitPackageViolation,
+)
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
@@ -239,18 +252,33 @@ def random_conflict_repo(rng: Random) -> tuple[dict[str, list[str]], str]:
 # inventory generation and the class-lookup oracle
 
 def random_inventories(
-    rng: Random, max_artifacts: int = 50, max_classes: int = 200
+    rng: Random,
+    max_artifacts: int = 50,
+    max_classes: int = 200,
+    *,
+    coordinates: Sequence[Coordinate] | None = None,
+    seal: bool = False,
 ) -> list[ClassInventory]:
-    """Inventories with deliberate class-name collisions across artifacts."""
+    """Inventories with deliberate class-name collisions across artifacts.
+
+    ``coordinates`` fixes the artifacts, one inventory each, instead of a
+    random number of generated ones. With ``seal`` each inventory also seals
+    a random subset of the pool's packages, provided by it or not.
+    """
     pool_size = rng.randint(1, max_classes)
     pool = [f"org.pool.p{i % 7}.Class{i}" for i in range(pool_size)]
+    if coordinates is None:
+        count = rng.randint(1, max_artifacts)
+        coordinates = [Coordinate.of("org.gen", f"art{n}", "1.0") for n in range(count)]
     inventories = []
-    for n in range(rng.randint(1, max_artifacts)):
+    for coordinate in coordinates:
         names = rng.sample(pool, k=rng.randint(0, min(8, pool_size)))
+        sealed = {f"org.pool.p{i}" for i in range(7) if rng.random() < 0.3} if seal else set()
         inventories.append(
             ClassInventory(
-                Coordinate.of("org.gen", f"art{n}", "1.0"),
+                coordinate,
                 tuple(FullyQualifiedClassName(name) for name in names),
+                frozenset(sealed),
             )
         )
     return inventories
@@ -293,3 +321,84 @@ def run_pipeline(fixture: str, root_text: str, ecosystem: Ecosystem = Ecosystem.
     classpath = build_classpath(resolution.tree, ecosystem)
     inventories = inventory_all(repo, classpath)
     return Pipeline(repo, resolution, classpath, inventories, effective_classes(inventories))
+
+
+# ---------------------------------------------------------------------------
+# straightforward references for the optimized analyses
+
+def reference_class_name_ok(value: str) -> bool:
+    """Per-segment rule: every dot-separated segment is nonempty, without '/' or whitespace."""
+    return all(
+        segment and "/" not in segment and not any(ch.isspace() for ch in segment)
+        for segment in value.split(".")
+    )
+
+
+def reference_token_ok(value: str) -> bool:
+    """Per-character rule for coordinate tokens: nonempty, no ':' and no whitespace."""
+    return bool(value) and ":" not in value and not any(ch.isspace() for ch in value)
+
+
+def reference_check_sealed(
+    inventories: Sequence[ClassInventory], class_map: EffectiveClassMap
+) -> MitigationVerdict:
+    """Sealed-package check with list buckets and list-membership dedup."""
+    winners_by_package: dict[str, list[Coordinate]] = {}
+    for class_name, binding in class_map.bindings.items():
+        bucket = winners_by_package.setdefault(class_name.package, [])
+        if binding.winner not in bucket:
+            bucket.append(binding.winner)
+    violations: list[SealedPackageViolation] = []
+    for inventory in inventories:
+        for package in sorted(inventory.sealed_packages):
+            winners = winners_by_package.get(package, [])
+            if len(winners) >= 2 and inventory.coordinate in winners:
+                violations.append(
+                    SealedPackageViolation(package, inventory.coordinate, tuple(winners))
+                )
+    return MitigationVerdict(MitigationRule.SEALED_JARS, not violations, tuple(violations))
+
+
+def reference_check_modules(
+    inventories: Sequence[ClassInventory], root_is_module: bool
+) -> MitigationVerdict:
+    """Split-package check with list buckets and list-membership dedup."""
+    if not root_is_module:
+        return MitigationVerdict(
+            MitigationRule.JAVA_MODULES,
+            True,
+            diagnostic="module protection inactive: the project is not a module",
+        )
+    providers: dict[str, list[Coordinate]] = {}
+    for inventory in inventories:
+        for package in sorted(inventory.packages):
+            bucket = providers.setdefault(package, [])
+            if inventory.coordinate not in bucket:
+                bucket.append(inventory.coordinate)
+    violations = tuple(
+        SplitPackageViolation(package, tuple(coordinates))
+        for package, coordinates in sorted(providers.items())
+        if len(coordinates) >= 2
+    )
+    return MitigationVerdict(MitigationRule.JAVA_MODULES, not violations, violations)
+
+
+def reference_compare_ecosystems(
+    tree: ResolvedTree, inventories_by_coord: Mapping[Coordinate, ClassInventory]
+) -> EcosystemComparison:
+    """Build a full effective class map per ecosystem, then diff the winners."""
+    maps: dict[Ecosystem, EffectiveClassMap] = {}
+    for ecosystem in (Ecosystem.MAVEN, Ecosystem.GRADLE):
+        ordered: list[ClassInventory] = []
+        for coordinate in build_classpath(tree, ecosystem).entries:
+            inventory = inventories_by_coord.get(coordinate)
+            if inventory is None:
+                raise MissingContent(f"no inventory supplied for {coordinate}")
+            ordered.append(inventory)
+        maps[ecosystem] = effective_classes(ordered)
+    gradle_bindings = maps[Ecosystem.GRADLE].bindings
+    return EcosystemComparison(tuple(
+        WinnerComparison(class_name, binding.winner, gradle_bindings[class_name].winner)
+        for class_name, binding in sorted(maps[Ecosystem.MAVEN].bindings.items())
+        if binding.shadowed
+    ))

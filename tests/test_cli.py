@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -329,6 +330,20 @@ class TestLazyPomParsing:
         assert self.json_outputs(capsys, repo) == clean
         assert [code for code, _, _ in clean] == [0, 0, 0, 0]
 
+    def test_unreached_directory_with_an_invalid_name_is_skipped(self, capsys, caplog, tmp_path):
+        repo = self.attack_copy(tmp_path)
+        clean = self.json_outputs(capsys, repo)
+        pom = repo / "org.stray" / "un reached" / "1.0" / "pom.xml"
+        pom.parent.mkdir(parents=True)
+        pom.write_text("<project/>\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="shadowscan.pom"):
+            stray = self.json_outputs(capsys, repo)
+        assert [(code, out) for code, out, _ in stray] == [(code, out) for code, out, _ in clean]
+        assert [code for code, _, _ in stray] == [0, 0, 0, 0]
+        warnings = [record.getMessage() for record in caplog.records]
+        assert len(warnings) == len(self.COMMANDS)
+        assert all(message.startswith(f"skipping {pom}: ") for message in warnings)
+
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_reached_malformed_pom_is_an_input_error(self, capsys, tmp_path, command):
         repo = self.attack_copy(tmp_path)
@@ -340,3 +355,43 @@ class TestLazyPomParsing:
         assert code == 1
         assert out == ""
         assert err.startswith("error: not well-formed XML")
+
+
+class TestDeepChain:
+    """A chain far deeper than the interpreter's recursion limit, allowed by --max-depth."""
+
+    LENGTH = 1000
+
+    @pytest.fixture(scope="class")
+    def chain_args(self, tmp_path_factory):
+        texts = [f"org.chain:c{level}:1.0" for level in range(self.LENGTH + 1)]
+        poms = {text: [following] for text, following in zip(texts, texts[1:])}
+        poms[texts[-1]] = []
+        classes = {
+            text: ["org.chain.Shared", f"org.chain.C{level}"] for level, text in enumerate(texts)
+        }
+        repo = make_repo(tmp_path_factory.mktemp("chain"), poms, classes)
+        return ["--repo", str(repo), "--root", texts[0], "--max-depth", str(self.LENGTH + 100)]
+
+    def test_classpath(self, capsys, chain_args):
+        code, out, _ = run(capsys, "classpath", *chain_args)
+        assert code == 0
+        expected = [f"org.chain:c{level}:1.0" for level in range(1, self.LENGTH + 1)]
+        assert out.splitlines() == expected
+
+    def test_scan(self, capsys, chain_args):
+        code, out, _ = run(capsys, "scan", *chain_args, "--format", "json")
+        assert code == 0
+        [finding] = json.loads(out)["payload"]["findings"]
+        assert finding["class_name"] == "org.chain.Shared"
+        assert finding["winner"] == "org.chain:c1:1.0"
+        assert len(finding["shadowed_victims"]) == self.LENGTH - 1
+
+    def test_text_resolve(self, capsys, chain_args):
+        code, out, _ = run(capsys, "resolve", *chain_args)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "org.chain:c0:1.0"
+        assert lines[1] == "+-org.chain:c1:1.0"
+        assert lines[self.LENGTH] == "   " * (self.LENGTH - 1) + f"+-org.chain:c{self.LENGTH}:1.0"
+        assert lines[self.LENGTH + 1 :] == ["", "no conflicts"]
