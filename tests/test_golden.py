@@ -28,12 +28,27 @@ ROOTS = {
     "sealed-full": "org.example:app:1.0",
     "sealed-partial": "org.example:app:1.0",
 }
+# (attacker, target) of the hijack commands, chosen so both answers are nonempty
+HIJACK = {
+    "cwa-server": ("org.evil:json-schema-commons:1.0", "org.postgresql:postgresql:42.6.0"),
+    "deep-hijack": ("com.example:D111:1.0", "com.example:D221:1.0"),
+    "poc-attack-order": ("org.evil:fakelibrary:1.0", "org.test:nicelibrary:1.2"),
+    "poc-safe-order": ("org.evil:attackerlibrary:1.0", "org.evil:fakelibrary:1.0"),
+    "sample-app": ("com.example:D2:1.0", "com.example:D112:1.0"),
+    "sealed-full": ("org.evil:impostor:1.0", "org.nice:corelib:1.0"),
+    "sealed-partial": ("org.evil:impostor:1.0", "org.nice:corelib:1.0"),
+}
 COMMANDS = {
     "resolve": ["resolve"],
     "classpath": ["classpath"],
+    "classpath-flat": ["classpath", "--layout", "flat"],
+    "classpath-nested": ["classpath", "--layout", "nested"],
     "scan": ["scan"],
     "scan-gradle": ["scan", "--ecosystem", "gradle"],
+    "hijack-attacker": ["hijack", "--attacker", "{attacker}"],
+    "hijack-target": ["hijack", "--target", "{target}"],
     "check": ["check", "--root-module"],
+    "check-plain": ["check"],
     "compare": ["compare"],
 }
 TEXT_RENDERERS = [
@@ -43,7 +58,9 @@ JSON_RENDERERS = ["_json_report", "_node_payload", "_findings_payload", "_verdic
 
 
 def run(capsys, fixture: str, command: str, output_format: str) -> tuple[int, str]:
-    argv = [*COMMANDS[command], "--repo", f"fixtures/{fixture}", "--root", ROOTS[fixture]]
+    attacker, target = HIJACK[fixture]
+    argv = [arg.format(attacker=attacker, target=target) for arg in COMMANDS[command]]
+    argv += ["--repo", f"fixtures/{fixture}", "--root", ROOTS[fixture]]
     code = cli.main([*argv, "--format", output_format])
     return code, capsys.readouterr().out
 
