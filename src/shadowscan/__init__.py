@@ -7,7 +7,6 @@ from shadowscan.analysis import (
     ClassBinding,
     EcosystemComparison,
     EffectiveClassMap,
-    HijackReach,
     ShadowFinding,
     WinnerComparison,
     compare_ecosystems,
@@ -64,7 +63,6 @@ __all__ = [
     "EffectiveClassMap",
     "FullyQualifiedClassName",
     "GroupArtifact",
-    "HijackReach",
     "LayoutMode",
     "MitigationRule",
     "MitigationVerdict",

@@ -86,14 +86,6 @@ def detect_shadowing(class_map: EffectiveClassMap, tree: ResolvedTree) -> list[S
     return findings
 
 
-@dataclass(frozen=True)
-class HijackReach:
-    """Artifacts whose classes a given position can shadow."""
-
-    attacker: Coordinate
-    reachable_victims: frozenset[Coordinate]
-
-
 def _position(classpath: Classpath, tree: ResolvedTree, coordinate: Coordinate) -> int:
     if coordinate == tree.root.coordinate:
         return -1  # the project's own classes precede every entry
@@ -105,11 +97,11 @@ def _position(classpath: Classpath, tree: ResolvedTree, coordinate: Coordinate) 
 
 def hijack_reach(
     tree: ResolvedTree, ecosystem: Ecosystem, attacker: Coordinate
-) -> HijackReach:
-    """Everything strictly after the attacker on the classpath is hijackable."""
+) -> frozenset[Coordinate]:
+    """Artifacts the attacker can shadow: everything strictly after it on the classpath."""
     classpath = build_classpath(tree, ecosystem)
     position = _position(classpath, tree, attacker)
-    return HijackReach(attacker, frozenset(classpath.entries[position + 1 :]))
+    return frozenset(classpath.entries[position + 1 :])
 
 
 def hijack_surface(

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from typing import Any, NoReturn, Sequence
+from dataclasses import fields, is_dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Any, Callable, NoReturn, Sequence
 
 from shadowscan.analysis import (
     EcosystemComparison,
     ShadowFinding,
+    WinnerComparison,
     compare_ecosystems,
     detect_shadowing,
     effective_classes,
@@ -38,10 +42,17 @@ from shadowscan.mitigations import (
     check_sealed,
     load_allowlist,
 )
-from shadowscan.model import Coordinate, OmittedConflict, OmittedDuplicate, ResolvedNode
+from shadowscan.model import (
+    Coordinate,
+    GroupArtifact,
+    Included,
+    OmittedConflict,
+    OmittedDuplicate,
+    ResolvedNode,
+)
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import Repository, fetch_pom, load_repository
-from shadowscan.resolver import DEFAULT_MAX_DEPTH, ResolutionReport, resolve
+from shadowscan.resolver import DEFAULT_MAX_DEPTH, Occurrence, ResolutionReport, resolve
 
 SCHEMA_VERSION = 1
 REPO_ENV_VAR = "SHADOWSCAN_REPO"
@@ -59,104 +70,100 @@ _RULE_TOKENS = {
 }
 
 
+# Report members that are not dataclass fields: name -> value of the object.
+_DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
+    Included: {"kind": lambda status: "included"},
+    OmittedConflict: {"kind": lambda status: "omitted-conflict"},
+    OmittedDuplicate: {"kind": lambda status: "omitted-duplicate"},
+    WinnerComparison: {"differs": attrgetter("differs")},
+}
+
+
+@cache
+def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
+    """Quoted member names and getters of a dataclass's JSON object, in key order."""
+    if not is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    getters = {field.name: attrgetter(field.name) for field in fields(cls)}
+    getters.update(_DERIVED_MEMBERS.get(cls, {}))
+    return [(encode_basestring_ascii(name) + ": ", getters[name]) for name in sorted(getters)]
+
+
+def _json_text(document: Any) -> str:
+    """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
+
+    A dataclass is written as the object of its fields plus its
+    ``_DERIVED_MEMBERS``; a ``Coordinate`` or ``GroupArtifact`` as its string.
+    """
+    parts: list[str] = []
+    emit = parts.append
+    breaks = ["\n"]  # breaks[level]: a line break indented to that nesting level
+    commas = [",\n"]
+    # open containers: their remaining (index, (quoted key or "", value)), the
+    # nesting level of those members and the closing bracket
+    stack = [(enumerate([("", document)]), 0, "")]
+    while stack:
+        members, level, closing = stack[-1]
+        for index, (key, value) in members:
+            if index:
+                emit(commas[level])
+            if key:
+                emit(key)
+            cls = value.__class__
+            if isinstance(value, str):
+                emit(encode_basestring_ascii(value))
+            elif cls is Coordinate or cls is GroupArtifact:
+                emit(encode_basestring_ascii(str(value)))
+            elif cls is int:
+                emit(int.__repr__(value))
+            elif cls is bool:
+                emit("true" if value else "false")
+            elif value is None:
+                emit("null")
+            else:
+                if cls is dict:
+                    opening, close = "{", "}"
+                    items = [
+                        (encode_basestring_ascii(name) + ": ", item)
+                        for name, item in sorted(value.items())
+                    ]
+                elif cls is list or cls is tuple:
+                    opening, close = "[", "]"
+                    items = [("", item) for item in value]
+                else:
+                    opening, close = "{", "}"
+                    items = [(name, get(value)) for name, get in _members(cls)]
+                if not items:
+                    emit(opening + close)
+                    continue
+                if level + 1 == len(breaks):
+                    breaks.append(breaks[-1] + "  ")
+                    commas.append("," + breaks[-1])
+                emit(opening)
+                emit(breaks[level + 1])
+                stack.append((enumerate(items), level + 1, close))
+                break
+        else:
+            stack.pop()
+            if stack:
+                emit(breaks[level - 1])
+                emit(closing)
+    emit("\n")
+    return "".join(parts)
+
+
 def _json_report(command: str, inputs: dict[str, Any], payload: dict[str, Any]) -> str:
     """The versioned JSON document of one command invocation."""
-    data = {
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
         "payload": payload,
-    }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    })
 
 
 def _text_report(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# payload serialization
-
-def _status_payload(node: ResolvedNode) -> dict[str, Any]:
-    if isinstance(node.status, OmittedConflict):
-        return {"kind": "omitted-conflict", "winner": str(node.status.winner)}
-    if isinstance(node.status, OmittedDuplicate):
-        return {
-            "kind": "omitted-duplicate",
-            "first_occurrence_path": list(node.status.first_occurrence_path),
-        }
-    return {"kind": "included"}
-
-
-def _node_payload(node: ResolvedNode) -> dict[str, Any]:
-    return {
-        "coordinate": str(node.coordinate),
-        "path": list(node.path),
-        "depth": node.depth,
-        "bfs_index": node.bfs_index,
-        "status": _status_payload(node),
-        "children": [_node_payload(child) for child in node.children],
-    }
-
-
-def _conflicts_payload(resolution: ResolutionReport) -> list[dict[str, Any]]:
-    return [
-        {
-            "group_artifact": str(conflict.group_artifact),
-            "winner": {
-                "coordinate": str(conflict.winner.coordinate),
-                "path": list(conflict.winner.path),
-            },
-            "losers": [
-                {"coordinate": str(loser.coordinate), "path": list(loser.path)}
-                for loser in conflict.losers
-            ],
-        }
-        for conflict in resolution.conflicts
-    ]
-
-
-def _findings_payload(findings: list[ShadowFinding]) -> list[dict[str, Any]]:
-    return [
-        {
-            "class_name": str(finding.class_name),
-            "winner": str(finding.winner),
-            "winner_depth": finding.winner_depth,
-            "winner_path": list(finding.winner_path),
-            "shadowed_victims": [str(victim) for victim in finding.shadowed_victims],
-        }
-        for finding in findings
-    ]
-
-
-def _violation_payload(violation: Any) -> dict[str, Any]:
-    if isinstance(violation, DuplicateClassViolation):
-        return {
-            "class_name": str(violation.class_name),
-            "winner": str(violation.winner),
-            "shadowed": [str(coordinate) for coordinate in violation.shadowed],
-        }
-    if isinstance(violation, SealedPackageViolation):
-        return {
-            "package": violation.package,
-            "sealed_by": str(violation.sealed_by),
-            "winners": [str(coordinate) for coordinate in violation.winners],
-        }
-    if isinstance(violation, SplitPackageViolation):
-        return {
-            "package": violation.package,
-            "providers": [str(coordinate) for coordinate in violation.providers],
-        }
-    raise TypeError(f"unexpected violation type {type(violation).__name__}")
-
-
-def _verdict_payload(verdict: MitigationVerdict) -> dict[str, Any]:
-    return {
-        "rule": verdict.rule.value,
-        "passed": verdict.passed,
-        "diagnostic": verdict.diagnostic,
-        "violations": [_violation_payload(violation) for violation in verdict.violations],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +279,7 @@ def _base_inputs(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_resolve(args: argparse.Namespace) -> tuple[int, str]:
     _, resolution = _load_resolution(args)
     if args.format == "json":
-        payload = {
-            "tree": _node_payload(resolution.tree.root),
-            "conflicts": _conflicts_payload(resolution),
-        }
+        payload = {"tree": resolution.tree.root, "conflicts": resolution.conflicts}
         return EXIT_OK, _json_report("resolve", _base_inputs(args), payload)
     lines = _tree_lines(resolution.tree.root) + [""] + _conflict_lines(resolution)
     return EXIT_OK, _text_report(lines)
@@ -290,13 +294,10 @@ def cmd_classpath(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         inputs = _base_inputs(args) | {"ecosystem": args.ecosystem, "layout": args.layout}
         payload = {
-            "ecosystem": classpath.ecosystem.value,
+            "ecosystem": classpath.ecosystem,
             "root_precedes": classpath.root_precedes,
-            "entries": [str(entry) for entry in classpath.entries],
-            "layout": None if layout is None else {
-                "mode": layout.mode.value,
-                "lines": list(layout.lines),
-            },
+            "entries": classpath.entries,
+            "layout": layout,
         }
         return EXIT_OK, _json_report("classpath", inputs, payload)
     lines = [str(entry) for entry in classpath.entries] or ["(empty classpath)"]
@@ -316,7 +317,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
             "ecosystem": args.ecosystem,
             "fail_on_shadow": args.fail_on_shadow,
         }
-        payload = {"ecosystem": args.ecosystem, "findings": _findings_payload(findings)}
+        payload = {"ecosystem": args.ecosystem, "findings": findings}
         return code, _json_report("scan", inputs, payload)
     return code, _text_report(_finding_lines(findings))
 
@@ -329,7 +330,7 @@ def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
     if args.attacker:
         subject = Coordinate.parse(args.attacker)
         mode = "reach"
-        members = hijack_reach(resolution.tree, ecosystem, subject).reachable_victims
+        members = hijack_reach(resolution.tree, ecosystem, subject)
     else:
         subject = Coordinate.parse(args.target)
         mode = "surface"
@@ -341,10 +342,8 @@ def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
             "attacker": args.attacker,
             "target": args.target,
         }
-        artifacts = [
-            {"coordinate": str(entry), "path": list(nodes[entry].path)} for entry in ordered
-        ]
-        payload = {"mode": mode, "subject": str(subject), "artifacts": artifacts}
+        artifacts = [Occurrence(entry, nodes[entry].path) for entry in ordered]
+        payload = {"mode": mode, "subject": subject, "artifacts": artifacts}
         return EXIT_OK, _json_report("hijack", inputs, payload)
     lines = [f"{mode} of {subject} ({ecosystem.value}):"]
     lines += [f"  {entry} (path {list(nodes[entry].path)})" for entry in ordered] or ["  (empty)"]
@@ -368,11 +367,11 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     code = EXIT_OK if all(verdict.passed for verdict in verdicts) else EXIT_MITIGATION_FAILED
     if args.format == "json":
         inputs = _base_inputs(args) | {
-            "rules": [rule.value for rule in args.rules],
+            "rules": args.rules,
             "allowlist": args.allowlist,
             "root_module": args.root_module,
         }
-        payload = {"verdicts": [_verdict_payload(verdict) for verdict in verdicts]}
+        payload = {"verdicts": verdicts}
         return code, _json_report("check", inputs, payload)
     return code, _text_report([line for verdict in verdicts for line in _verdict_lines(verdict)])
 
@@ -385,16 +384,8 @@ def cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
     }
     comparison = compare_ecosystems(resolution.tree, inventories_by_coord)
     if args.format == "json":
-        classes = [
-            {
-                "class_name": str(entry.class_name),
-                "maven_winner": str(entry.maven_winner),
-                "gradle_winner": str(entry.gradle_winner),
-                "differs": entry.differs,
-            }
-            for entry in comparison.entries
-        ]
-        return EXIT_OK, _json_report("compare", _base_inputs(args), {"classes": classes})
+        payload = {"classes": comparison.entries}
+        return EXIT_OK, _json_report("compare", _base_inputs(args), payload)
     return EXIT_OK, _text_report(_comparison_lines(comparison))
 
 

@@ -22,6 +22,9 @@ from shadowscan.ordering import Classpath
 from shadowscan.pom import CLASSLIST_NAME, JAR_NAME, Repository
 
 _MANIFEST_PATH = "META-INF/MANIFEST.MF"
+# Signed JARs list a digest per entry, so large manifests exist; a larger one
+# is a decompression bomb, not sealing metadata.
+_MANIFEST_LIMIT = 16 * 2**20
 _MODULE_INFO = "module-info.class"
 
 
@@ -113,7 +116,7 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
     classes, and module descriptors are metadata: a top-level
     ``module-info.class`` marks the artifact as modular, nothing more.
     Sealing is read from the manifest when one is present; that single entry
-    is the only one decompressed.
+    is the only one decompressed, and only up to ``_MANIFEST_LIMIT`` bytes.
     """
     path = Path(file)
     try:
@@ -126,7 +129,13 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
             names = archive.namelist()
             manifest_text = None
             if _MANIFEST_PATH in names:
-                manifest_text = archive.read(_MANIFEST_PATH).decode("utf-8", errors="replace")
+                with archive.open(_MANIFEST_PATH) as entry:
+                    manifest = entry.read(_MANIFEST_LIMIT + 1)
+                if len(manifest) > _MANIFEST_LIMIT:
+                    raise CorruptArchive(
+                        f"{path}: {_MANIFEST_PATH} inflates past {_MANIFEST_LIMIT} bytes"
+                    )
+                manifest_text = manifest.decode("utf-8", errors="replace")
     except (zipfile.BadZipFile, zlib.error) as exc:
         raise CorruptArchive(f"{path}: {exc}") from exc
     except OSError as exc:

@@ -6,17 +6,19 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from shadowscan.analysis import (
     EcosystemComparison,
     EffectiveClassMap,
+    ShadowFinding,
     WinnerComparison,
     effective_classes,
 )
 from shadowscan.errors import MissingContent
 from shadowscan.inventory import ClassInventory, inventory_all
 from shadowscan.mitigations import (
+    DuplicateClassViolation,
     MitigationRule,
     MitigationVerdict,
     SealedPackageViolation,
@@ -28,6 +30,8 @@ from shadowscan.model import (
     DependencyDeclaration,
     FullyQualifiedClassName,
     NodeStatus,
+    OmittedConflict,
+    OmittedDuplicate,
     PomDocument,
     ResolvedNode,
     ResolvedTree,
@@ -402,3 +406,102 @@ def reference_compare_ecosystems(
         for class_name, binding in sorted(maps[Ecosystem.MAVEN].bindings.items())
         if binding.shadowed
     ))
+
+
+# ---------------------------------------------------------------------------
+# the hand-written schema v1 payload builders, kept as references for the
+# report writer: json.dumps(payload, sort_keys=True, indent=2) of their output
+# is the recorded report
+
+def reference_status_payload(node: ResolvedNode) -> dict[str, Any]:
+    if isinstance(node.status, OmittedConflict):
+        return {"kind": "omitted-conflict", "winner": str(node.status.winner)}
+    if isinstance(node.status, OmittedDuplicate):
+        return {
+            "kind": "omitted-duplicate",
+            "first_occurrence_path": list(node.status.first_occurrence_path),
+        }
+    return {"kind": "included"}
+
+
+def reference_node_payload(node: ResolvedNode) -> dict[str, Any]:
+    return {
+        "coordinate": str(node.coordinate),
+        "path": list(node.path),
+        "depth": node.depth,
+        "bfs_index": node.bfs_index,
+        "status": reference_status_payload(node),
+        "children": [reference_node_payload(child) for child in node.children],
+    }
+
+
+def reference_conflicts_payload(resolution: ResolutionReport) -> list[dict[str, Any]]:
+    return [
+        {
+            "group_artifact": str(conflict.group_artifact),
+            "winner": {
+                "coordinate": str(conflict.winner.coordinate),
+                "path": list(conflict.winner.path),
+            },
+            "losers": [
+                {"coordinate": str(loser.coordinate), "path": list(loser.path)}
+                for loser in conflict.losers
+            ],
+        }
+        for conflict in resolution.conflicts
+    ]
+
+
+def reference_findings_payload(findings: list[ShadowFinding]) -> list[dict[str, Any]]:
+    return [
+        {
+            "class_name": str(finding.class_name),
+            "winner": str(finding.winner),
+            "winner_depth": finding.winner_depth,
+            "winner_path": list(finding.winner_path),
+            "shadowed_victims": [str(victim) for victim in finding.shadowed_victims],
+        }
+        for finding in findings
+    ]
+
+
+def reference_violation_payload(violation: Any) -> dict[str, Any]:
+    if isinstance(violation, DuplicateClassViolation):
+        return {
+            "class_name": str(violation.class_name),
+            "winner": str(violation.winner),
+            "shadowed": [str(coordinate) for coordinate in violation.shadowed],
+        }
+    if isinstance(violation, SealedPackageViolation):
+        return {
+            "package": violation.package,
+            "sealed_by": str(violation.sealed_by),
+            "winners": [str(coordinate) for coordinate in violation.winners],
+        }
+    if isinstance(violation, SplitPackageViolation):
+        return {
+            "package": violation.package,
+            "providers": [str(coordinate) for coordinate in violation.providers],
+        }
+    raise TypeError(f"unexpected violation type {type(violation).__name__}")
+
+
+def reference_verdict_payload(verdict: MitigationVerdict) -> dict[str, Any]:
+    return {
+        "rule": verdict.rule.value,
+        "passed": verdict.passed,
+        "diagnostic": verdict.diagnostic,
+        "violations": [reference_violation_payload(violation) for violation in verdict.violations],
+    }
+
+
+def reference_comparison_payload(comparison: EcosystemComparison) -> list[dict[str, Any]]:
+    return [
+        {
+            "class_name": str(entry.class_name),
+            "maven_winner": str(entry.maven_winner),
+            "gradle_winner": str(entry.gradle_winner),
+            "differs": entry.differs,
+        }
+        for entry in comparison.entries
+    ]

@@ -122,19 +122,19 @@ class TestHijackGeometry:
 
     def test_maven_reach_of_a_deep_transitive_includes_a_direct_dep(self):
         reach = hijack_reach(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D111:1.0"))
-        victims = {victim.artifact_id for victim in reach.reachable_victims}
+        victims = {victim.artifact_id for victim in reach}
         assert victims == {"D112", "D2", "D21", "D211", "D22", "D221"}
 
     def test_gradle_reach_of_the_same_node_misses_direct_deps(self):
         reach = hijack_reach(self.attack_tree(), Ecosystem.GRADLE, coord("com.example:D111:1.0"))
-        victims = {victim.artifact_id for victim in reach.reachable_victims}
+        victims = {victim.artifact_id for victim in reach}
         assert "D2" not in victims
         assert victims == {"D112", "D211", "D221"}
 
     def test_last_entry_reaches_nothing(self):
         tree = self.attack_tree()
         last = build_classpath(tree, Ecosystem.MAVEN).entries[-1]
-        assert hijack_reach(tree, Ecosystem.MAVEN, last).reachable_victims == frozenset()
+        assert hijack_reach(tree, Ecosystem.MAVEN, last) == frozenset()
 
     def test_surface_of_direct_dep_under_maven(self):
         surface = hijack_surface(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D2:1.0"))
@@ -161,7 +161,7 @@ class TestHijackGeometry:
     def test_root_reaches_everything_and_has_no_surface(self):
         tree = self.attack_tree()
         root = tree.root.coordinate
-        assert len(hijack_reach(tree, Ecosystem.MAVEN, root).reachable_victims) == 9
+        assert len(hijack_reach(tree, Ecosystem.MAVEN, root)) == 9
         assert hijack_surface(tree, Ecosystem.MAVEN, root) == frozenset()
 
     @pytest.mark.parametrize("seed", range(30))
@@ -172,8 +172,8 @@ class TestHijackGeometry:
         if len(entries) < 2:
             return
         a, b = rng.sample(entries, 2)
-        a_reaches_b = b in hijack_reach(tree, Ecosystem.MAVEN, a).reachable_victims
-        b_reaches_a = a in hijack_reach(tree, Ecosystem.MAVEN, b).reachable_victims
+        a_reaches_b = b in hijack_reach(tree, Ecosystem.MAVEN, a)
+        b_reaches_a = a in hijack_reach(tree, Ecosystem.MAVEN, b)
         assert a_reaches_b != b_reaches_a
 
     @pytest.mark.parametrize("seed", range(30))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import logging
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from shadowscan.cli import main
+from shadowscan.cli import _json_report, main
 from tests.helpers import FIXTURES, coord, make_repo, write_pom
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
@@ -395,3 +397,39 @@ class TestDeepChain:
         assert lines[1] == "+-org.chain:c1:1.0"
         assert lines[self.LENGTH] == "   " * (self.LENGTH - 1) + f"+-org.chain:c{self.LENGTH}:1.0"
         assert lines[self.LENGTH + 1 :] == ["", "no conflicts"]
+
+
+class TestJsonReport:
+    def test_payload_nested_deeper_than_the_recursion_limit(self):
+        pairs = 750  # an object and an array each: 1 500 levels, the shape of a tree's nodes
+        payload = "leaf"
+        for _ in range(pairs):
+            payload = {"children": [payload]}
+        opening, closing = [], []
+        for level in range(1, 2 * pairs, 2):
+            opening += ["  " * level + "{", "  " * (level + 1) + '"children": [']
+            closing = ["  " * (level + 1) + "]", "  " * level + "}"] + closing
+        expected = [
+            "{", '  "command": "resolve",', '  "inputs": {},', '  "payload": {', *opening[1:],
+            "  " * (2 * pairs + 1) + '"leaf"', *closing[:-1], "  },", '  "schema_version": 1', "}",
+        ]
+        assert _json_report("resolve", {}, payload) == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, {1}, object(), b"bytes"])
+    def test_an_unsupported_type_is_rejected(self, value):
+        with pytest.raises(TypeError):
+            _json_report("resolve", {}, {"value": value})
+
+
+def test_every_call_the_traced_benchmark_wraps_is_bound():
+    # shadowbench/spans.py swaps each (module, attribute) for a span wrapper;
+    # a name a refactor drops from its module would crash `run.py --trace 1`
+    path = Path(__file__).resolve().parent.parent / "shadowbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("shadowbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYER_CALLS
+    for module_name, attribute, _, _ in spans.LAYER_CALLS:
+        assert callable(getattr(importlib.import_module(module_name), attribute, None)), (
+            f"{module_name}.{attribute}"
+        )

@@ -54,7 +54,7 @@ COMMANDS = {
 TEXT_RENDERERS = [
     "_tree_lines", "_conflict_lines", "_finding_lines", "_verdict_lines", "_comparison_lines",
 ]
-JSON_RENDERERS = ["_json_report", "_node_payload", "_findings_payload", "_verdict_payload"]
+JSON_RENDERERS = ["_json_report", "_json_text"]
 
 
 def run(capsys, fixture: str, command: str, output_format: str) -> tuple[int, str]:

@@ -16,6 +16,7 @@ from shadowscan.errors import (
     NotAZip,
 )
 from shadowscan.inventory import (
+    _MANIFEST_LIMIT,
     ClassInventory,
     inspect_classlist,
     inspect_jar,
@@ -144,6 +145,24 @@ class TestManifestSealing:
         package = "org.averyveryveryveryverylongpackagesegmentthatkeepsgoingandgoing"
         jar = make_jar(tmp_path / "a.jar", [], manifest=manifest)
         assert inspect_jar(jar, COORD).sealed_packages == frozenset({package})
+
+    def test_manifest_inflating_past_the_limit_is_rejected(self, tmp_path):
+        manifest = "Manifest-Version: 1.0\n" + "X" * _MANIFEST_LIMIT
+        jar = tmp_path / "a.jar"
+        with zipfile.ZipFile(jar, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("META-INF/MANIFEST.MF", manifest)
+        assert jar.stat().st_size < _MANIFEST_LIMIT // 100
+        with pytest.raises(CorruptArchive, match="inflates past"):
+            inspect_jar(jar, COORD)
+
+    def test_manifest_at_the_limit_is_read(self, tmp_path):
+        manifest = "Manifest-Version: 1.0\nSealed: true\n"
+        manifest += "X" * (_MANIFEST_LIMIT - len(manifest))
+        jar = tmp_path / "a.jar"
+        with zipfile.ZipFile(jar, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("META-INF/MANIFEST.MF", manifest)
+            archive.writestr("org/nice/A.class", b"")
+        assert inspect_jar(jar, COORD).sealed_packages == frozenset({"org.nice"})
 
     def test_unsealed_manifest(self, tmp_path):
         jar = make_jar(
