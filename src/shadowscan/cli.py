@@ -26,6 +26,7 @@ from shadowscan.analysis import (
 from shadowscan.errors import (
     DepthLimitExceeded,
     PomNotFound,
+    ReportTooDeep,
     ShadowscanError,
     UnknownArtifact,
     UnresolvableDependency,
@@ -70,7 +71,14 @@ _RULE_TOKENS = {
 }
 
 
-# Report members that are not dataclass fields: name -> value of the object.
+# JSON readers commonly refuse deeper documents (Jackson's default read constraints
+# allow 1000 levels; Python's json stops at its recursion limit, 1000 by default).
+# A resolve report nests two levels per tree level; text output has no limit.
+_MAX_NESTING = 1000
+
+# Report members that are not dataclass fields: name -> value of the object. All
+# other keys are field names, so renaming a field of a reported dataclass changes
+# schema v1; tests/test_equivalence.py and tests/test_golden.py pin the keys.
 _DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
     Included: {"kind": lambda status: "included"},
     OmittedConflict: {"kind": lambda status: "omitted-conflict"},
@@ -94,6 +102,7 @@ def _json_text(document: Any) -> str:
 
     A dataclass is written as the object of its fields plus its
     ``_DERIVED_MEMBERS``; a ``Coordinate`` or ``GroupArtifact`` as its string.
+    Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
     """
     parts: list[str] = []
     emit = parts.append
@@ -137,6 +146,11 @@ def _json_text(document: Any) -> str:
                     emit(opening + close)
                     continue
                 if level + 1 == len(breaks):
+                    if level == _MAX_NESTING:
+                        raise ReportTooDeep(
+                            f"the JSON report would nest deeper than {_MAX_NESTING} levels, "
+                            "the most JSON readers accept; use --format text"
+                        )
                     breaks.append(breaks[-1] + "  ")
                     commas.append("," + breaks[-1])
                 emit(opening)
@@ -269,8 +283,10 @@ def _load_resolution(args: argparse.Namespace) -> tuple[Repository, ResolutionRe
     return repo, resolve(repo, root_document, max_depth=args.max_depth)
 
 
-def _base_inputs(args: argparse.Namespace) -> dict[str, Any]:
-    return {"repo": args.repo, "root": args.root, "max_depth": args.max_depth}
+def _inputs(args: argparse.Namespace) -> dict[str, Any]:
+    """The report's echo of the invocation: every option of the command but --format."""
+    return {name: value for name, value in vars(args).items()
+            if name not in ("command", "handler", "format")}
 
 
 # Each command returns its exit code and its stdout in the requested format;
@@ -280,7 +296,7 @@ def cmd_resolve(args: argparse.Namespace) -> tuple[int, str]:
     _, resolution = _load_resolution(args)
     if args.format == "json":
         payload = {"tree": resolution.tree.root, "conflicts": resolution.conflicts}
-        return EXIT_OK, _json_report("resolve", _base_inputs(args), payload)
+        return EXIT_OK, _json_report("resolve", _inputs(args), payload)
     lines = _tree_lines(resolution.tree.root) + [""] + _conflict_lines(resolution)
     return EXIT_OK, _text_report(lines)
 
@@ -292,14 +308,13 @@ def cmd_classpath(args: argparse.Namespace) -> tuple[int, str]:
     if args.layout != "none":
         layout = emit_layout(resolution.tree, LayoutMode(args.layout))
     if args.format == "json":
-        inputs = _base_inputs(args) | {"ecosystem": args.ecosystem, "layout": args.layout}
         payload = {
             "ecosystem": classpath.ecosystem,
             "root_precedes": classpath.root_precedes,
             "entries": classpath.entries,
             "layout": layout,
         }
-        return EXIT_OK, _json_report("classpath", inputs, payload)
+        return EXIT_OK, _json_report("classpath", _inputs(args), payload)
     lines = [str(entry) for entry in classpath.entries] or ["(empty classpath)"]
     if layout is not None:
         lines += [""] + list(layout.lines)
@@ -313,12 +328,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
     findings = detect_shadowing(effective_classes(inventories), resolution.tree)
     code = EXIT_SHADOWS_FOUND if findings and args.fail_on_shadow else EXIT_OK
     if args.format == "json":
-        inputs = _base_inputs(args) | {
-            "ecosystem": args.ecosystem,
-            "fail_on_shadow": args.fail_on_shadow,
-        }
         payload = {"ecosystem": args.ecosystem, "findings": findings}
-        return code, _json_report("scan", inputs, payload)
+        return code, _json_report("scan", _inputs(args), payload)
     return code, _text_report(_finding_lines(findings))
 
 
@@ -337,14 +348,9 @@ def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
         members = hijack_surface(resolution.tree, ecosystem, subject)
     ordered = [entry for entry in classpath.entries if entry in members]
     if args.format == "json":
-        inputs = _base_inputs(args) | {
-            "ecosystem": args.ecosystem,
-            "attacker": args.attacker,
-            "target": args.target,
-        }
         artifacts = [Occurrence(entry, nodes[entry].path) for entry in ordered]
         payload = {"mode": mode, "subject": subject, "artifacts": artifacts}
-        return EXIT_OK, _json_report("hijack", inputs, payload)
+        return EXIT_OK, _json_report("hijack", _inputs(args), payload)
     lines = [f"{mode} of {subject} ({ecosystem.value}):"]
     lines += [f"  {entry} (path {list(nodes[entry].path)})" for entry in ordered] or ["  (empty)"]
     return EXIT_OK, _text_report(lines)
@@ -366,13 +372,8 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
             verdicts.append(check_modules(inventories, args.root_module))
     code = EXIT_OK if all(verdict.passed for verdict in verdicts) else EXIT_MITIGATION_FAILED
     if args.format == "json":
-        inputs = _base_inputs(args) | {
-            "rules": args.rules,
-            "allowlist": args.allowlist,
-            "root_module": args.root_module,
-        }
         payload = {"verdicts": verdicts}
-        return code, _json_report("check", inputs, payload)
+        return code, _json_report("check", _inputs(args), payload)
     return code, _text_report([line for verdict in verdicts for line in _verdict_lines(verdict)])
 
 
@@ -385,7 +386,7 @@ def cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
     comparison = compare_ecosystems(resolution.tree, inventories_by_coord)
     if args.format == "json":
         payload = {"classes": comparison.entries}
-        return EXIT_OK, _json_report("compare", _base_inputs(args), payload)
+        return EXIT_OK, _json_report("compare", _inputs(args), payload)
     return EXIT_OK, _text_report(_comparison_lines(comparison))
 
 

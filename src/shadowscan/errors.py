@@ -79,5 +79,9 @@ class UnknownArtifact(ShadowscanError):
     """The named coordinate is not an included node of the tree."""
 
 
+class ReportTooDeep(ShadowscanError):
+    """A JSON report would nest deeper than JSON readers accept."""
+
+
 class InvalidPattern(ShadowscanError, ValueError):
     """An allowlist pattern is malformed."""

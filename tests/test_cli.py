@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from shadowscan.cli import _json_report, main
+from shadowscan.cli import _MAX_NESTING, _json_report, main
+from shadowscan.errors import ReportTooDeep
 from tests.helpers import FIXTURES, coord, make_repo, write_pom
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
@@ -398,22 +399,48 @@ class TestDeepChain:
         assert lines[self.LENGTH] == "   " * (self.LENGTH - 1) + f"+-org.chain:c{self.LENGTH}:1.0"
         assert lines[self.LENGTH + 1 :] == ["", "no conflicts"]
 
+    def test_json_resolve_is_refused_as_an_input_error(self, capsys, chain_args):
+        # two nesting levels per tree level: 1 000 levels exceed what JSON readers accept
+        code, out, err = run(capsys, "resolve", *chain_args, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the JSON report would nest deeper than {_MAX_NESTING} levels, "
+            "the most JSON readers accept; use --format text\n"
+        )
+
 
 class TestJsonReport:
-    def test_payload_nested_deeper_than_the_recursion_limit(self):
-        pairs = 750  # an object and an array each: 1 500 levels, the shape of a tree's nodes
-        payload = "leaf"
+    @staticmethod
+    def nested(pairs):
+        """A payload of `pairs` object/array pairs, the shape of a tree's nodes, around
+        ["leaf"], and the report's expected lines."""
+        payload = ["leaf"]
         for _ in range(pairs):
             payload = {"children": [payload]}
         opening, closing = [], []
         for level in range(1, 2 * pairs, 2):
             opening += ["  " * level + "{", "  " * (level + 1) + '"children": [']
             closing = ["  " * (level + 1) + "]", "  " * level + "}"] + closing
-        expected = [
+        inner = 2 * pairs + 1
+        lines = [
             "{", '  "command": "resolve",', '  "inputs": {},', '  "payload": {', *opening[1:],
-            "  " * (2 * pairs + 1) + '"leaf"', *closing[:-1], "  },", '  "schema_version": 1', "}",
+            "  " * inner + "[", "  " * (inner + 1) + '"leaf"', "  " * inner + "]",
+            *closing[:-1], "  },", '  "schema_version": 1', "}",
         ]
-        assert _json_report("resolve", {}, payload) == "\n".join(expected) + "\n"
+        return payload, lines
+
+    def test_payload_nested_to_the_limit(self):
+        # the report object, the pairs and the innermost array: far deeper
+        # than the interpreter's recursion limit allows a recursive encoder
+        pairs = (_MAX_NESTING - 2) // 2
+        assert 1 + 2 * pairs + 1 == _MAX_NESTING
+        payload, lines = self.nested(pairs)
+        assert _json_report("resolve", {}, payload) == "\n".join(lines) + "\n"
+
+    def test_payload_nested_past_the_limit_is_refused(self):
+        payload, _ = self.nested((_MAX_NESTING - 2) // 2)
+        with pytest.raises(ReportTooDeep, match=f"deeper than {_MAX_NESTING} levels"):
+            _json_report("resolve", {}, [payload])
 
     @pytest.mark.parametrize("value", [1.5, {1}, object(), b"bytes"])
     def test_an_unsupported_type_is_rejected(self, value):
