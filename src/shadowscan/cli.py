@@ -414,6 +414,16 @@ def _rules_argument(value: str) -> tuple[MitigationRule, ...]:
     return tuple(rules)
 
 
+def _depth_argument(value: str) -> int:
+    try:
+        depth = int(value)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -423,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--root", required=True, help="root project coordinate group:artifact:version")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    common.add_argument("--max-depth", type=_depth_argument, default=DEFAULT_MAX_DEPTH)
 
     parser = _Parser(prog="shadowscan", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)

@@ -223,7 +223,7 @@ def render_classlist(inventory: ClassInventory) -> str:
 
 def load_inventory(repo: Repository, coordinate: Coordinate) -> ClassInventory:
     """Load the content inventory for one artifact; a JAR beats a class list."""
-    entry = repo.entries.get(coordinate)
+    entry = repo.lookup(coordinate)
     if entry is None or entry.content_path is None:
         raise MissingContent(f"{coordinate} has no {JAR_NAME} or {CLASSLIST_NAME}")
     if entry.content_path.name == JAR_NAME:

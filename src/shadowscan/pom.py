@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import logging
+import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -12,7 +14,6 @@ from typing import Mapping
 
 from shadowscan.errors import (
     CoordinateMismatch,
-    InvalidCoordinate,
     IoFailure,
     MalformedXml,
     MissingCoordinate,
@@ -90,12 +91,13 @@ def parse_pom(xml_text: str) -> PomDocument:
 
 @dataclass(frozen=True)
 class RepositoryEntry:
-    """Index record for one artifact version on disk.
+    """One artifact version on disk, found at its coordinate's path.
 
-    ``coordinate`` is the one the directory path implies. The POM is read,
-    parsed and checked against it on the first read of ``document``, and the
-    content source is looked up on the first read of ``content_path``; each
-    result is then kept on the entry.
+    ``pom_path`` is ``<root>/<group>/<artifact>/<version>/pom.xml`` for
+    ``coordinate``. The POM is read, parsed and checked against the
+    coordinate on the first read of ``document``, and the content source is
+    looked up on the first read of ``content_path``; each result is then
+    kept on the entry.
     """
 
     coordinate: Coordinate
@@ -128,57 +130,80 @@ class RepositoryEntry:
         return None
 
 
+# A token that would leave its level of the layout, or that no path can hold.
+_NOT_A_NAME = re.compile(r"\A\.\.?\Z|[/\0]")
+# errno values meaning that no file is at a path; any other error is a failed read.
+_ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENAMETOOLONG})
+
+
 @dataclass(frozen=True)
 class Repository:
-    """Read-only index of a ``<root>/<group>/<artifact>/<version>/`` layout."""
+    """A ``<root>/<group>/<artifact>/<version>/`` layout, looked up by coordinate.
+
+    ``entries`` is a read-only view of the entries found so far: it starts
+    with those passed in, and ``lookup`` adds each coordinate whose POM it
+    finds. The repository is never listed.
+    """
 
     root_directory: Path
-    entries: Mapping[Coordinate, RepositoryEntry]
+    entries: Mapping[Coordinate, RepositoryEntry] = field(default_factory=dict)
+    _found: dict[Coordinate, RepositoryEntry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        found = dict(self.entries)
+        object.__setattr__(self, "_found", found)
+        object.__setattr__(self, "entries", MappingProxyType(found))
+
+    def lookup(self, coordinate: Coordinate) -> RepositoryEntry | None:
+        """The entry at the coordinate's path, found on first use and then kept.
+
+        The path is ``<root>/<group>/<artifact>/<version>/pom.xml``. A token
+        that is ``.`` or ``..`` or holds ``/`` or NUL names no entry, so a
+        lookup never leaves the root's three-level layout. Any existing
+        ``pom.xml``, even a directory, is an entry; reading it decides the
+        rest. A failure to check the path other than its absence raises
+        ``IoFailure``.
+        """
+        entry = self._found.get(coordinate)
+        if entry is not None:
+            return entry
+        tokens = (coordinate.group_id, coordinate.artifact_id, coordinate.version)
+        if any(_NOT_A_NAME.search(token) for token in tokens):
+            return None
+        pom_path = self.root_directory.joinpath(*tokens, "pom.xml")
+        try:
+            pom_path.stat()
+        except OSError as exc:
+            if exc.errno in _ABSENT:
+                return None
+            raise IoFailure(f"cannot read {pom_path}: {exc}") from exc
+        entry = self._found[coordinate] = RepositoryEntry(coordinate, pom_path)
+        return entry
 
 
 def load_repository(root_directory: Path | str) -> Repository:
-    """Index every ``pom.xml`` found in the three-level repository layout.
+    """Open the repository at a directory; nothing under it is read here.
 
-    Only paths are read here: each entry's coordinate comes from its
-    directory names, and a path whose names are not valid coordinate tokens
-    is skipped with a warning. A POM is parsed when ``fetch_pom`` first asks
-    for it, so a POM that resolution never reaches is never read.
+    Each artifact's POM is found by ``Repository.lookup`` when first asked
+    for and parsed on the first ``fetch_pom``, so only the artifacts that
+    resolution reaches are ever touched.
     """
     root = Path(root_directory)
     if not root.is_dir():
         raise IoFailure(f"repository root {root} is not a readable directory")
-    entries: dict[Coordinate, RepositoryEntry] = {}
-    try:
-        pom_paths = sorted(root.glob("*/*/*/pom.xml"))
-        for pom_path in pom_paths:
-            version_dir = pom_path.parent
-            try:
-                derived = Coordinate(
-                    GroupArtifact(version_dir.parent.parent.name, version_dir.parent.name),
-                    version_dir.name,
-                )
-            except InvalidCoordinate as exc:
-                # no valid coordinate can name this entry, so nothing can reach it
-                logger.warning("skipping %s: %s", pom_path, exc)
-                continue
-            entries[derived] = RepositoryEntry(derived, pom_path)
-    except OSError as exc:
-        raise IoFailure(f"cannot read repository under {root}: {exc}") from exc
-    return Repository(root, entries)
+    return Repository(root)
 
 
 def fetch_pom(repo: Repository, coordinate: Coordinate) -> PomDocument:
     """Return the parsed document for a coordinate, parsing it on first use.
 
-    The first call for a coordinate reads its POM and raises ``IoFailure``,
-    ``MalformedXml`` (or another parse error) or ``CoordinateMismatch`` if
-    it is unreadable, malformed or declares another coordinate; later calls
-    return the same document object.
+    ``PomNotFound`` means that ``Repository.lookup`` found no POM at the
+    coordinate's path. The first call for a coordinate reads its POM and
+    raises ``IoFailure``, ``MalformedXml`` (or another parse error) or
+    ``CoordinateMismatch`` if it is unreadable, malformed or declares
+    another coordinate; later calls return the same document object.
     """
-    entry = repo.entries.get(coordinate)
+    entry = repo.lookup(coordinate)
     if entry is None:
         raise PomNotFound(f"{coordinate} is not present in {repo.root_directory}")
     return entry.document

@@ -5,7 +5,6 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
-import logging
 import os
 import shutil
 import subprocess
@@ -300,6 +299,39 @@ class TestPlumbing:
         assert result.stdout.splitlines()[0] == "com.example:Project:1.0"
 
 
+# every command, with the options it requires
+ALL_COMMANDS = [
+    ["resolve"], ["classpath"], ["scan"], ["hijack", "--target", "org.test:nicelibrary:1.2"],
+    ["check"], ["compare"],
+]
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS, ids=lambda command: command[0])
+def test_negative_max_depth_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, *ATTACK, "--max-depth", "-1"])
+    assert excinfo.value.code == 1
+    assert "--max-depth" in capsys.readouterr().err
+
+
+class TestConfinement:
+    """A coordinate token that is a path step names no POM, even where a file would be found."""
+
+    # each coordinate, and where joining its tokens onto the root unguarded would land
+    DECOYS = {"..:x:a": "../x/a", ".:root:1": "root/1", "a/b:c:1": "a/b/c/1"}
+
+    @pytest.mark.parametrize("dependency", list(DECOYS))
+    @pytest.mark.parametrize("command", ALL_COMMANDS, ids=lambda command: command[0])
+    def test_path_step_tokens_cannot_be_resolved(self, capsys, tmp_path, command, dependency):
+        repo = make_repo(tmp_path / "repo", {"g:app:1": [dependency]})
+        for text, decoy in self.DECOYS.items():
+            (repo / decoy).mkdir(parents=True)
+            write_pom(repo / decoy, coord(text), [])
+        code, out, err = run(capsys, *command, "--repo", str(repo), "--root", "g:app:1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot resolve {dependency}")
+
+
 class TestLazyPomParsing:
     """Only the POMs that resolution reaches are read, so only they can fail a command."""
 
@@ -333,19 +365,15 @@ class TestLazyPomParsing:
         assert self.json_outputs(capsys, repo) == clean
         assert [code for code, _, _ in clean] == [0, 0, 0, 0]
 
-    def test_unreached_directory_with_an_invalid_name_is_skipped(self, capsys, caplog, tmp_path):
+    def test_unreached_directory_with_an_invalid_name_is_skipped(self, capsys, tmp_path):
         repo = self.attack_copy(tmp_path)
         clean = self.json_outputs(capsys, repo)
         pom = repo / "org.stray" / "un reached" / "1.0" / "pom.xml"
         pom.parent.mkdir(parents=True)
         pom.write_text("<project/>\n", encoding="utf-8")
-        with caplog.at_level(logging.WARNING, logger="shadowscan.pom"):
-            stray = self.json_outputs(capsys, repo)
+        stray = self.json_outputs(capsys, repo)
         assert [(code, out) for code, out, _ in stray] == [(code, out) for code, out, _ in clean]
         assert [code for code, _, _ in stray] == [0, 0, 0, 0]
-        warnings = [record.getMessage() for record in caplog.records]
-        assert len(warnings) == len(self.COMMANDS)
-        assert all(message.startswith(f"skipping {pom}: ") for message in warnings)
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_reached_malformed_pom_is_an_input_error(self, capsys, tmp_path, command):
@@ -448,15 +476,32 @@ class TestJsonReport:
             _json_report("resolve", {}, {"value": value})
 
 
-def test_every_call_the_traced_benchmark_wraps_is_bound():
-    # shadowbench/spans.py swaps each (module, attribute) for a span wrapper;
-    # a name a refactor drops from its module would crash `run.py --trace 1`
+def load_spans():
     path = Path(__file__).resolve().parent.parent / "shadowbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("shadowbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_call_the_traced_benchmark_wraps_is_bound():
+    # shadowbench/spans.py swaps each (module, attribute) for a span wrapper;
+    # a name a refactor drops from its module would crash `run.py --trace 1`
+    spans = load_spans()
     assert spans.LAYER_CALLS
     for module_name, attribute, _, _ in spans.LAYER_CALLS:
         assert callable(getattr(importlib.import_module(module_name), attribute, None)), (
             f"{module_name}.{attribute}"
         )
+
+
+def test_a_traced_scan_runs_and_counts_content_bytes():
+    # the tracer's counters read repo.entries after inventory, so every entry
+    # the run reads content from must be in that view by then
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        code, out, err = tracer.run(main, ["scan", *ATTACK, "--format", "json"])
+    assert (code, err) == (0, b"")
+    assert json.loads(out)["command"] == "scan"
+    assert tracer.counts["inventory.content_bytes"] > 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,24 @@ from shadowscan.errors import (
     MissingCoordinate,
     PomNotFound,
 )
+from shadowscan.model import Coordinate
 from shadowscan.pom import fetch_pom, load_repository, parse_pom
 from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, make_repo
+
+POC_COORDINATES = [
+    coord(text)
+    for text in (
+        "org.example:victim:1.0",
+        "org.test:nicelibrary:1.2",
+        "org.evil:attackerlibrary:1.0",
+        "org.evil:fakelibrary:1.0",
+    )
+]
+SAMPLE_APP_COORDINATES = [
+    coord(f"com.example:{name}:1.0")
+    for name in ("Project", "D1", "D11", "D111", "D112", "D2", "D21", "D211", "D22", "D221")
+]
 
 SAFE_ORDER_POM = """
 <project>
@@ -180,7 +197,10 @@ class TestParsePom:
 class TestLoadRepository:
     def test_counts_fixture_poms(self):
         repo = load_repository(FIXTURES / "poc-attack-order")
-        assert len(repo.entries) == 4
+        assert len(repo.entries) == 0
+        for coordinate in POC_COORDINATES:
+            assert repo.lookup(coordinate).coordinate == coordinate
+        assert set(repo.entries) == set(POC_COORDINATES)
 
     def test_empty_directory(self, tmp_path):
         repo = load_repository(tmp_path)
@@ -207,17 +227,17 @@ class TestLoadRepository:
 
     def test_content_sources_indexed(self):
         repo = load_repository(FIXTURES / "poc-attack-order")
-        nice = repo.entries[coord("org.test:nicelibrary:1.2")]
+        nice = repo.lookup(coord("org.test:nicelibrary:1.2"))
         assert nice.content_path is not None and nice.content_path.name == "classes.txt"
-        victim = repo.entries[coord("org.example:victim:1.0")]
+        victim = repo.lookup(coord("org.example:victim:1.0"))
         assert victim.content_path is None
 
     def test_reparsing_fixture_documents_is_stable(self):
         first = load_repository(FIXTURES / "sample-app")
         second = load_repository(FIXTURES / "sample-app")
-        assert first.entries.keys() == second.entries.keys()
-        for key, entry in first.entries.items():
-            assert entry.document == second.entries[key].document
+        for coordinate in SAMPLE_APP_COORDINATES:
+            assert fetch_pom(first, coordinate) == fetch_pom(second, coordinate)
+        assert first.entries.keys() == second.entries.keys() == set(SAMPLE_APP_COORDINATES)
 
 
 class TestFetchPom:
@@ -243,6 +263,36 @@ class TestFetchPom:
         assert fetch_pom(repo, coord("g:b:2")).coordinate == coord("g:b:2")
         with pytest.raises(PomNotFound):
             fetch_pom(repo, coord("g:c:1"))
+
+    def test_a_token_holding_nul_is_not_found(self, tmp_path):
+        make_repo(tmp_path, {"g:a:1": []})
+        repo = load_repository(tmp_path)
+        for coordinate in (
+            Coordinate.of("g\0", "a", "1"),
+            Coordinate.of("g", "a\0", "1"),
+            Coordinate.of("g", "a", "1\0"),
+        ):
+            with pytest.raises(PomNotFound):
+                fetch_pom(repo, coordinate)
+        assert len(repo.entries) == 0
+
+    def test_a_pom_directory_is_an_entry_that_cannot_be_read(self, tmp_path):
+        (tmp_path / "g" / "a" / "1" / "pom.xml").mkdir(parents=True)
+        repo = load_repository(tmp_path)
+        with pytest.raises(IoFailure):
+            fetch_pom(repo, coord("g:a:1"))
+        assert list(repo.entries) == [coord("g:a:1")]
+
+    def test_a_failed_existence_check_is_an_io_failure(self, tmp_path, monkeypatch):
+        make_repo(tmp_path, {"g:a:1": []})
+        repo = load_repository(tmp_path)
+
+        def failing_stat(path, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "stat", failing_stat)
+        with pytest.raises(IoFailure, match="pom.xml"):
+            fetch_pom(repo, coord("g:a:1"))
 
     def test_parses_each_reached_pom_once_and_no_other(self, tmp_path, monkeypatch):
         poms = {
