@@ -37,7 +37,7 @@ from shadowscan.model import (
     PomDocument,
     ResolvedNode,
     ResolvedTree,
-    bfs_order,
+    check_invariants,
     dfs_order,
 )
 from shadowscan.ordering import (
@@ -75,9 +75,9 @@ __all__ = [
     "ShadowFinding",
     "ShadowscanError",
     "WinnerComparison",
-    "bfs_order",
     "build_classpath",
     "check_ban_duplicate_classes",
+    "check_invariants",
     "check_modules",
     "check_sealed",
     "compare_ecosystems",

@@ -13,7 +13,6 @@ from shadowscan.model import (
     ResolvedNode,
     ResolvedTree,
     TreePath,
-    bfs_order,
 )
 from shadowscan.ordering import Classpath, Ecosystem, build_classpath
 
@@ -62,7 +61,7 @@ class ShadowFinding:
 
 def included_nodes(tree: ResolvedTree) -> dict[Coordinate, ResolvedNode]:
     """Included nodes keyed by coordinate, in level order."""
-    return {node.coordinate: node for node in bfs_order(tree) if node.included}
+    return {node.coordinate: node for node in tree.nodes if node.included}
 
 
 def detect_shadowing(class_map: EffectiveClassMap, tree: ResolvedTree) -> list[ShadowFinding]:
@@ -96,19 +95,17 @@ def _position(classpath: Classpath, tree: ResolvedTree, coordinate: Coordinate) 
 
 
 def hijack_reach(
-    tree: ResolvedTree, ecosystem: Ecosystem, attacker: Coordinate
+    tree: ResolvedTree, classpath: Classpath, attacker: Coordinate
 ) -> frozenset[Coordinate]:
     """Artifacts the attacker can shadow: everything strictly after it on the classpath."""
-    classpath = build_classpath(tree, ecosystem)
     position = _position(classpath, tree, attacker)
     return frozenset(classpath.entries[position + 1 :])
 
 
 def hijack_surface(
-    tree: ResolvedTree, ecosystem: Ecosystem, target: Coordinate
+    tree: ResolvedTree, classpath: Classpath, target: Coordinate
 ) -> frozenset[Coordinate]:
     """Positions that can shadow the target: everything strictly before it."""
-    classpath = build_classpath(tree, ecosystem)
     position = _position(classpath, tree, target)
     return frozenset(classpath.entries[: max(position, 0)])
 

@@ -310,7 +310,7 @@ def cmd_classpath(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         payload = {
             "ecosystem": classpath.ecosystem,
-            "root_precedes": classpath.root_precedes,
+            "root_precedes": True,
             "entries": classpath.entries,
             "layout": layout,
         }
@@ -341,11 +341,11 @@ def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
     if args.attacker:
         subject = Coordinate.parse(args.attacker)
         mode = "reach"
-        members = hijack_reach(resolution.tree, ecosystem, subject)
+        members = hijack_reach(resolution.tree, classpath, subject)
     else:
         subject = Coordinate.parse(args.target)
         mode = "surface"
-        members = hijack_surface(resolution.tree, ecosystem, subject)
+        members = hijack_surface(resolution.tree, classpath, subject)
     ordered = [entry for entry in classpath.entries if entry in members]
     if args.format == "json":
         artifacts = [Occurrence(entry, nodes[entry].path) for entry in ordered]

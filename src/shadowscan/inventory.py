@@ -19,7 +19,7 @@ from shadowscan.errors import (
 )
 from shadowscan.model import Coordinate, FullyQualifiedClassName
 from shadowscan.ordering import Classpath
-from shadowscan.pom import CLASSLIST_NAME, JAR_NAME, Repository
+from shadowscan.pom import CLASSLIST_LIMIT, CLASSLIST_NAME, JAR_NAME, Repository, read_text_file
 
 _MANIFEST_PATH = "META-INF/MANIFEST.MF"
 # Signed JARs list a digest per entry, so large manifests exist; a larger one
@@ -136,7 +136,13 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
                         f"{path}: {_MANIFEST_PATH} inflates past {_MANIFEST_LIMIT} bytes"
                     )
                 manifest_text = manifest.decode("utf-8", errors="replace")
-    except (zipfile.BadZipFile, zlib.error) as exc:
+    # zipfile reports a damaged entry as an unsupported compression method
+    # (NotImplementedError), a truncated stream (EOFError), a spurious
+    # encryption flag (RuntimeError) or an undecodable UTF-8 name
+    except (
+        zipfile.BadZipFile, zlib.error, NotImplementedError, EOFError, RuntimeError,
+        UnicodeDecodeError,
+    ) as exc:
         raise CorruptArchive(f"{path}: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
@@ -176,10 +182,7 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
     package; ``@module <name>`` declares the artifact a named module.
     """
     path = Path(file)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    text = read_text_file(path, CLASSLIST_LIMIT)
     classes: list[FullyQualifiedClassName] = []
     seen: set[str] = set()
     sealed: set[str] = set()

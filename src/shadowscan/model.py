@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoordinate
 
@@ -135,24 +134,18 @@ INCLUDED = Included()
 
 @dataclass(frozen=True)
 class ResolvedNode:
-    """A position in the resolved dependency tree."""
+    """A position in the resolved dependency tree.
+
+    Equality, hashing and ``repr`` leave ``children`` out, so they never
+    recurse down a deep tree; two trees are equal when their ``nodes`` are.
+    """
 
     coordinate: Coordinate
     path: TreePath
     depth: int
     bfs_index: int
     status: NodeStatus
-    children: tuple[ResolvedNode, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "path", tuple(self.path))
-        object.__setattr__(self, "children", tuple(self.children))
-        if self.depth != len(self.path):
-            raise ValueError(f"depth {self.depth} does not match path length {len(self.path)}")
-        if self.bfs_index < 0:
-            raise ValueError("bfs_index must be >= 0")
-        if not self.included and self.children:
-            raise ValueError("omitted nodes must not have children")
+    children: tuple[ResolvedNode, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def included(self) -> bool:
@@ -163,57 +156,48 @@ class ResolvedNode:
 class ResolvedTree:
     """Conflict-resolved dependency tree; the root is the project itself.
 
-    Construction checks the structural invariants: paths and breadth-first
-    indices are consistent with the stored shape, at most one node per
-    group:artifact is included, and an included node always precedes any
-    omitted occurrence of the same group:artifact in level order.
+    ``nodes`` holds every node, omitted ones included, in level order, so
+    ``nodes[i].bfs_index == i``. Construction checks nothing; see
+    ``check_invariants``.
     """
 
-    root: ResolvedNode
+    nodes: tuple[ResolvedNode, ...]
 
-    def __post_init__(self) -> None:
-        if self.root.path != () or not self.root.included:
-            raise ValueError("root must be an included node at the empty path")
-        first_seen: dict[GroupArtifact, int] = {}
-        included_seen: set[GroupArtifact] = set()
-        expected_index = 0
-        queue: deque[ResolvedNode] = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            if node.bfs_index != expected_index:
-                raise ValueError(
-                    f"node at {node.path} has bfs_index {node.bfs_index}, "
-                    f"expected {expected_index}"
-                )
-            expected_index += 1
-            ga = node.coordinate.ga
-            first_seen.setdefault(ga, node.bfs_index)
-            if node.included:
-                if ga in included_seen:
-                    raise ValueError(f"{ga} is included at two positions")
-                if node.bfs_index != first_seen[ga]:
-                    raise ValueError(
-                        f"included node for {ga} is not the breadth-first "
-                        "earliest occurrence"
-                    )
-                included_seen.add(ga)
-            for child_index, child in enumerate(node.children):
-                if child.path != node.path + (child_index,):
-                    raise ValueError(
-                        f"child at {child.path} does not extend parent path {node.path}"
-                    )
-                queue.append(child)
+    @property
+    def root(self) -> ResolvedNode:
+        return self.nodes[0]
 
 
-def bfs_order(tree: ResolvedTree) -> list[ResolvedNode]:
-    """Level-order traversal of the whole tree, omitted nodes included."""
-    out: list[ResolvedNode] = []
-    queue: deque[ResolvedNode] = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        out.append(node)
-        queue.extend(node.children)
-    return out
+def check_invariants(tree: ResolvedTree) -> None:
+    """Raise ``ValueError`` unless the tree has the shape ``resolve`` builds.
+
+    ``nodes`` is the level-order walk from an included root at the empty
+    path, each ``bfs_index`` is its node's position there, each child extends
+    its parent's path, each depth is its path's length, omitted nodes are
+    leaves, and a group:artifact is included only at its first occurrence in
+    level order, hence at most once.
+    """
+    if not tree.nodes or tree.root.path != () or not tree.root.included:
+        raise ValueError("root must be an included node at the empty path")
+    level_order = [tree.root]
+    for node in level_order:
+        level_order.extend(node.children)
+    if list(map(id, level_order)) != list(map(id, tree.nodes)):
+        raise ValueError("nodes is not the level-order walk from the root")
+    first_seen: dict[GroupArtifact, int] = {}
+    for index, node in enumerate(tree.nodes):
+        if node.bfs_index != index:
+            raise ValueError(f"node at {node.path} has bfs_index {node.bfs_index}, not {index}")
+        if node.depth != len(node.path):
+            raise ValueError(f"depth {node.depth} does not match path length {len(node.path)}")
+        ga = node.coordinate.ga
+        if first_seen.setdefault(ga, index) != index and node.included:
+            raise ValueError(f"{ga} is included at {node.path}, after its first occurrence")
+        if not node.included and node.children:
+            raise ValueError("omitted nodes must not have children")
+        for child_index, child in enumerate(node.children):
+            if child.path != node.path + (child_index,):
+                raise ValueError(f"child at {child.path} does not extend parent path {node.path}")
 
 
 def dfs_order(tree: ResolvedTree, include_omitted: bool = True) -> list[ResolvedNode]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from shadowscan.model import Coordinate, ResolvedTree, bfs_order, dfs_order
+from shadowscan.model import Coordinate, ResolvedTree, dfs_order
 
 
 class Ecosystem(str, Enum):
@@ -28,7 +28,6 @@ class Classpath:
 
     ecosystem: Ecosystem
     entries: tuple[Coordinate, ...]
-    root_precedes: bool = True
 
 
 def build_classpath(tree: ResolvedTree, ecosystem: Ecosystem) -> Classpath:
@@ -36,7 +35,7 @@ def build_classpath(tree: ResolvedTree, ecosystem: Ecosystem) -> Classpath:
     if ecosystem is Ecosystem.MAVEN:
         nodes = dfs_order(tree, include_omitted=False)
     else:
-        nodes = [node for node in bfs_order(tree) if node.included]
+        nodes = [node for node in tree.nodes if node.included]
     return Classpath(ecosystem, tuple(node.coordinate for node in nodes[1:]))
 
 

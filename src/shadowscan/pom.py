@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import errno
 import logging
+import os
 import re
+import stat
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,9 +27,37 @@ logger = logging.getLogger(__name__)
 
 JAR_NAME = "artifact.jar"
 CLASSLIST_NAME = "classes.txt"
+# Read caps: a POM larger than a signed JAR's manifest cap, or a class list
+# larger than millions of class names, is hostile input, not a descriptor.
+POM_LIMIT = 16 * 2**20
+CLASSLIST_LIMIT = 64 * 2**20
 
 # Recognized but not modeled; real-world snippets stay loadable with a warning.
 _IGNORED_PROJECT_ELEMENTS = ("dependencyManagement", "profiles", "properties")
+
+
+def read_text_file(path: Path, limit: int) -> str:
+    """The UTF-8 text of a regular file of at most ``limit`` bytes, else ``IoFailure``.
+
+    The file is opened without blocking, so a FIFO is refused instead of
+    waited on, and its type is checked on the open descriptor, so a symlink
+    to a device is refused too. The first read is sized by ``fstat``, so a
+    small file never gets a buffer of the cap's size.
+    """
+    try:
+        with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as file:
+            info = os.fstat(file.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise IoFailure(f"cannot read {path}: not a regular file")
+            size = min(info.st_size, limit)
+            data = file.read(size + 1)
+            if len(data) > size:  # the file holds more than fstat reported
+                data += file.read(limit - size)
+        if len(data) > limit:
+            raise IoFailure(f"cannot read {path}: larger than {limit} bytes")
+        return data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
 def _local_name(tag: str) -> str:
@@ -105,11 +135,7 @@ class RepositoryEntry:
 
     @cached_property
     def document(self) -> PomDocument:
-        try:
-            text = self.pom_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoFailure(f"cannot read {self.pom_path}: {exc}") from exc
-        document = parse_pom(text)
+        document = parse_pom(read_text_file(self.pom_path, POM_LIMIT))
         if document.coordinate != self.coordinate:
             raise CoordinateMismatch(
                 f"{self.pom_path} declares {document.coordinate} but its "

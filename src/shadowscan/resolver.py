@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from shadowscan.errors import DepthLimitExceeded, PomNotFound, UnresolvableDependency
 from shadowscan.model import (
@@ -49,38 +49,6 @@ class ResolutionReport:
     conflicts: tuple[Conflict, ...]
 
 
-@dataclass
-class _Draft:
-    coordinate: Coordinate
-    path: TreePath
-    depth: int
-    bfs_index: int
-    status: NodeStatus
-    children: list["_Draft"] = field(default_factory=list)
-
-
-def _freeze(root: _Draft) -> ResolvedNode:
-    """Build the immutable tree bottom-up, without recursion.
-
-    In level order every child comes after its parent, so walking that order
-    backwards finds each node's children already frozen.
-    """
-    level_order = [root]
-    for draft in level_order:
-        level_order.extend(draft.children)
-    frozen: dict[int, ResolvedNode] = {}
-    for draft in reversed(level_order):
-        frozen[draft.bfs_index] = ResolvedNode(
-            coordinate=draft.coordinate,
-            path=draft.path,
-            depth=draft.depth,
-            bfs_index=draft.bfs_index,
-            status=draft.status,
-            children=tuple(frozen.pop(child.bfs_index) for child in draft.children),
-        )
-    return frozen[root.bfs_index]
-
-
 def resolve(
     repo: Repository, root: PomDocument, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> ResolutionReport:
@@ -94,21 +62,25 @@ def resolve(
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    root_node = _Draft(root.coordinate, (), 0, 0, INCLUDED)
-    winners: dict[GroupArtifact, _Draft] = {root.coordinate.ga: root_node}
+    # one row per node in level order: coordinate, path, status, parent's row
+    rows: list[tuple[Coordinate, TreePath, NodeStatus, int]] = [
+        (root.coordinate, (), INCLUDED, -1)
+    ]
+    winners: dict[GroupArtifact, Occurrence] = {
+        root.coordinate.ga: Occurrence(root.coordinate, ())
+    }
     losers: dict[GroupArtifact, list[Occurrence]] = {}
-    queue: deque[tuple[_Draft, DependencyDeclaration]] = deque(
-        (root_node, declaration) for declaration in root.dependencies
+    queue: deque[tuple[int, DependencyDeclaration]] = deque(
+        (0, declaration) for declaration in root.dependencies
     )
-    next_index = 1
     while queue:
         parent, declaration = queue.popleft()
         coordinate = declaration.coordinate
-        path = parent.path + (declaration.declaration_index,)
-        depth = parent.depth + 1
-        if depth > max_depth:
+        parent_path = rows[parent][1]
+        path = parent_path + (declaration.declaration_index,)
+        if len(path) > max_depth:
             raise DepthLimitExceeded(
-                f"{coordinate} at depth {depth} exceeds the limit of {max_depth}"
+                f"{coordinate} at depth {len(path)} exceeds the limit of {max_depth}"
             )
         winner = winners.get(coordinate.ga)
         status: NodeStatus
@@ -119,24 +91,31 @@ def resolve(
         else:
             status = OmittedConflict(winner=winner.coordinate)
             losers.setdefault(coordinate.ga, []).append(Occurrence(coordinate, path))
-        node = _Draft(coordinate, path, depth, next_index, status)
-        next_index += 1
-        parent.children.append(node)
+        index = len(rows)
+        rows.append((coordinate, path, status, parent))
         if winner is None:
-            winners[coordinate.ga] = node
+            winners[coordinate.ga] = Occurrence(coordinate, path)
             try:
                 document = fetch_pom(repo, coordinate)
             except PomNotFound as exc:
-                raise UnresolvableDependency(coordinate, parent.path) from exc
-            queue.extend((node, child) for child in document.dependencies)
+                raise UnresolvableDependency(coordinate, parent_path) from exc
+            queue.extend((index, child) for child in document.dependencies)
+
+    # From the last row up, every node's children are built before the node.
+    nodes: list[ResolvedNode] = []
+    children: dict[int, list[ResolvedNode]] = {}
+    for index in range(len(rows) - 1, -1, -1):
+        coordinate, path, status, parent = rows[index]
+        node = ResolvedNode(
+            coordinate, path, len(path), index, status, tuple(reversed(children.pop(index, ())))
+        )
+        children.setdefault(parent, []).append(node)
+        nodes.append(node)
+    nodes.reverse()
 
     conflicts = tuple(
-        Conflict(
-            group_artifact=ga,
-            winner=Occurrence(winners[ga].coordinate, winners[ga].path),
-            losers=tuple(occurrences),
-        )
+        Conflict(group_artifact=ga, winner=winners[ga], losers=tuple(occurrences))
         # dict insertion follows the first losing occurrence, i.e. tree order
         for ga, occurrences in losers.items()
     )
-    return ResolutionReport(tree=ResolvedTree(_freeze(root_node)), conflicts=conflicts)
+    return ResolutionReport(tree=ResolvedTree(tuple(nodes)), conflicts=conflicts)

@@ -80,7 +80,15 @@ def build_tree(shape: Shape) -> ResolvedTree:
             ),
         )
 
-    return ResolvedTree(freeze(shape, ()))
+    return tree_of(freeze(shape, ()))
+
+
+def tree_of(root: ResolvedNode) -> ResolvedTree:
+    """The tree whose nodes are the level-order walk from ``root``, unchecked."""
+    nodes = [root]
+    for node in nodes:
+        nodes.extend(node.children)
+    return ResolvedTree(tuple(nodes))
 
 
 def sample_tree() -> ResolvedTree:

@@ -16,7 +16,6 @@ from shadowscan.mitigations import (
     check_modules,
     check_sealed,
 )
-from shadowscan.model import bfs_order
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
@@ -126,7 +125,7 @@ def test_criterion_4_database_driver_takeover():
         ]
         # the winner's path must run through the compromised validator
         validator = next(
-            node for node in bfs_order(pipeline.resolution.tree)
+            node for node in pipeline.resolution.tree.nodes
             if node.coordinate.artifact_id == "everit-json-schema"
         )
         assert finding.winner_path[: len(validator.path)] == validator.path
@@ -140,15 +139,17 @@ def test_criterion_5_gradle_shield_property():
         trees = 1000
         for seed in range(trees):
             tree = random_tree(Random(seed), max_depth=5, max_children=4)
-            depths = {node.coordinate: node.depth for node in bfs_order(tree)}
+            depths = {node.coordinate: node.depth for node in tree.nodes}
             direct = [child.coordinate for child in tree.root.children]
+            maven = build_classpath(tree, Ecosystem.MAVEN)
+            gradle = build_classpath(tree, Ecosystem.GRADLE)
             for target in direct:
-                gradle_surface = hijack_surface(tree, Ecosystem.GRADLE, target)
+                gradle_surface = hijack_surface(tree, gradle, target)
                 assert all(depths[member] <= 1 for member in gradle_surface)
             if any(
                 depths[member] == 3
                 for target in direct
-                for member in hijack_surface(tree, Ecosystem.MAVEN, target)
+                for member in hijack_surface(tree, maven, target)
             ):
                 maven_deep_hits += 1
         elapsed = time.perf_counter() - started
@@ -167,7 +168,7 @@ def test_criterion_6_resolver_oracle_equivalence():
             repos_with_conflicts += bool(report.conflicts)
             included = {
                 str(node.coordinate.ga): (node.coordinate.version, node.path)
-                for node in bfs_order(report.tree)
+                for node in report.tree.nodes
                 if node.included
             }
             if included != full_expansion_winners(poms, root_text):

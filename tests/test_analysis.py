@@ -15,7 +15,7 @@ from shadowscan.analysis import (
 )
 from shadowscan.errors import MissingContent, UnknownArtifact
 from shadowscan.inventory import ClassInventory
-from shadowscan.model import FullyQualifiedClassName, bfs_order
+from shadowscan.model import FullyQualifiedClassName
 from shadowscan.ordering import Ecosystem, build_classpath
 from tests.helpers import (
     build_tree,
@@ -116,17 +116,25 @@ class TestDetectShadowing:
         ]
 
 
+def reach_of(tree, ecosystem, attacker):
+    return hijack_reach(tree, build_classpath(tree, ecosystem), attacker)
+
+
+def surface_of(tree, ecosystem, target):
+    return hijack_surface(tree, build_classpath(tree, ecosystem), target)
+
+
 class TestHijackGeometry:
     def attack_tree(self):
         return run_pipeline("deep-hijack", "com.example:Project:1.0").resolution.tree
 
     def test_maven_reach_of_a_deep_transitive_includes_a_direct_dep(self):
-        reach = hijack_reach(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D111:1.0"))
+        reach = reach_of(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D111:1.0"))
         victims = {victim.artifact_id for victim in reach}
         assert victims == {"D112", "D2", "D21", "D211", "D22", "D221"}
 
     def test_gradle_reach_of_the_same_node_misses_direct_deps(self):
-        reach = hijack_reach(self.attack_tree(), Ecosystem.GRADLE, coord("com.example:D111:1.0"))
+        reach = reach_of(self.attack_tree(), Ecosystem.GRADLE, coord("com.example:D111:1.0"))
         victims = {victim.artifact_id for victim in reach}
         assert "D2" not in victims
         assert victims == {"D112", "D211", "D221"}
@@ -134,20 +142,20 @@ class TestHijackGeometry:
     def test_last_entry_reaches_nothing(self):
         tree = self.attack_tree()
         last = build_classpath(tree, Ecosystem.MAVEN).entries[-1]
-        assert hijack_reach(tree, Ecosystem.MAVEN, last) == frozenset()
+        assert reach_of(tree, Ecosystem.MAVEN, last) == frozenset()
 
     def test_surface_of_direct_dep_under_maven(self):
-        surface = hijack_surface(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D2:1.0"))
+        surface = surface_of(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D2:1.0"))
         assert {c.artifact_id for c in surface} == {"D1", "D11", "D111", "D112"}
 
     def test_first_entry_has_empty_surface(self):
         tree = self.attack_tree()
         first = build_classpath(tree, Ecosystem.MAVEN).entries[0]
-        assert hijack_surface(tree, Ecosystem.MAVEN, first) == frozenset()
+        assert surface_of(tree, Ecosystem.MAVEN, first) == frozenset()
 
     def test_cwa_surface_of_the_database_sdk_contains_the_validator(self):
         pipeline = run_pipeline("cwa-server", "app.coronawarn:cwa-parent:3.2.0")
-        surface = hijack_surface(
+        surface = surface_of(
             pipeline.resolution.tree, Ecosystem.MAVEN, coord("org.postgresql:postgresql:42.6.0")
         )
         names = {c.artifact_id for c in surface}
@@ -156,13 +164,13 @@ class TestHijackGeometry:
 
     def test_unknown_artifact(self):
         with pytest.raises(UnknownArtifact):
-            hijack_reach(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:ghost:1.0"))
+            reach_of(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:ghost:1.0"))
 
     def test_root_reaches_everything_and_has_no_surface(self):
         tree = self.attack_tree()
         root = tree.root.coordinate
-        assert len(hijack_reach(tree, Ecosystem.MAVEN, root)) == 9
-        assert hijack_surface(tree, Ecosystem.MAVEN, root) == frozenset()
+        assert len(reach_of(tree, Ecosystem.MAVEN, root)) == 9
+        assert surface_of(tree, Ecosystem.MAVEN, root) == frozenset()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_reach_is_antisymmetric(self, seed):
@@ -172,18 +180,18 @@ class TestHijackGeometry:
         if len(entries) < 2:
             return
         a, b = rng.sample(entries, 2)
-        a_reaches_b = b in hijack_reach(tree, Ecosystem.MAVEN, a)
-        b_reaches_a = a in hijack_reach(tree, Ecosystem.MAVEN, b)
+        a_reaches_b = b in reach_of(tree, Ecosystem.MAVEN, a)
+        b_reaches_a = a in reach_of(tree, Ecosystem.MAVEN, b)
         assert a_reaches_b != b_reaches_a
 
     @pytest.mark.parametrize("seed", range(30))
     def test_ancestors_always_sit_on_the_surface_of_descendants(self, seed):
         tree = random_tree(Random(seed + 300), max_depth=4, max_children=3)
-        by_path = {node.path: node for node in bfs_order(tree)}
-        for node in bfs_order(tree):
+        by_path = {node.path: node for node in tree.nodes}
+        for node in tree.nodes:
             if node.depth >= 2:
                 parent = by_path[node.path[:-1]]
-                surface = hijack_surface(tree, Ecosystem.MAVEN, node.coordinate)
+                surface = surface_of(tree, Ecosystem.MAVEN, node.coordinate)
                 assert parent.coordinate in surface
 
 

@@ -15,6 +15,8 @@ import pytest
 
 from shadowscan.cli import _MAX_NESTING, _json_report, main
 from shadowscan.errors import ReportTooDeep
+from shadowscan.pom import fetch_pom, load_repository
+from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, make_repo, write_pom
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
@@ -388,6 +390,24 @@ class TestLazyPomParsing:
         assert err.startswith("error: not well-formed XML")
 
 
+def test_a_reached_fifo_pom_is_an_input_error_not_a_hang(tmp_path):
+    # run in a child process: reading a FIFO without a writer would block forever
+    repo = tmp_path / "repo"
+    shutil.copytree(FIXTURES / "poc-attack-order", repo)
+    pom = repo / "org.test" / "nicelibrary" / "1.2" / "pom.xml"
+    pom.unlink()
+    os.mkfifo(pom)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "shadowscan", "resolve", "--repo", str(repo),
+         "--root", "org.example:victim:1.0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: cannot read {pom}: not a regular file\n"
+
+
 class TestDeepChain:
     """A chain far deeper than the interpreter's recursion limit, allowed by --max-depth."""
 
@@ -505,3 +525,19 @@ def test_a_traced_scan_runs_and_counts_content_bytes():
     assert (code, err) == (0, b"")
     assert json.loads(out)["command"] == "scan"
     assert tracer.counts["inventory.content_bytes"] > 0
+
+
+def test_the_traced_benchmark_counts_every_resolved_node(tmp_path):
+    # spans._resolution_counts walks report.tree.root by .children and .included
+    poms = {
+        "g:root:1": ["g:a:1", "g:b:1"],
+        "g:a:1": ["g:x:1.0"],
+        "g:b:1": ["g:x:2.0", "g:a:1"],
+        "g:x:1.0": [],
+        "g:x:2.0": [],
+    }
+    repo = load_repository(make_repo(tmp_path, poms))
+    report = resolve(repo, fetch_pom(repo, coord("g:root:1")))
+    counts = load_spans()._resolution_counts(report, ())
+    assert counts == {"resolver.nodes": 6, "resolver.omitted": 2, "resolver.conflicts": 1}
+    assert counts["resolver.nodes"] == len(report.tree.nodes)

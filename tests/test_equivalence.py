@@ -9,7 +9,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowscan.analysis import compare_ecosystems, detect_shadowing, effective_classes
@@ -20,11 +20,17 @@ from shadowscan.mitigations import (
     check_modules,
     check_sealed,
 )
-from shadowscan.model import Coordinate, FullyQualifiedClassName, GroupArtifact
+from shadowscan.model import (
+    Coordinate,
+    FullyQualifiedClassName,
+    GroupArtifact,
+    check_invariants,
+)
 from shadowscan.ordering import Ecosystem, build_classpath
 from shadowscan.pom import fetch_pom
 from shadowscan.resolver import resolve
 from tests.helpers import (
+    full_expansion_winners,
     memory_repo,
     random_conflict_repo,
     random_inventories,
@@ -139,6 +145,59 @@ def test_resolution_report_matches_the_payload_references(seed):
     }
     payload = {"tree": resolution.tree.root, "conflicts": resolution.conflicts}
     assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expected)
+
+
+@st.composite
+def deep_wide_repos(draw):
+    """An acyclic POM set of up to 65 artifacts and the length of its longest path.
+
+    Artifact j hangs below an earlier one: the one just before it (a chain as
+    deep as the default depth limit), one of the first few (a wide, shallow
+    tree) or any. Extra edges make duplicates, and a pool of fewer
+    group:artifacts than artifacts makes version conflicts.
+    """
+    count = draw(st.one_of(st.just(65), st.integers(2, 65)))
+    shape = draw(st.sampled_from(["chain", "fan", "random"]))
+    fan = draw(st.integers(1, 4))
+    pool = draw(st.sampled_from([count, draw(st.integers(1, count))]))
+    texts = ["org.gen:root:1.0"] + [
+        f"org.gen:lib{j if pool == count else draw(st.integers(0, pool - 1))}:{j}.0"
+        for j in range(1, count)
+    ]
+    edges = []
+    for j in range(1, count):
+        low, high = {"chain": (j - 1, j - 1), "fan": (0, min(j, fan) - 1), "random": (0, j - 1)}[shape]
+        edges.append((draw(st.integers(low, high)), j))
+    for _ in range(draw(st.integers(0, 6))):
+        parent = draw(st.integers(0, count - 2))
+        edges.append((parent, draw(st.integers(parent + 1, count - 1))))
+    declared: list[list[int]] = [[] for _ in texts]
+    for parent, child in draw(st.permutations(edges)):
+        ga = texts[child].rpartition(":")[0]
+        if all(texts[other].rpartition(":")[0] != ga for other in declared[parent]):
+            declared[parent].append(child)
+    longest = [0] * count
+    for position in reversed(range(count)):
+        longest[position] = max((1 + longest[child] for child in declared[position]), default=0)
+    poms = {text: [texts[child] for child in declared[at]] for at, text in enumerate(texts)}
+    return poms, longest[0]
+
+
+@settings(max_examples=200)
+@given(deep_wide_repos())
+def test_deep_and_wide_trees_match_the_full_expansion_oracle(repo_and_depth):
+    poms, max_depth = repo_and_depth
+    repo = memory_repo(poms)
+    root = fetch_pom(repo, Coordinate.parse("org.gen:root:1.0"))
+    tree = resolve(repo, root, max_depth=max_depth).tree
+    check_invariants(tree)
+    included = {
+        str(node.coordinate.ga): (node.coordinate.version, node.path)
+        for node in tree.nodes
+        if node.included
+    }
+    assert included == full_expansion_winners(poms, "org.gen:root:1.0", max_depth)
+    assert list(tree.nodes) == sorted(tree.nodes, key=lambda node: (node.depth, node.path))
 
 
 @given(st.randoms(use_true_random=False), st.booleans())

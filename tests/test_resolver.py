@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from shadowscan.errors import DepthLimitExceeded, UnresolvableDependency
-from shadowscan.model import OmittedConflict, OmittedDuplicate, bfs_order
+from shadowscan.model import OmittedConflict, OmittedDuplicate, check_invariants
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
 from tests.helpers import (
@@ -15,32 +15,37 @@ from tests.helpers import (
     coord,
     full_expansion_winners,
     make_repo,
+    memory_repo,
     random_conflict_repo,
 )
 
 
+def checked_resolve(repo, root_text, **kwargs):
+    report = resolve(repo, fetch_pom(repo, coord(root_text)), **kwargs)
+    check_invariants(report.tree)
+    return report
+
+
 def resolve_repo(tmp_path, poms, root_text, **kwargs):
-    repo = load_repository(make_repo(tmp_path, poms))
-    return resolve(repo, fetch_pom(repo, coord(root_text)), **kwargs)
+    return checked_resolve(load_repository(make_repo(tmp_path, poms)), root_text, **kwargs)
 
 
 def status_by_artifact(tree):
-    return {str(node.coordinate): node.status for node in bfs_order(tree)}
+    return {str(node.coordinate): node.status for node in tree.nodes}
 
 
 class TestCleanResolution:
     def test_sample_fixture_has_ten_included_nodes(self):
         repo = load_repository(FIXTURES / "sample-app")
-        report = resolve(repo, fetch_pom(repo, coord("com.example:Project:1.0")))
-        nodes = bfs_order(report.tree)
+        report = checked_resolve(repo, "com.example:Project:1.0")
+        nodes = report.tree.nodes
         assert len(nodes) == 10
         assert all(node.included for node in nodes)
         assert report.conflicts == ()
 
     def test_children_follow_declaration_order(self):
         repo = load_repository(FIXTURES / "sample-app")
-        report = resolve(repo, fetch_pom(repo, coord("com.example:Project:1.0")))
-        for node in bfs_order(report.tree):
+        for node in checked_resolve(repo, "com.example:Project:1.0").tree.nodes:
             declared = fetch_pom(repo, node.coordinate).dependencies
             assert [c.coordinate for c in node.children] == [d.coordinate for d in declared]
 
@@ -97,7 +102,7 @@ class TestConflicts:
         statuses = status_by_artifact(report.tree)
         # the first occurrence sits under d1 at path (0, 0)
         duplicates = [
-            node for node in bfs_order(report.tree)
+            node for node in report.tree.nodes
             if isinstance(node.status, OmittedDuplicate)
         ]
         assert len(duplicates) == 1
@@ -119,9 +124,9 @@ class TestConflicts:
             },
             "g:root:1",
         )
-        coordinates = {str(node.coordinate) for node in bfs_order(report.tree)}
+        coordinates = {str(node.coordinate) for node in report.tree.nodes}
         assert "g:hidden:1" not in coordinates
-        for node in bfs_order(report.tree):
+        for node in report.tree.nodes:
             if not node.included:
                 assert node.children == ()
 
@@ -140,7 +145,7 @@ class TestConflicts:
         )
         losers = report.conflicts[0].losers
         assert [str(loser.coordinate) for loser in losers] == ["g:x:2.0", "g:x:2.0"]
-        for node in bfs_order(report.tree):
+        for node in report.tree.nodes:
             if str(node.coordinate) == "g:x:2.0":
                 assert node.status == OmittedConflict(winner=coord("g:x:1.0"))
 
@@ -152,7 +157,7 @@ class TestCycles:
             {"g:root:1": ["g:a:1"], "g:a:1": ["g:b:1"], "g:b:1": ["g:a:1"]},
             "g:root:1",
         )
-        nodes = bfs_order(report.tree)
+        nodes = report.tree.nodes
         assert [str(node.coordinate) for node in nodes] == [
             "g:root:1", "g:a:1", "g:b:1", "g:a:1",
         ]
@@ -161,7 +166,7 @@ class TestCycles:
 
     def test_self_cycle(self, tmp_path):
         report = resolve_repo(tmp_path, {"g:root:1": ["g:a:1"], "g:a:1": ["g:a:1"]}, "g:root:1")
-        nodes = bfs_order(report.tree)
+        nodes = report.tree.nodes
         assert len(nodes) == 3
         assert isinstance(nodes[-1].status, OmittedDuplicate)
 
@@ -207,32 +212,31 @@ class TestErrors:
 
     def test_zero_depth_keeps_only_the_root(self, tmp_path):
         report = resolve_repo(tmp_path, {"g:root:1": []}, "g:root:1", max_depth=0)
-        assert len(bfs_order(report.tree)) == 1
+        assert len(report.tree.nodes) == 1
 
 
 class TestResolutionProperties:
     def test_deterministic(self, tmp_path):
         poms, root_text = random_conflict_repo(Random(3))
         repo = load_repository(make_repo(tmp_path, poms))
-        document = fetch_pom(repo, coord(root_text))
-        assert resolve(repo, document) == resolve(repo, document)
+        assert checked_resolve(repo, root_text) == checked_resolve(repo, root_text)
 
     @pytest.mark.parametrize("seed", range(150))
     def test_matches_full_expansion_oracle(self, seed, tmp_path):
         poms, root_text = random_conflict_repo(Random(seed))
         repo = load_repository(make_repo(tmp_path, poms))
-        report = resolve(repo, fetch_pom(repo, coord(root_text)))
+        report = checked_resolve(repo, root_text)
 
         expected = full_expansion_winners(poms, root_text)
         included = {
             str(node.coordinate.ga): (node.coordinate.version, node.path)
-            for node in bfs_order(report.tree)
+            for node in report.tree.nodes
             if node.included
         }
         assert included == expected
 
         # shape: included nodes mirror their POM declarations, losers are leaves
-        for node in bfs_order(report.tree):
+        for node in report.tree.nodes:
             if node.included:
                 declared = poms[str(node.coordinate)]
                 assert [str(child.coordinate) for child in node.children] == declared
@@ -242,7 +246,7 @@ class TestResolutionProperties:
         # every multiply-occurring group:artifact is either in the conflict
         # table or only repeats as literal duplicates
         occurrences: dict[str, list] = {}
-        for node in bfs_order(report.tree):
+        for node in report.tree.nodes:
             occurrences.setdefault(str(node.coordinate.ga), []).append(node)
         conflicted = {str(conflict.group_artifact) for conflict in report.conflicts}
         for ga, nodes in occurrences.items():
@@ -252,3 +256,13 @@ class TestResolutionProperties:
                     for node in nodes
                     if not node.included
                 )
+
+    def test_a_chain_deeper_than_the_recursion_limit_compares_hashes_and_prints(self):
+        texts = [f"g:c{level}:1" for level in range(2001)]
+        poms = {text: [following] for text, following in zip(texts, texts[1:])}
+        poms[texts[-1]] = []
+        repo = memory_repo(poms)
+        report = checked_resolve(repo, texts[0], max_depth=2000)
+        assert report == checked_resolve(repo, texts[0], max_depth=2000)
+        assert len({hash(node) for node in report.tree.nodes}) == 2001
+        assert repr(report.tree.root).startswith("ResolvedNode(coordinate=")

@@ -1,20 +1,23 @@
-"""Random corruption of a reached POM or class list ends in an exit code, never a crash."""
+"""Random corruption of a reached POM, class list or JAR ends in an exit code, never a crash."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import shutil
+import zipfile
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowscan.cli import main
-from tests.helpers import FIXTURES
+from shadowscan.errors import ShadowscanError
+from shadowscan.inventory import inspect_jar
+from tests.helpers import FIXTURES, coord
 
 # fixture -> its root; the root reaches every POM and class list in the fixture
 ROOTS = {"poc-attack-order": "org.example:victim:1.0", "sealed-partial": "org.example:app:1.0"}
@@ -67,3 +70,54 @@ def test_every_command_exits_with_a_stable_code(repos, data):
             assert "Traceback" not in err.getvalue()
     finally:
         target.write_bytes(original)
+
+
+MANIFEST = (
+    "Manifest-Version: 1.0\nSealed: true\n\n"
+    "Name: org/nice/\nSealed: true\n"
+)
+JAR_ENTRIES = [
+    "org/nice/A.class", "org/nice/B.class", "org/evil/A.class", "org/evil/inner/C$D.class",
+    "module-info.class", "readme.txt",
+]
+
+
+@pytest.fixture(scope="module")
+def jar(tmp_path_factory):
+    """A 7-entry deflated JAR and the byte ranges that corruption aims at."""
+    path = tmp_path_factory.mktemp("jar") / "artifact.jar"
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("META-INF/MANIFEST.MF", MANIFEST)
+        for number, name in enumerate(JAR_ENTRIES):
+            archive.writestr(name, bytes(range(number, 256)) * 4)
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        manifest = archive.getinfo("META-INF/MANIFEST.MF")
+        local = manifest.header_offset
+        directory = archive.start_dir  # the manifest's record comes first
+        regions = [
+            (0, len(data)),
+            (local, local + 30 + len(manifest.filename) + manifest.compress_size),
+            (directory, len(data)),
+            (directory, directory + 46 + len(manifest.filename)),
+        ]
+    return path, data, regions
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_a_corrupted_jar_raises_only_shadowscan_errors(jar, rng):
+    # offsets come from a seeded Random: Hypothesis's own integers favour the
+    # ends of a range, and a header field is a few bytes in its middle
+    path, original, regions = jar
+    low, high = rng.choice(regions)
+    corrupted = bytearray(original)
+    for _ in range(rng.randint(1, 4)):
+        corrupted[rng.randrange(low, high)] = rng.randrange(256)
+    path.write_bytes(bytes(corrupted))
+    try:
+        inspect_jar(path, coord("org.test:sample:1.0"))
+    except ShadowscanError:
+        pass
+    finally:
+        path.write_bytes(original)
