@@ -38,7 +38,6 @@ from shadowscan.model import (
     ResolvedNode,
     ResolvedTree,
     check_invariants,
-    dfs_order,
 )
 from shadowscan.ordering import (
     Classpath,
@@ -82,7 +81,6 @@ __all__ = [
     "check_sealed",
     "compare_ecosystems",
     "detect_shadowing",
-    "dfs_order",
     "effective_classes",
     "emit_layout",
     "fetch_pom",

@@ -55,8 +55,11 @@ class ShadowFinding:
     class_name: FullyQualifiedClassName
     winner: Coordinate
     shadowed_victims: tuple[Coordinate, ...]
-    winner_depth: int
     winner_path: TreePath
+
+    @property
+    def winner_depth(self) -> int:
+        return len(self.winner_path)
 
 
 def included_nodes(tree: ResolvedTree) -> dict[Coordinate, ResolvedNode]:
@@ -78,9 +81,7 @@ def detect_shadowing(class_map: EffectiveClassMap, tree: ResolvedTree) -> list[S
         node = nodes.get(binding.winner)
         if node is None:
             raise UnknownArtifact(f"{binding.winner} is not an included node of the tree")
-        findings.append(
-            ShadowFinding(class_name, binding.winner, binding.shadowed, node.depth, node.path)
-        )
+        findings.append(ShadowFinding(class_name, binding.winner, binding.shadowed, node.path))
     findings.sort(key=lambda finding: (-finding.winner_depth, finding.class_name))
     return findings
 
@@ -96,18 +97,18 @@ def _position(classpath: Classpath, tree: ResolvedTree, coordinate: Coordinate) 
 
 def hijack_reach(
     tree: ResolvedTree, classpath: Classpath, attacker: Coordinate
-) -> frozenset[Coordinate]:
-    """Artifacts the attacker can shadow: everything strictly after it on the classpath."""
+) -> tuple[Coordinate, ...]:
+    """Artifacts the attacker can shadow: the classpath entries strictly after it, in order."""
     position = _position(classpath, tree, attacker)
-    return frozenset(classpath.entries[position + 1 :])
+    return classpath.entries[position + 1 :]
 
 
 def hijack_surface(
     tree: ResolvedTree, classpath: Classpath, target: Coordinate
-) -> frozenset[Coordinate]:
-    """Positions that can shadow the target: everything strictly before it."""
+) -> tuple[Coordinate, ...]:
+    """Positions that can shadow the target: the entries strictly before it, in order."""
     position = _position(classpath, tree, target)
-    return frozenset(classpath.entries[: max(position, 0)])
+    return classpath.entries[: max(position, 0)]
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,9 @@ _DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
     Included: {"kind": lambda status: "included"},
     OmittedConflict: {"kind": lambda status: "omitted-conflict"},
     OmittedDuplicate: {"kind": lambda status: "omitted-duplicate"},
+    ResolvedNode: {"depth": attrgetter("depth")},
+    ShadowFinding: {"winner_depth": attrgetter("winner_depth")},
+    MitigationVerdict: {"passed": attrgetter("passed")},
     WinnerComparison: {"differs": attrgetter("differs")},
 }
 
@@ -346,13 +349,12 @@ def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
         subject = Coordinate.parse(args.target)
         mode = "surface"
         members = hijack_surface(resolution.tree, classpath, subject)
-    ordered = [entry for entry in classpath.entries if entry in members]
     if args.format == "json":
-        artifacts = [Occurrence(entry, nodes[entry].path) for entry in ordered]
+        artifacts = [Occurrence(entry, nodes[entry].path) for entry in members]
         payload = {"mode": mode, "subject": subject, "artifacts": artifacts}
         return EXIT_OK, _json_report("hijack", _inputs(args), payload)
     lines = [f"{mode} of {subject} ({ecosystem.value}):"]
-    lines += [f"  {entry} (path {list(nodes[entry].path)})" for entry in ordered] or ["  (empty)"]
+    lines += [f"  {entry} (path {list(nodes[entry].path)})" for entry in members] or ["  (empty)"]
     return EXIT_OK, _text_report(lines)
 
 

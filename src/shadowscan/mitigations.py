@@ -8,9 +8,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from shadowscan.analysis import EffectiveClassMap
-from shadowscan.errors import InvalidClassName, InvalidPattern, IoFailure
+from shadowscan.errors import InvalidClassName, InvalidPattern
 from shadowscan.inventory import ClassInventory
 from shadowscan.model import Coordinate, FullyQualifiedClassName
+from shadowscan.pom import read_text_file
+
+# A list of collision patterns larger than this is hostile input, as a POM is.
+ALLOWLIST_LIMIT = 16 * 2**20
 
 
 class MitigationRule(str, Enum):
@@ -44,14 +48,12 @@ class MitigationVerdict:
     """Pass/fail outcome of one rule with its structured violations."""
 
     rule: MitigationRule
-    passed: bool
     violations: tuple = ()
     diagnostic: str | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", tuple(self.violations))
-        if self.passed != (not self.violations):
-            raise ValueError("passed must mirror an empty violation list")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def compile_pattern(pattern: str) -> Callable[[str], bool]:
@@ -86,11 +88,12 @@ def _require_dotted(value: str, pattern: str) -> None:
 
 
 def load_allowlist(path: Path | str) -> tuple[str, ...]:
-    """Read one pattern per line; blank lines and ``#`` comments are skipped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"cannot read allowlist {path}: {exc}") from exc
+    """Read one pattern per line; blank lines and ``#`` comments are skipped.
+
+    The file is read as a POM is, by ``pom.read_text_file``: a FIFO, a device
+    or more than ``ALLOWLIST_LIMIT`` bytes raises ``IoFailure``.
+    """
+    text = read_text_file(Path(path), ALLOWLIST_LIMIT)
     patterns: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -113,7 +116,7 @@ def check_ban_duplicate_classes(
         for class_name, binding in sorted(class_map.bindings.items())
         if binding.shadowed and not any(match(class_name) for match in matchers)
     )
-    return MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, not violations, violations)
+    return MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, violations)
 
 
 def check_sealed(
@@ -138,7 +141,7 @@ def check_sealed(
                 violations.append(
                     SealedPackageViolation(package, inventory.coordinate, tuple(winners))
                 )
-    return MitigationVerdict(MitigationRule.SEALED_JARS, not violations, tuple(violations))
+    return MitigationVerdict(MitigationRule.SEALED_JARS, tuple(violations))
 
 
 def check_modules(
@@ -153,7 +156,6 @@ def check_modules(
     if not root_is_module:
         return MitigationVerdict(
             MitigationRule.JAVA_MODULES,
-            True,
             diagnostic="module protection inactive: the project is not a module",
         )
     providers: dict[str, dict[Coordinate, None]] = {}
@@ -165,4 +167,4 @@ def check_modules(
         for package, coordinates in sorted(providers.items())
         if len(coordinates) >= 2
     )
-    return MitigationVerdict(MitigationRule.JAVA_MODULES, not violations, violations)
+    return MitigationVerdict(MitigationRule.JAVA_MODULES, violations)

@@ -72,37 +72,18 @@ class Coordinate:
 
 
 @dataclass(frozen=True)
-class DependencyDeclaration:
-    """One dependency entry of a POM at its textual position."""
-
-    coordinate: Coordinate
-    declaration_index: int
-
-    def __post_init__(self) -> None:
-        if self.declaration_index < 0:
-            raise ValueError("declaration_index must be >= 0")
-
-
-@dataclass(frozen=True)
 class PomDocument:
-    """Parsed project descriptor: a coordinate plus its ordered dependencies."""
+    """Parsed project descriptor; a dependency's declaration index is its position."""
 
     coordinate: Coordinate
-    dependencies: tuple[DependencyDeclaration, ...] = ()
+    dependencies: tuple[Coordinate, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dependencies", tuple(self.dependencies))
         seen: set[GroupArtifact] = set()
-        for position, declaration in enumerate(self.dependencies):
-            if declaration.declaration_index != position:
-                raise ValueError(
-                    f"declaration_index {declaration.declaration_index} at position "
-                    f"{position}; indices must be contiguous from 0 in textual order"
-                )
-            ga = declaration.coordinate.ga
-            if ga in seen:
-                raise DuplicateDeclaration(f"{ga} declared more than once")
-            seen.add(ga)
+        for dependency in self.dependencies:
+            if dependency.ga in seen:
+                raise DuplicateDeclaration(f"{dependency.ga} declared more than once")
+            seen.add(dependency.ga)
 
 
 @dataclass(frozen=True)
@@ -123,9 +104,6 @@ class OmittedDuplicate:
 
     first_occurrence_path: TreePath
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "first_occurrence_path", tuple(self.first_occurrence_path))
-
 
 NodeStatus = Included | OmittedConflict | OmittedDuplicate
 
@@ -142,10 +120,13 @@ class ResolvedNode:
 
     coordinate: Coordinate
     path: TreePath
-    depth: int
     bfs_index: int
     status: NodeStatus
     children: tuple[ResolvedNode, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def depth(self) -> int:
+        return len(self.path)
 
     @property
     def included(self) -> bool:
@@ -173,9 +154,8 @@ def check_invariants(tree: ResolvedTree) -> None:
 
     ``nodes`` is the level-order walk from an included root at the empty
     path, each ``bfs_index`` is its node's position there, each child extends
-    its parent's path, each depth is its path's length, omitted nodes are
-    leaves, and a group:artifact is included only at its first occurrence in
-    level order, hence at most once.
+    its parent's path, omitted nodes are leaves, and a group:artifact is
+    included only at its first occurrence in level order, hence at most once.
     """
     if not tree.nodes or tree.root.path != () or not tree.root.included:
         raise ValueError("root must be an included node at the empty path")
@@ -188,8 +168,6 @@ def check_invariants(tree: ResolvedTree) -> None:
     for index, node in enumerate(tree.nodes):
         if node.bfs_index != index:
             raise ValueError(f"node at {node.path} has bfs_index {node.bfs_index}, not {index}")
-        if node.depth != len(node.path):
-            raise ValueError(f"depth {node.depth} does not match path length {len(node.path)}")
         ga = node.coordinate.ga
         if first_seen.setdefault(ga, index) != index and node.included:
             raise ValueError(f"{ga} is included at {node.path}, after its first occurrence")
@@ -198,22 +176,6 @@ def check_invariants(tree: ResolvedTree) -> None:
         for child_index, child in enumerate(node.children):
             if child.path != node.path + (child_index,):
                 raise ValueError(f"child at {child.path} does not extend parent path {node.path}")
-
-
-def dfs_order(tree: ResolvedTree, include_omitted: bool = True) -> list[ResolvedNode]:
-    """Pre-order traversal with children in declaration order.
-
-    With ``include_omitted=False`` omitted nodes are skipped; their subtrees
-    were never expanded, so nothing exists below them.
-    """
-    out: list[ResolvedNode] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if include_omitted or node.included:
-            out.append(node)
-            stack.extend(reversed(node.children))
-    return out
 
 
 class FullyQualifiedClassName(str):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
-from shadowscan.model import Coordinate, ResolvedTree, dfs_order
+from shadowscan.model import Coordinate, ResolvedTree
 
 
 class Ecosystem(str, Enum):
@@ -31,12 +32,15 @@ class Classpath:
 
 
 def build_classpath(tree: ResolvedTree, ecosystem: Ecosystem) -> Classpath:
-    """Linearize included dependencies: depth-first for Maven, level order for Gradle."""
+    """Linearize included dependencies: depth-first for Maven, level order for Gradle.
+
+    Depth-first order with children in declaration order is the order of the
+    paths, and omitted nodes are leaves, so Maven's order is a sort by path.
+    """
+    nodes = [node for node in tree.nodes[1:] if node.included]
     if ecosystem is Ecosystem.MAVEN:
-        nodes = dfs_order(tree, include_omitted=False)
-    else:
-        nodes = [node for node in tree.nodes if node.included]
-    return Classpath(ecosystem, tuple(node.coordinate for node in nodes[1:]))
+        nodes.sort(key=attrgetter("path"))
+    return Classpath(ecosystem, tuple(node.coordinate for node in nodes))
 
 
 @dataclass(frozen=True)
@@ -53,14 +57,14 @@ def emit_layout(tree: ResolvedTree, mode: LayoutMode) -> PackagingLayout:
     Dependencies appear in depth-first order in both modes; only the
     surrounding scaffolding differs.
     """
-    dependencies = dfs_order(tree, include_omitted=False)[1:]
+    dependencies = build_classpath(tree, Ecosystem.MAVEN).entries
     if mode is LayoutMode.FLAT:
         lines = ["+-META-INF", "|  +-MANIFEST.MF", "+-Main.class"]
-        lines.extend(f"+-{node.coordinate.artifact_id}.class" for node in dependencies)
+        lines.extend(f"+-{coordinate.artifact_id}.class" for coordinate in dependencies)
     else:
         lines = ["+-BOOT-INF", "  +-classes", "  |  +-Main.class"]
         if dependencies:
             lines.append("+-BOOT-INF")
             lines.append("  +-lib")
-            lines.extend(f"  |  +-{node.coordinate.artifact_id}.jar" for node in dependencies)
+            lines.extend(f"  |  +-{coordinate.artifact_id}.jar" for coordinate in dependencies)
     return PackagingLayout(mode, tuple(lines))

@@ -21,7 +21,7 @@ from shadowscan.errors import (
     MissingCoordinate,
     PomNotFound,
 )
-from shadowscan.model import Coordinate, DependencyDeclaration, GroupArtifact, PomDocument
+from shadowscan.model import Coordinate, GroupArtifact, PomDocument
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +104,7 @@ def parse_pom(xml_text: str) -> PomDocument:
         if _local_name(child.tag) in _IGNORED_PROJECT_ELEMENTS:
             logger.warning("project %s: ignoring <%s>", coordinate, _local_name(child.tag))
 
-    declarations: list[DependencyDeclaration] = []
+    dependencies: list[Coordinate] = []
     sections = [child for child in root if _local_name(child.tag) == "dependencies"]
     if sections:
         dependency_elements = [
@@ -115,8 +115,8 @@ def parse_pom(xml_text: str) -> PomDocument:
             for child in element:
                 if _local_name(child.tag) == "exclusions":
                     logger.warning("dependency %s: ignoring <exclusions>", dep_coordinate)
-            declarations.append(DependencyDeclaration(dep_coordinate, index))
-    return PomDocument(coordinate, tuple(declarations))
+            dependencies.append(dep_coordinate)
+    return PomDocument(coordinate, tuple(dependencies))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from shadowscan.errors import DepthLimitExceeded, PomNotFound, UnresolvableDepen
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
-    DependencyDeclaration,
     GroupArtifact,
     NodeStatus,
     OmittedConflict,
@@ -70,14 +69,14 @@ def resolve(
         root.coordinate.ga: Occurrence(root.coordinate, ())
     }
     losers: dict[GroupArtifact, list[Occurrence]] = {}
-    queue: deque[tuple[int, DependencyDeclaration]] = deque(
-        (0, declaration) for declaration in root.dependencies
+    # nodes still to place: parent's row, declaration index, coordinate
+    queue: deque[tuple[int, int, Coordinate]] = deque(
+        (0, position, child) for position, child in enumerate(root.dependencies)
     )
     while queue:
-        parent, declaration = queue.popleft()
-        coordinate = declaration.coordinate
+        parent, position, coordinate = queue.popleft()
         parent_path = rows[parent][1]
-        path = parent_path + (declaration.declaration_index,)
+        path = parent_path + (position,)
         if len(path) > max_depth:
             raise DepthLimitExceeded(
                 f"{coordinate} at depth {len(path)} exceeds the limit of {max_depth}"
@@ -99,7 +98,9 @@ def resolve(
                 document = fetch_pom(repo, coordinate)
             except PomNotFound as exc:
                 raise UnresolvableDependency(coordinate, parent_path) from exc
-            queue.extend((index, child) for child in document.dependencies)
+            queue.extend(
+                (index, position, child) for position, child in enumerate(document.dependencies)
+            )
 
     # From the last row up, every node's children are built before the node.
     nodes: list[ResolvedNode] = []
@@ -107,7 +108,7 @@ def resolve(
     for index in range(len(rows) - 1, -1, -1):
         coordinate, path, status, parent = rows[index]
         node = ResolvedNode(
-            coordinate, path, len(path), index, status, tuple(reversed(children.pop(index, ())))
+            coordinate, path, index, status, tuple(reversed(children.pop(index, ())))
         )
         children.setdefault(parent, []).append(node)
         nodes.append(node)

@@ -27,7 +27,6 @@ from shadowscan.mitigations import (
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
-    DependencyDeclaration,
     FullyQualifiedClassName,
     NodeStatus,
     OmittedConflict,
@@ -71,7 +70,6 @@ def build_tree(shape: Shape) -> ResolvedTree:
         return ResolvedNode(
             coordinate=Coordinate.parse(node[0]),
             path=path,
-            depth=len(path),
             bfs_index=indices[path],
             status=status,
             children=tuple(
@@ -178,13 +176,7 @@ def memory_repo(poms: dict[str, list[str]]) -> Repository:
     entries = {}
     for text, dependency_texts in poms.items():
         coordinate = Coordinate.parse(text)
-        document = PomDocument(
-            coordinate,
-            tuple(
-                DependencyDeclaration(Coordinate.parse(dep), index)
-                for index, dep in enumerate(dependency_texts)
-            ),
-        )
+        document = PomDocument(coordinate, tuple(map(Coordinate.parse, dependency_texts)))
         entry = RepositoryEntry(coordinate, Path("<memory>/pom.xml"))
         # Fill the entry's memoized fields so that nothing is read from disk.
         vars(entry).update(document=document, content_path=None)
@@ -338,6 +330,25 @@ def run_pipeline(fixture: str, root_text: str, ecosystem: Ecosystem = Ecosystem.
 # ---------------------------------------------------------------------------
 # straightforward references for the optimized analyses
 
+def reference_dfs_order(tree: ResolvedTree, include_omitted: bool = True) -> list[ResolvedNode]:
+    """Pre-order traversal with children in declaration order.
+
+    This walk built the Maven classpath and the packaging layout before both
+    became a sort of the included nodes by path.
+
+    With ``include_omitted=False`` omitted nodes are skipped; their subtrees
+    were never expanded, so nothing exists below them.
+    """
+    out: list[ResolvedNode] = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if include_omitted or node.included:
+            out.append(node)
+            stack.extend(reversed(node.children))
+    return out
+
+
 def reference_class_name_ok(value: str) -> bool:
     """Per-segment rule: every dot-separated segment is nonempty, without '/' or whitespace."""
     return all(
@@ -368,7 +379,7 @@ def reference_check_sealed(
                 violations.append(
                     SealedPackageViolation(package, inventory.coordinate, tuple(winners))
                 )
-    return MitigationVerdict(MitigationRule.SEALED_JARS, not violations, tuple(violations))
+    return MitigationVerdict(MitigationRule.SEALED_JARS, tuple(violations))
 
 
 def reference_check_modules(
@@ -378,7 +389,6 @@ def reference_check_modules(
     if not root_is_module:
         return MitigationVerdict(
             MitigationRule.JAVA_MODULES,
-            True,
             diagnostic="module protection inactive: the project is not a module",
         )
     providers: dict[str, list[Coordinate]] = {}
@@ -392,7 +402,7 @@ def reference_check_modules(
         for package, coordinates in sorted(providers.items())
         if len(coordinates) >= 2
     )
-    return MitigationVerdict(MitigationRule.JAVA_MODULES, not violations, violations)
+    return MitigationVerdict(MitigationRule.JAVA_MODULES, violations)
 
 
 def reference_compare_ecosystems(

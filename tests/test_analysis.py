@@ -142,7 +142,7 @@ class TestHijackGeometry:
     def test_last_entry_reaches_nothing(self):
         tree = self.attack_tree()
         last = build_classpath(tree, Ecosystem.MAVEN).entries[-1]
-        assert reach_of(tree, Ecosystem.MAVEN, last) == frozenset()
+        assert reach_of(tree, Ecosystem.MAVEN, last) == ()
 
     def test_surface_of_direct_dep_under_maven(self):
         surface = surface_of(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D2:1.0"))
@@ -151,7 +151,7 @@ class TestHijackGeometry:
     def test_first_entry_has_empty_surface(self):
         tree = self.attack_tree()
         first = build_classpath(tree, Ecosystem.MAVEN).entries[0]
-        assert surface_of(tree, Ecosystem.MAVEN, first) == frozenset()
+        assert surface_of(tree, Ecosystem.MAVEN, first) == ()
 
     def test_cwa_surface_of_the_database_sdk_contains_the_validator(self):
         pipeline = run_pipeline("cwa-server", "app.coronawarn:cwa-parent:3.2.0")
@@ -162,6 +162,14 @@ class TestHijackGeometry:
         assert "everit-json-schema" in names
         assert "json-schema-commons" in names
 
+    @pytest.mark.parametrize("ecosystem", list(Ecosystem))
+    def test_results_are_classpath_slices_in_classpath_order(self, ecosystem):
+        tree = self.attack_tree()
+        entries = build_classpath(tree, ecosystem).entries
+        for position, entry in enumerate(entries):
+            assert reach_of(tree, ecosystem, entry) == entries[position + 1 :]
+            assert surface_of(tree, ecosystem, entry) == entries[:position]
+
     def test_unknown_artifact(self):
         with pytest.raises(UnknownArtifact):
             reach_of(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:ghost:1.0"))
@@ -170,7 +178,7 @@ class TestHijackGeometry:
         tree = self.attack_tree()
         root = tree.root.coordinate
         assert len(reach_of(tree, Ecosystem.MAVEN, root)) == 9
-        assert surface_of(tree, Ecosystem.MAVEN, root) == frozenset()
+        assert surface_of(tree, Ecosystem.MAVEN, root) == ()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_reach_is_antisymmetric(self, seed):

@@ -408,6 +408,22 @@ def test_a_reached_fifo_pom_is_an_input_error_not_a_hang(tmp_path):
     assert result.stderr == f"error: cannot read {pom}: not a regular file\n"
 
 
+@pytest.mark.parametrize("rules", ["dup,sealed,modules", "sealed"])
+def test_a_fifo_allowlist_is_an_input_error_not_a_hang(tmp_path, rules):
+    # run in a child process: reading a FIFO without a writer would block forever
+    allowlist = tmp_path / "allow.txt"
+    os.mkfifo(allowlist)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "shadowscan", "check", *ATTACK, "--rules", rules,
+         "--allowlist", str(allowlist)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: cannot read {allowlist}: not a regular file\n"
+
+
 class TestDeepChain:
     """A chain far deeper than the interpreter's recursion limit, allowed by --max-depth."""
 

@@ -26,7 +26,7 @@ from shadowscan.model import (
     GroupArtifact,
     check_invariants,
 )
-from shadowscan.ordering import Ecosystem, build_classpath
+from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import fetch_pom
 from shadowscan.resolver import resolve
 from tests.helpers import (
@@ -41,6 +41,7 @@ from tests.helpers import (
     reference_compare_ecosystems,
     reference_comparison_payload,
     reference_conflicts_payload,
+    reference_dfs_order,
     reference_findings_payload,
     reference_node_payload,
     reference_token_ok,
@@ -198,6 +199,23 @@ def test_deep_and_wide_trees_match_the_full_expansion_oracle(repo_and_depth):
     }
     assert included == full_expansion_winners(poms, "org.gen:root:1.0", max_depth)
     assert list(tree.nodes) == sorted(tree.nodes, key=lambda node: (node.depth, node.path))
+
+
+@settings(max_examples=200)
+@given(deep_wide_repos())
+def test_maven_order_of_deep_and_wide_trees_is_the_preorder_walk(repo_and_depth):
+    poms, max_depth = repo_and_depth
+    repo = memory_repo(poms)
+    tree = resolve(repo, fetch_pom(repo, Coordinate.parse("org.gen:root:1.0")), max_depth).tree
+    walked = [node.coordinate for node in reference_dfs_order(tree, include_omitted=False)[1:]]
+    assert list(build_classpath(tree, Ecosystem.MAVEN).entries) == walked
+    artifact_ids = [coordinate.artifact_id for coordinate in walked]
+    assert emit_layout(tree, LayoutMode.FLAT).lines[3:] == tuple(
+        f"+-{artifact_id}.class" for artifact_id in artifact_ids
+    )
+    assert emit_layout(tree, LayoutMode.NESTED).lines[5:] == tuple(
+        f"  |  +-{artifact_id}.jar" for artifact_id in artifact_ids
+    )
 
 
 @given(st.randoms(use_true_random=False), st.booleans())

@@ -10,7 +10,6 @@ from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoo
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
-    DependencyDeclaration,
     FullyQualifiedClassName,
     GroupArtifact,
     OmittedConflict,
@@ -18,9 +17,15 @@ from shadowscan.model import (
     ResolvedNode,
     ResolvedTree,
     check_invariants,
-    dfs_order,
 )
-from tests.helpers import build_tree, coord, random_tree, sample_tree, tree_of
+from tests.helpers import (
+    build_tree,
+    coord,
+    random_tree,
+    reference_dfs_order,
+    sample_tree,
+    tree_of,
+)
 
 
 def artifact_ids(nodes):
@@ -53,27 +58,17 @@ class TestCoordinates:
 
 
 class TestPomDocument:
-    def test_indices_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            PomDocument(coord("g:a:1"), (DependencyDeclaration(coord("g:b:1"), 1),))
-
     def test_duplicate_group_artifact_rejected(self):
         with pytest.raises(DuplicateDeclaration):
             PomDocument(
                 coord("g:a:1"),
-                (
-                    DependencyDeclaration(coord("g:b:1"), 0),
-                    DependencyDeclaration(coord("g:b:2"), 1),
-                ),
+                (coord("g:b:1"), coord("g:b:2")),
             )
 
     def test_same_artifact_different_group_is_fine(self):
         document = PomDocument(
             coord("g:a:1"),
-            (
-                DependencyDeclaration(coord("g1:b:1"), 0),
-                DependencyDeclaration(coord("g2:b:1"), 1),
-            ),
+            (coord("g1:b:1"), coord("g2:b:1")),
         )
         assert len(document.dependencies) == 2
 
@@ -98,40 +93,40 @@ class TestFullyQualifiedClassName:
 
 class TestTreeValidation:
     def test_root_must_be_included_at_empty_path(self):
-        node = ResolvedNode(coord("g:a:1"), (), 0, 0, OmittedConflict(coord("g:a:2")))
+        node = ResolvedNode(coord("g:a:1"), (), 0, OmittedConflict(coord("g:a:2")))
         with pytest.raises(ValueError):
             check_invariants(tree_of(node))
 
     def test_bfs_indices_must_match_level_order(self):
-        child = ResolvedNode(coord("g:b:1"), (0,), 1, 2, INCLUDED)
-        root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, (child,))
+        child = ResolvedNode(coord("g:b:1"), (0,), 2, INCLUDED)
+        root = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED, (child,))
         with pytest.raises(ValueError):
             check_invariants(tree_of(root))
 
     def test_two_included_nodes_per_group_artifact_rejected(self):
         children = (
-            ResolvedNode(coord("g:b:1"), (0,), 1, 1, INCLUDED),
-            ResolvedNode(coord("g:b:2"), (1,), 1, 2, INCLUDED),
+            ResolvedNode(coord("g:b:1"), (0,), 1, INCLUDED),
+            ResolvedNode(coord("g:b:2"), (1,), 2, INCLUDED),
         )
-        root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, children)
+        root = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED, children)
         with pytest.raises(ValueError):
             check_invariants(tree_of(root))
 
     def test_omitted_node_must_be_childless(self):
-        grandchild = ResolvedNode(coord("g:c:1"), (0, 0), 2, 2, INCLUDED)
+        grandchild = ResolvedNode(coord("g:c:1"), (0, 0), 2, INCLUDED)
         child = ResolvedNode(
-            coord("g:b:1"), (0,), 1, 1, OmittedConflict(coord("g:b:2")), (grandchild,)
+            coord("g:b:1"), (0,), 1, OmittedConflict(coord("g:b:2")), (grandchild,)
         )
-        root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, (child,))
+        root = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED, (child,))
         with pytest.raises(ValueError):
             check_invariants(tree_of(root))
 
     def test_included_must_precede_omitted_occurrence(self):
         children = (
-            ResolvedNode(coord("g:b:2"), (0,), 1, 1, OmittedConflict(coord("g:b:1"))),
-            ResolvedNode(coord("g:b:1"), (1,), 1, 2, INCLUDED),
+            ResolvedNode(coord("g:b:2"), (0,), 1, OmittedConflict(coord("g:b:1"))),
+            ResolvedNode(coord("g:b:1"), (1,), 2, INCLUDED),
         )
-        root = ResolvedNode(coord("g:a:1"), (), 0, 0, INCLUDED, children)
+        root = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED, children)
         with pytest.raises(ValueError):
             check_invariants(tree_of(root))
 
@@ -158,10 +153,10 @@ class TestTraversals:
     def test_single_node_tree(self):
         tree = build_tree(("g:only:1.0", []))
         assert tree.nodes == (tree.root,)
-        assert dfs_order(tree) == [tree.root]
+        assert reference_dfs_order(tree) == [tree.root]
 
     def test_preorder_of_sample_tree(self):
-        nodes = dfs_order(sample_tree())
+        nodes = reference_dfs_order(sample_tree())
         assert artifact_ids(nodes) == [
             "Project", "D1", "D11", "D111", "D112", "D2", "D21", "D211", "D22", "D221",
         ]
@@ -183,9 +178,9 @@ class TestTraversals:
                 ]),
             ])
         )
-        skipped = dfs_order(tree, include_omitted=False)
+        skipped = reference_dfs_order(tree, include_omitted=False)
         assert artifact_ids(skipped) == ["Project", "D1", "D2", "D21", "D211", "D22", "D221"]
-        assert len(dfs_order(tree, include_omitted=True)) == len(skipped) + 1
+        assert len(reference_dfs_order(tree, include_omitted=True)) == len(skipped) + 1
 
 
 class TestTraversalProperties:
@@ -197,16 +192,16 @@ class TestTraversalProperties:
         tree = random_tree(Random(seed), max_depth=4, max_children=3)
         nodes = list(tree.nodes)
         assert nodes == sorted(nodes, key=lambda n: (n.depth, n.path))
-        assert dfs_order(tree) == sorted(nodes, key=lambda n: n.path)
+        assert reference_dfs_order(tree) == sorted(nodes, key=lambda n: n.path)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_same_node_set(self, seed):
         tree = random_tree(Random(seed + 100), max_depth=4, max_children=3)
-        assert set(tree.nodes) == set(dfs_order(tree, include_omitted=True))
+        assert set(tree.nodes) == set(reference_dfs_order(tree, include_omitted=True))
 
     def test_parent_visited_before_descendants(self):
         tree = random_tree(Random(7), max_depth=4, max_children=3)
-        positions = {node.path: i for i, node in enumerate(dfs_order(tree))}
+        positions = {node.path: i for i, node in enumerate(reference_dfs_order(tree))}
         for node in tree.nodes:
             if node.path:
                 assert positions[node.path[:-1]] < positions[node.path]

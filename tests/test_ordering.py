@@ -6,11 +6,18 @@ from random import Random
 
 import pytest
 
-from shadowscan.model import dfs_order
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
-from tests.helpers import FIXTURES, build_tree, coord, make_repo, random_tree, sample_tree
+from tests.helpers import (
+    FIXTURES,
+    build_tree,
+    coord,
+    make_repo,
+    random_tree,
+    reference_dfs_order,
+    sample_tree,
+)
 
 MAVEN_SEQUENCE = ["D1", "D11", "D111", "D112", "D2", "D21", "D211", "D22", "D221"]
 GRADLE_SEQUENCE = ["D1", "D2", "D11", "D21", "D22", "D111", "D112", "D211", "D221"]
@@ -141,7 +148,7 @@ class TestOrderingProperties:
 
     def test_maven_classpath_equals_pruned_preorder(self):
         tree = sample_tree()
-        expected = [node.coordinate for node in dfs_order(tree, include_omitted=False)[1:]]
+        expected = [node.coordinate for node in reference_dfs_order(tree, include_omitted=False)[1:]]
         assert list(build_classpath(tree, Ecosystem.MAVEN).entries) == expected
 
     def test_gradle_classpath_equals_pruned_level_order(self):

@@ -81,15 +81,14 @@ ATTACK_ORDER_POM = """
 class TestParsePom:
     def test_declarations_keep_textual_order(self):
         document = parse_pom(SAFE_ORDER_POM)
-        assert [str(d.coordinate) for d in document.dependencies] == [
+        assert [str(d) for d in document.dependencies] == [
             "org.test:nicelibrary:1.2",
             "org.evil:attackerlibrary:1.0",
         ]
-        assert [d.declaration_index for d in document.dependencies] == [0, 1]
 
     def test_swapped_declarations_swap_indices(self):
         document = parse_pom(ATTACK_ORDER_POM)
-        assert [str(d.coordinate) for d in document.dependencies] == [
+        assert [str(d) for d in document.dependencies] == [
             "org.evil:attackerlibrary:1.0",
             "org.test:nicelibrary:1.2",
         ]
@@ -148,7 +147,7 @@ class TestParsePom:
             "<version>1</version></dependency></dependencies></project>"
         )
         document = parse_pom(text)
-        assert str(document.dependencies[0].coordinate) == "x:y:1"
+        assert str(document.dependencies[0]) == "x:y:1"
 
     def test_unknown_elements_ignored_silently(self, caplog):
         text = (
@@ -180,7 +179,7 @@ class TestParsePom:
         )
         with caplog.at_level(logging.WARNING, logger="shadowscan.pom"):
             document = parse_pom(text)
-        assert document.dependencies[0].coordinate.version == "${db.version}"
+        assert document.dependencies[0].version == "${db.version}"
         assert any("${db.version}" in record.getMessage() for record in caplog.records)
 
     def test_coordinate_grammar_still_applies(self):
@@ -255,7 +254,7 @@ class TestFetchPom:
     def test_attacker_library_declares_its_carrier(self):
         repo = load_repository(FIXTURES / "poc-attack-order")
         document = fetch_pom(repo, coord("org.evil:attackerlibrary:1.0"))
-        assert [str(d.coordinate) for d in document.dependencies] == ["org.evil:fakelibrary:1.0"]
+        assert [str(d) for d in document.dependencies] == ["org.evil:fakelibrary:1.0"]
 
     def test_fetch_succeeds_exactly_for_indexed_layout(self, tmp_path):
         make_repo(tmp_path, {"g:a:1": [], "g:b:2": []})

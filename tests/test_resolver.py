@@ -47,7 +47,7 @@ class TestCleanResolution:
         repo = load_repository(FIXTURES / "sample-app")
         for node in checked_resolve(repo, "com.example:Project:1.0").tree.nodes:
             declared = fetch_pom(repo, node.coordinate).dependencies
-            assert [c.coordinate for c in node.children] == [d.coordinate for d in declared]
+            assert [c.coordinate for c in node.children] == list(declared)
 
 
 class TestConflicts:
