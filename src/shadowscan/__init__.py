@@ -32,12 +32,13 @@ from shadowscan.mitigations import (
 )
 from shadowscan.model import (
     Coordinate,
-    FullyQualifiedClassName,
     GroupArtifact,
     PomDocument,
     ResolvedNode,
     ResolvedTree,
+    check_class_name,
     check_invariants,
+    package_of,
 )
 from shadowscan.ordering import (
     Classpath,
@@ -60,7 +61,6 @@ __all__ = [
     "Ecosystem",
     "EcosystemComparison",
     "EffectiveClassMap",
-    "FullyQualifiedClassName",
     "GroupArtifact",
     "LayoutMode",
     "MitigationRule",
@@ -76,6 +76,7 @@ __all__ = [
     "WinnerComparison",
     "build_classpath",
     "check_ban_duplicate_classes",
+    "check_class_name",
     "check_invariants",
     "check_modules",
     "check_sealed",
@@ -90,6 +91,7 @@ __all__ = [
     "inspect_jar",
     "inventory_all",
     "load_repository",
+    "package_of",
     "parse_pom",
     "render_classlist",
     "resolve",

@@ -7,13 +7,7 @@ from typing import Mapping, Sequence
 
 from shadowscan.errors import MissingContent, UnknownArtifact
 from shadowscan.inventory import ClassInventory
-from shadowscan.model import (
-    Coordinate,
-    FullyQualifiedClassName,
-    ResolvedNode,
-    ResolvedTree,
-    TreePath,
-)
+from shadowscan.model import Coordinate, ResolvedNode, ResolvedTree, TreePath
 from shadowscan.ordering import Classpath, Ecosystem, build_classpath
 
 
@@ -29,13 +23,13 @@ class ClassBinding:
 class EffectiveClassMap:
     """What actually loads: each class name bound to its first provider."""
 
-    bindings: Mapping[FullyQualifiedClassName, ClassBinding]
+    bindings: Mapping[str, ClassBinding]
 
 
 def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMap:
     """Bind every provided class to the earliest inventory that carries it."""
-    winners: dict[FullyQualifiedClassName, Coordinate] = {}
-    shadowed: dict[FullyQualifiedClassName, list[Coordinate]] = {}
+    winners: dict[str, Coordinate] = {}
+    shadowed: dict[str, list[Coordinate]] = {}
     for inventory in inventories:
         for cls in inventory.classes:
             if cls in winners:
@@ -52,7 +46,7 @@ def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMa
 class ShadowFinding:
     """One class that masks identically named classes later on the classpath."""
 
-    class_name: FullyQualifiedClassName
+    class_name: str
     winner: Coordinate
     shadowed_victims: tuple[Coordinate, ...]
     winner_path: TreePath
@@ -115,7 +109,7 @@ def hijack_surface(
 class WinnerComparison:
     """Maven and Gradle winners for one class provided more than once."""
 
-    class_name: FullyQualifiedClassName
+    class_name: str
     maven_winner: Coordinate
     gradle_winner: Coordinate
 
@@ -149,7 +143,7 @@ def compare_ecosystems(
     gradle_position = {coordinate: index for index, coordinate in enumerate(gradle)}
     rank = [gradle_position[coordinate] for coordinate in maven]
     # class name -> Maven positions of its providers, in Maven order
-    providers: dict[FullyQualifiedClassName, list[int]] = {}
+    providers: dict[str, list[int]] = {}
     for index, coordinate in enumerate(maven):
         inventory = inventories_by_coord.get(coordinate)
         if inventory is None:

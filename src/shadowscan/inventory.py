@@ -17,7 +17,7 @@ from shadowscan.errors import (
     MissingContent,
     NotAZip,
 )
-from shadowscan.model import Coordinate, FullyQualifiedClassName
+from shadowscan.model import CLASS_NAME, Coordinate, check_class_name, package_of
 from shadowscan.ordering import Classpath
 from shadowscan.pom import CLASSLIST_LIMIT, CLASSLIST_NAME, JAR_NAME, Repository, read_text_file
 
@@ -35,33 +35,33 @@ class ClassInventory:
     ``module_name`` is only known for class-list sources; a JAR with a module
     descriptor is marked ``is_module`` with the name left unset, since the
     descriptor's constant pool is not parsed.
+
+    Class names are plain ``str``. ``inspect_jar`` and ``inspect_classlist``
+    validate each one and never list a class twice; an inventory built by
+    hand is not checked again, except that ``module_name`` requires
+    ``is_module``.
     """
 
     coordinate: Coordinate
-    classes: tuple[FullyQualifiedClassName, ...]
+    classes: tuple[str, ...]
     sealed_packages: frozenset[str] = frozenset()
     is_module: bool = False
     module_name: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "sealed_packages", frozenset(self.sealed_packages))
-        if len(set(self.classes)) != len(self.classes):
-            raise DuplicateClassName(f"{self.coordinate} lists a class twice")
         if self.module_name is not None and not self.is_module:
             raise ValueError("module_name requires is_module")
 
     @cached_property
     def packages(self) -> frozenset[str]:
-        return frozenset(cls.package for cls in self.classes)
+        return frozenset(map(package_of, self.classes))
 
 
-def _entry_to_class_name(entry: str) -> FullyQualifiedClassName:
+def _entry_to_class_name(entry: str) -> str:
     dotted = entry[: -len(".class")].replace("/", ".")
-    try:
-        return FullyQualifiedClassName(dotted)
-    except InvalidClassName as exc:
-        raise InvalidEntryName(f"entry {entry!r} is not convertible to a class name") from exc
+    if not CLASS_NAME.fullmatch(dotted):
+        raise InvalidEntryName(f"entry {entry!r} is not convertible to a class name")
+    return dotted
 
 
 def _unfold_manifest(text: str) -> list[str]:
@@ -94,14 +94,12 @@ def _manifest_sections(lines: list[str]) -> list[dict[str, str]]:
     return sections
 
 
-def _sealed_packages(
-    manifest_text: str, classes: list[FullyQualifiedClassName]
-) -> frozenset[str]:
+def _sealed_packages(manifest_text: str, classes: tuple[str, ...]) -> frozenset[str]:
     sections = _manifest_sections(_unfold_manifest(manifest_text))
     main = sections[0] if sections else {}
     sealed: set[str] = set()
     if main.get("Sealed", "").lower() == "true":
-        sealed.update(cls.package for cls in classes)
+        sealed.update(map(package_of, classes))
     for section in sections[1:]:
         name = section.get("Name", "")
         if name.endswith("/") and section.get("Sealed", "").lower() == "true":
@@ -147,22 +145,17 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
-    classes: list[FullyQualifiedClassName] = []
-    seen: set[str] = set()
-    for name in names:
-        if not name.endswith(".class") or name.startswith("META-INF/"):
-            continue
-        if name == _MODULE_INFO or name.endswith("/" + _MODULE_INFO):
-            continue
-        fqcn = _entry_to_class_name(name)
-        # an archive may repeat an entry name; the first occurrence stands
-        if fqcn not in seen:
-            seen.add(fqcn)
-            classes.append(fqcn)
+    # an archive may repeat an entry name; the first occurrence stands
+    classes = tuple(dict.fromkeys(
+        _entry_to_class_name(name)
+        for name in names
+        if name.endswith(".class") and not name.startswith("META-INF/")
+        and name != _MODULE_INFO and not name.endswith("/" + _MODULE_INFO)
+    ))
     sealed = _sealed_packages(manifest_text, classes) if manifest_text else frozenset()
     return ClassInventory(
         coordinate=coordinate,
-        classes=tuple(classes),
+        classes=classes,
         sealed_packages=sealed,
         is_module=_MODULE_INFO in names,
     )
@@ -170,7 +163,7 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
 
 def _validated_dotted(value: str, path: Path, line_number: int) -> str:
     try:
-        return str(FullyQualifiedClassName(value))
+        return check_class_name(value)
     except InvalidClassName as exc:
         raise InvalidClassName(f"{path}:{line_number}: {exc}") from exc
 
@@ -183,16 +176,16 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
     """
     path = Path(file)
     text = read_text_file(path, CLASSLIST_LIMIT)
-    classes: list[FullyQualifiedClassName] = []
-    seen: set[str] = set()
+    classes: dict[str, None] = {}  # an insertion-ordered set
     sealed: set[str] = set()
     module_name: str | None = None
     is_module = False
+    is_class_name = CLASS_NAME.fullmatch
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("@"):
+        if line[0] == "@":
             directive, _, argument = line.partition(" ")
             argument = argument.strip()
             if directive == "@sealed" and argument:
@@ -203,14 +196,11 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
             else:
                 raise InvalidClassName(f"{path}:{line_number}: unsupported directive {line!r}")
             continue
-        try:
-            fqcn = FullyQualifiedClassName(line)
-        except InvalidClassName as exc:
-            raise InvalidClassName(f"{path}:{line_number}: {exc}") from exc
-        if fqcn in seen:
-            raise DuplicateClassName(f"{path}:{line_number}: {fqcn} listed twice")
-        seen.add(fqcn)
-        classes.append(fqcn)
+        if not is_class_name(line):
+            _validated_dotted(line, path, line_number)  # raises, naming the line
+        if line in classes:
+            raise DuplicateClassName(f"{path}:{line_number}: {line} listed twice")
+        classes[line] = None
     return ClassInventory(coordinate, tuple(classes), frozenset(sealed), is_module, module_name)
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from shadowscan.analysis import EffectiveClassMap
 from shadowscan.errors import InvalidClassName, InvalidPattern
 from shadowscan.inventory import ClassInventory
-from shadowscan.model import Coordinate, FullyQualifiedClassName
+from shadowscan.model import Coordinate, check_class_name, package_of
 from shadowscan.pom import read_text_file
 
 # A list of collision patterns larger than this is hostile input, as a POM is.
@@ -25,7 +26,7 @@ class MitigationRule(str, Enum):
 
 @dataclass(frozen=True)
 class DuplicateClassViolation:
-    class_name: FullyQualifiedClassName
+    class_name: str
     winner: Coordinate
     shadowed: tuple[Coordinate, ...]
 
@@ -82,7 +83,7 @@ def compile_pattern(pattern: str) -> Callable[[str], bool]:
 
 def _require_dotted(value: str, pattern: str) -> None:
     try:
-        FullyQualifiedClassName(value)
+        check_class_name(value)
     except InvalidClassName:
         raise InvalidPattern(f"{pattern!r} is not a valid class or package pattern") from None
 
@@ -111,12 +112,13 @@ def check_ban_duplicate_classes(
     repackaged), hence the allowlist; left empty this is the strict CI gate.
     """
     matchers = [compile_pattern(pattern) for pattern in allowlist]
-    violations = tuple(
+    violations = [
         DuplicateClassViolation(class_name, binding.winner, binding.shadowed)
-        for class_name, binding in sorted(class_map.bindings.items())
+        for class_name, binding in class_map.bindings.items()
         if binding.shadowed and not any(match(class_name) for match in matchers)
-    )
-    return MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, violations)
+    ]
+    violations.sort(key=attrgetter("class_name"))
+    return MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, tuple(violations))
 
 
 def check_sealed(
@@ -132,7 +134,7 @@ def check_sealed(
     # dict keys double as an insertion-ordered set of each package's winners
     winners_by_package: dict[str, dict[Coordinate, None]] = {}
     for class_name, binding in class_map.bindings.items():
-        winners_by_package.setdefault(class_name.package, {})[binding.winner] = None
+        winners_by_package.setdefault(package_of(class_name), {})[binding.winner] = None
     violations: list[SealedPackageViolation] = []
     for inventory in inventories:
         for package in sorted(inventory.sealed_packages):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoordinate
 
@@ -12,7 +13,9 @@ TreePath = tuple[int, ...]
 
 # In str patterns ``\s`` matches exactly the characters for which str.isspace() holds.
 _TOKEN_FORBIDDEN = re.compile(r"[:\s]")
-_CLASS_NAME = re.compile(r"[^./\s]+(?:\.[^./\s]+)*")
+# A class name is a plain str this pattern fullmatches: dot-separated segments,
+# each nonempty and free of "/" and whitespace; "$" inner-class markers stay.
+CLASS_NAME = re.compile(r"[^./\s]+(?:\.[^./\s]+)*")
 
 
 def _coordinate_token(value: str, label: str) -> str:
@@ -40,7 +43,11 @@ class GroupArtifact:
 
 @dataclass(frozen=True, order=True)
 class Coordinate:
-    """Exact artifact identity: group, artifact, and version."""
+    """Exact artifact identity: group, artifact, and version.
+
+    Its ``group:artifact:version`` text is built on the first ``str()`` and
+    then kept on the instance; it is not a field.
+    """
 
     ga: GroupArtifact
     version: str
@@ -67,8 +74,12 @@ class Coordinate:
     def artifact_id(self) -> str:
         return self.ga.artifact_id
 
+    @cached_property
+    def _text(self) -> str:
+        return f"{self.ga.group_id}:{self.ga.artifact_id}:{self.version}"
+
     def __str__(self) -> str:
-        return f"{self.ga}:{self.version}"
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -178,25 +189,13 @@ def check_invariants(tree: ResolvedTree) -> None:
                 raise ValueError(f"child at {child.path} does not extend parent path {node.path}")
 
 
-class FullyQualifiedClassName(str):
-    """Dot-separated class name such as ``org.test.NiceClass``.
+def check_class_name(value: str) -> str:
+    """``value`` if it is a class name such as ``org.test.NiceClass``, else ``InvalidClassName``."""
+    if not CLASS_NAME.fullmatch(value):
+        raise InvalidClassName(f"invalid fully qualified class name {value!r}")
+    return value
 
-    Every segment is nonempty and free of ``/`` and whitespace. Inner-class
-    markers (``$``) are kept verbatim within a segment.
-    """
 
-    __slots__ = ()
-
-    def __new__(cls, value: str) -> FullyQualifiedClassName:
-        if not _CLASS_NAME.fullmatch(value):
-            raise InvalidClassName(f"invalid fully qualified class name {value!r}")
-        return super().__new__(cls, value)
-
-    @property
-    def package(self) -> str:
-        """Dotted package prefix; empty for the default package."""
-        return self.rpartition(".")[0]
-
-    @property
-    def simple_name(self) -> str:
-        return self.rpartition(".")[2]
+def package_of(class_name: str) -> str:
+    """Dotted package prefix of a class name; empty for the default package."""
+    return class_name.rpartition(".")[0]

@@ -72,37 +72,40 @@ def _find_text(element: ET.Element, name: str) -> str | None:
     return None
 
 
-def _read_coordinate(element: ET.Element, where: str) -> Coordinate:
+def _read_coordinate(element: ET.Element, where: str, prefix: str) -> Coordinate:
     values: dict[str, str] = {}
     for name in ("groupId", "artifactId", "version"):
         text = _find_text(element, name)
         if not text:
             raise MissingCoordinate(f"{where}: missing or empty <{name}>")
         if "${" in text:
-            logger.warning("%s: property placeholder %r is not interpolated", where, text)
+            logger.warning("%s%s: property placeholder %r is not interpolated", prefix, where, text)
         values[name] = text
     return Coordinate(GroupArtifact(values["groupId"], values["artifactId"]), values["version"])
 
 
-def parse_pom(xml_text: str) -> PomDocument:
+def parse_pom(xml_text: str, source: str = "") -> PomDocument:
     """Parse the supported POM subset into a document.
 
     Only ``project``, ``groupId``, ``artifactId``, ``version``,
     ``dependencies``, and ``dependency`` elements carry meaning. Namespaces
     are ignored. ``dependencyManagement``, ``profiles``, ``properties``, and
     per-dependency ``exclusions`` are ignored with a warning; other unknown
-    elements are ignored silently.
+    elements are ignored silently. A nonempty ``source`` begins every
+    warning, so that it names the file the text came from.
     """
+    prefix = f"{source}: " if source else ""
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         raise MalformedXml(f"not well-formed XML: {exc}") from exc
     if _local_name(root.tag) != "project":
         raise MalformedXml(f"root element must be <project>, got <{_local_name(root.tag)}>")
-    coordinate = _read_coordinate(root, "project")
+    coordinate = _read_coordinate(root, "project", prefix)
     for child in root:
-        if _local_name(child.tag) in _IGNORED_PROJECT_ELEMENTS:
-            logger.warning("project %s: ignoring <%s>", coordinate, _local_name(child.tag))
+        name = _local_name(child.tag)
+        if name in _IGNORED_PROJECT_ELEMENTS:
+            logger.warning("%sproject %s: ignoring <%s>", prefix, coordinate, name)
 
     dependencies: list[Coordinate] = []
     sections = [child for child in root if _local_name(child.tag) == "dependencies"]
@@ -111,10 +114,11 @@ def parse_pom(xml_text: str) -> PomDocument:
             child for child in sections[0] if _local_name(child.tag) == "dependency"
         ]
         for index, element in enumerate(dependency_elements):
-            dep_coordinate = _read_coordinate(element, f"dependency #{index} of {coordinate}")
+            where = f"dependency #{index} of {coordinate}"
+            dep_coordinate = _read_coordinate(element, where, prefix)
             for child in element:
                 if _local_name(child.tag) == "exclusions":
-                    logger.warning("dependency %s: ignoring <exclusions>", dep_coordinate)
+                    logger.warning("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
             dependencies.append(dep_coordinate)
     return PomDocument(coordinate, tuple(dependencies))
 
@@ -125,7 +129,8 @@ class RepositoryEntry:
 
     ``pom_path`` is ``<root>/<group>/<artifact>/<version>/pom.xml`` for
     ``coordinate``. The POM is read, parsed and checked against the
-    coordinate on the first read of ``document``, and the content source is
+    coordinate on the first read of ``document`` (every parse warning names
+    the file and the coordinate), and the content source is
     looked up on the first read of ``content_path``; each result is then
     kept on the entry.
     """
@@ -135,7 +140,8 @@ class RepositoryEntry:
 
     @cached_property
     def document(self) -> PomDocument:
-        document = parse_pom(read_text_file(self.pom_path, POM_LIMIT))
+        text = read_text_file(self.pom_path, POM_LIMIT)
+        document = parse_pom(text, f"{self.pom_path} ({self.coordinate})")
         if document.coordinate != self.coordinate:
             raise CoordinateMismatch(
                 f"{self.pom_path} declares {document.coordinate} but its "

@@ -15,7 +15,7 @@ from shadowscan.analysis import (
     WinnerComparison,
     effective_classes,
 )
-from shadowscan.errors import MissingContent
+from shadowscan.errors import DuplicateClassName, InvalidClassName, MissingContent
 from shadowscan.inventory import ClassInventory, inventory_all
 from shadowscan.mitigations import (
     DuplicateClassViolation,
@@ -27,13 +27,14 @@ from shadowscan.mitigations import (
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
-    FullyQualifiedClassName,
     NodeStatus,
     OmittedConflict,
     OmittedDuplicate,
     PomDocument,
     ResolvedNode,
     ResolvedTree,
+    check_class_name,
+    package_of,
 )
 from shadowscan.ordering import Classpath, Ecosystem, build_classpath
 from shadowscan.pom import Repository, RepositoryEntry, fetch_pom, load_repository
@@ -281,7 +282,7 @@ def random_inventories(
         inventories.append(
             ClassInventory(
                 coordinate,
-                tuple(FullyQualifiedClassName(name) for name in names),
+                tuple(map(check_class_name, names)),
                 frozenset(sealed),
             )
         )
@@ -292,7 +293,7 @@ def first_provider_scan(
     inventories: list[ClassInventory],
 ) -> dict[str, tuple[Coordinate, tuple[Coordinate, ...]]]:
     """Per class name, walk the classpath front to back and stop at the first provider."""
-    names: list[FullyQualifiedClassName] = []
+    names: list[str] = []
     seen: set[str] = set()
     for inventory in inventories:
         for cls in inventory.classes:
@@ -357,6 +358,49 @@ def reference_class_name_ok(value: str) -> bool:
     )
 
 
+def reference_inspect_classlist(path: Path, coordinate: Coordinate) -> ClassInventory:
+    """The class-list reader that built and checked one name object per line.
+
+    Each stripped line is classified in turn; a class line is checked with
+    the per-segment rule and then looked up in a ``seen`` set.
+    """
+    text = path.read_bytes().decode("utf-8")
+    classes: list[str] = []
+    seen: set[str] = set()
+    sealed: set[str] = set()
+    module_name: str | None = None
+    is_module = False
+
+    def validated(value: str, line_number: int) -> str:
+        if not reference_class_name_ok(value):
+            raise InvalidClassName(
+                f"{path}:{line_number}: invalid fully qualified class name {value!r}"
+            )
+        return value
+
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("@"):
+            directive, _, argument = line.partition(" ")
+            argument = argument.strip()
+            if directive == "@sealed" and argument:
+                sealed.add(validated(argument, line_number))
+            elif directive == "@module" and argument:
+                is_module = True
+                module_name = validated(argument, line_number)
+            else:
+                raise InvalidClassName(f"{path}:{line_number}: unsupported directive {line!r}")
+            continue
+        name = validated(line, line_number)
+        if name in seen:
+            raise DuplicateClassName(f"{path}:{line_number}: {name} listed twice")
+        seen.add(name)
+        classes.append(name)
+    return ClassInventory(coordinate, tuple(classes), frozenset(sealed), is_module, module_name)
+
+
 def reference_token_ok(value: str) -> bool:
     """Per-character rule for coordinate tokens: nonempty, no ':' and no whitespace."""
     return bool(value) and ":" not in value and not any(ch.isspace() for ch in value)
@@ -368,7 +412,7 @@ def reference_check_sealed(
     """Sealed-package check with list buckets and list-membership dedup."""
     winners_by_package: dict[str, list[Coordinate]] = {}
     for class_name, binding in class_map.bindings.items():
-        bucket = winners_by_package.setdefault(class_name.package, [])
+        bucket = winners_by_package.setdefault(package_of(class_name), [])
         if binding.winner not in bucket:
             bucket.append(binding.winner)
     violations: list[SealedPackageViolation] = []

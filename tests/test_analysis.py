@@ -15,7 +15,7 @@ from shadowscan.analysis import (
 )
 from shadowscan.errors import MissingContent, UnknownArtifact
 from shadowscan.inventory import ClassInventory
-from shadowscan.model import FullyQualifiedClassName
+from shadowscan.model import check_class_name
 from shadowscan.ordering import Ecosystem, build_classpath
 from tests.helpers import (
     build_tree,
@@ -28,12 +28,10 @@ from tests.helpers import (
 
 
 def inventory(text, *classes):
-    return ClassInventory(
-        coord(text), tuple(FullyQualifiedClassName(name) for name in classes)
-    )
+    return ClassInventory(coord(text), tuple(map(check_class_name, classes)))
 
 
-NICE_CLASS = FullyQualifiedClassName("org.test.NiceClass")
+NICE_CLASS = "org.test.NiceClass"
 
 
 class TestEffectiveClasses:
@@ -229,7 +227,7 @@ class TestOrderSensitivity:
                     classes.append(shared)
                 inventories.append(inventory(str(entry), *classes))
             class_map = effective_classes(inventories)
-            return str(class_map.bindings[FullyQualifiedClassName(shared)].winner)
+            return str(class_map.bindings[shared].winner)
 
         assert winner(shape_a, shape_b) == provider_a
         assert winner(shape_b, shape_a) == provider_b

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from shadowscan.analysis import compare_ecosystems, detect_shadowing, effective_classes
 from shadowscan.cli import _json_report
+from shadowscan.inventory import inspect_classlist
 from shadowscan.errors import InvalidClassName, InvalidCoordinate
 from shadowscan.mitigations import (
     check_ban_duplicate_classes,
@@ -22,8 +23,8 @@ from shadowscan.mitigations import (
 )
 from shadowscan.model import (
     Coordinate,
-    FullyQualifiedClassName,
     GroupArtifact,
+    check_class_name,
     check_invariants,
 )
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
@@ -43,6 +44,7 @@ from tests.helpers import (
     reference_conflicts_payload,
     reference_dfs_order,
     reference_findings_payload,
+    reference_inspect_classlist,
     reference_node_payload,
     reference_token_ok,
     reference_verdict_payload,
@@ -63,8 +65,49 @@ def accepts(constructor, error, value) -> bool:
 
 @given(NAMES)
 def test_class_name_rule_matches_the_per_segment_reference(value):
-    accepted = accepts(FullyQualifiedClassName, InvalidClassName, value)
+    accepted = accepts(check_class_name, InvalidClassName, value)
     assert accepted == reference_class_name_ok(value)
+
+
+# class-list lines: names from a small pool (so some repeat), arbitrary and
+# mostly invalid names, comments, known, unknown and empty directives, all
+# padded with whitespace and ended by any separator str.splitlines knows
+POOL = ["org.a.A", "org.a.B", "org.a.B$C", "org.b.D", "Main", "x$y", "org.a", "org.b"]
+PADDING = st.sampled_from(["", " ", "\t", " \t ", "\xa0", "\u3000"])
+DIRECTIVES = st.sampled_from(["@sealed", "@module", "@sealed\t", "@provides", "@", "@module  "])
+LINES = st.one_of(
+    st.sampled_from(POOL),
+    st.sampled_from(POOL),
+    NAMES,
+    NAMES.map("#".__add__),
+    st.tuples(DIRECTIVES, st.sampled_from(POOL + [""]) | NAMES).map(" ".join),
+    st.just(""),
+)
+SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"])
+CLASS_LISTS = st.lists(st.tuples(PADDING, LINES, PADDING, SEPARATORS).map("".join), max_size=12)
+
+
+@pytest.fixture(scope="module")
+def classlist_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("classlist") / "classes.txt"
+
+
+def read_or_error(reader, path):
+    try:
+        return reader(path, Coordinate.of("g", "a", "1"))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(CLASS_LISTS, st.booleans())
+def test_class_list_reader_matches_the_per_line_reference(classlist_path, lines, last_ended):
+    text = "".join(lines)
+    if lines and not last_ended:
+        text = text[:-1]
+    classlist_path.write_bytes(text.encode("utf-8"))
+    expected = read_or_error(reference_inspect_classlist, classlist_path)
+    assert read_or_error(inspect_classlist, classlist_path) == expected
 
 
 @given(NAMES)

@@ -24,7 +24,7 @@ from shadowscan.inventory import (
     inventory_all,
     render_classlist,
 )
-from shadowscan.model import FullyQualifiedClassName
+from shadowscan.model import package_of
 from shadowscan.ordering import Ecosystem, build_classpath
 from shadowscan.pom import CLASSLIST_LIMIT, fetch_pom, load_repository
 from shadowscan.resolver import resolve
@@ -46,7 +46,7 @@ class TestInspectJar:
     def test_class_entry_maps_to_dotted_name(self, tmp_path):
         jar = make_jar(tmp_path / "a.jar", ["org/test/NiceClass.class"])
         inventory = inspect_jar(jar, COORD)
-        assert inventory.classes == (FullyQualifiedClassName("org.test.NiceClass"),)
+        assert inventory.classes == ("org.test.NiceClass",)
         assert not inventory.is_module
         assert inventory.sealed_packages == frozenset()
 
@@ -189,7 +189,7 @@ class TestInspectClasslist:
 
     def test_single_class(self, tmp_path):
         inventory = inspect_classlist(self.write(tmp_path, "org.test.NiceClass\n"), COORD)
-        assert inventory.classes == (FullyQualifiedClassName("org.test.NiceClass"),)
+        assert inventory.classes == ("org.test.NiceClass",)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         text = "# header\n\norg.test.A\n   \n# trailing\norg.test.B\n"
@@ -230,15 +230,14 @@ class TestRoundTrip:
     def test_render_then_reinspect_is_identity(self, seed, tmp_path):
         rng = Random(seed)
         classes = [
-            FullyQualifiedClassName(f"org.p{rng.randint(0, 3)}.Class{i}")
-            for i in range(rng.randint(1, 12))
+            f"org.p{rng.randint(0, 3)}.Class{i}" for i in range(rng.randint(1, 12))
         ]
         rng.shuffle(classes)
         inventory = ClassInventory(
             COORD,
             tuple(classes),
             sealed_packages=frozenset(
-                cls.package for cls in rng.sample(classes, k=rng.randint(0, len(classes)))
+                map(package_of, rng.sample(classes, k=rng.randint(0, len(classes))))
             ),
             is_module=bool(rng.getrandbits(1)),
             module_name=None,

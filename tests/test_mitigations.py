@@ -18,14 +18,14 @@ from shadowscan.mitigations import (
     compile_pattern,
     load_allowlist,
 )
-from shadowscan.model import FullyQualifiedClassName
+from shadowscan.model import check_class_name
 from tests.helpers import coord, random_inventories, run_pipeline
 
 
 def inventory(text, *classes, sealed=(), module=None):
     return ClassInventory(
         coord(text),
-        tuple(FullyQualifiedClassName(name) for name in classes),
+        tuple(map(check_class_name, classes)),
         sealed_packages=frozenset(sealed),
         is_module=module is not None,
         module_name=module,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -10,13 +13,14 @@ from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoo
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
-    FullyQualifiedClassName,
     GroupArtifact,
     OmittedConflict,
     PomDocument,
     ResolvedNode,
     ResolvedTree,
+    check_class_name,
     check_invariants,
+    package_of,
 )
 from tests.helpers import (
     build_tree,
@@ -57,6 +61,40 @@ class TestCoordinates:
         assert coord("g:a:1.0") < coord("g:a:2.0")
 
 
+class TestCoordinateText:
+    """The text is kept once built, and nothing else about a coordinate changes."""
+
+    def test_text_is_group_artifact_version_on_every_call(self):
+        coordinate = Coordinate.of("org.test", "nicelibrary", "1.2")
+        texts = [str(coordinate), str(coordinate), f"{coordinate}", str(coordinate)]
+        assert texts == ["org.test:nicelibrary:1.2"] * 4
+
+    @pytest.mark.parametrize("printed_first", [False, True])
+    def test_fields_equality_hash_order_and_repr_ignore_the_text(self, printed_first):
+        coordinate, fresh = coord("g:a:1"), coord("g:a:1")
+        if printed_first:
+            str(coordinate)
+        assert [field.name for field in fields(Coordinate)] == ["ga", "version"]
+        assert coordinate == fresh and hash(coordinate) == hash(fresh)
+        assert not coordinate < fresh and not fresh < coordinate
+        assert sorted([coord("g:b:0"), coordinate, coord("g:a:0")]) == [
+            coord("g:a:0"), fresh, coord("g:b:0"),
+        ]
+        assert repr(coordinate) == repr(fresh) == (
+            "Coordinate(ga=GroupArtifact(group_id='g', artifact_id='a'), version='1')"
+        )
+
+    @pytest.mark.parametrize("printed_first", [False, True])
+    def test_copy_and_pickle_round_trip(self, printed_first):
+        coordinate = coord("org.test:nicelibrary:1.2")
+        if printed_first:
+            str(coordinate)
+        for clone in (copy.copy(coordinate), pickle.loads(pickle.dumps(coordinate))):
+            assert clone == coordinate and hash(clone) == hash(coordinate)
+            assert repr(clone) == repr(coordinate)
+            assert str(clone) == "org.test:nicelibrary:1.2"
+
+
 class TestPomDocument:
     def test_duplicate_group_artifact_rejected(self):
         with pytest.raises(DuplicateDeclaration):
@@ -74,21 +112,25 @@ class TestPomDocument:
 
 
 class TestFullyQualifiedClassName:
-    def test_package_and_simple_name(self):
-        name = FullyQualifiedClassName("org.test.NiceClass")
-        assert name.package == "org.test"
-        assert name.simple_name == "NiceClass"
+    """A class name is a plain ``str`` that ``check_class_name`` accepts."""
+
+    def test_package_of(self):
+        name = check_class_name("org.test.NiceClass")
+        assert type(name) is str and name == "org.test.NiceClass"
+        assert package_of(name) == "org.test"
 
     def test_single_segment_has_default_package(self):
-        assert FullyQualifiedClassName("Main").package == ""
+        assert package_of(check_class_name("Main")) == ""
 
     def test_inner_class_marker_kept(self):
-        assert FullyQualifiedClassName("org.x.Outer$Inner").simple_name == "Outer$Inner"
+        assert check_class_name("org.x.Outer$Inner") == "org.x.Outer$Inner"
+        assert package_of("org.x.Outer$Inner") == "org.x"
+        assert package_of(check_class_name("Outer$Inner")) == ""
 
     @pytest.mark.parametrize("value", ["", ".", "org..test", "org/test.Foo", "org. test.X"])
     def test_invalid_names(self, value):
-        with pytest.raises(InvalidClassName):
-            FullyQualifiedClassName(value)
+        with pytest.raises(InvalidClassName, match="invalid fully qualified class name"):
+            check_class_name(value)
 
 
 class TestTreeValidation:

@@ -307,8 +307,8 @@ class TestFetchPom:
         repo = load_repository(make_repo(tmp_path, poms))
         parsed = []
 
-        def counting_parse(text):
-            document = parse_pom(text)
+        def counting_parse(text, source=""):
+            document = parse_pom(text, source)
             parsed.append(str(document.coordinate))
             return document
 
@@ -360,3 +360,26 @@ class TestBoundedPomRead:
         assert read_text_file(path, 10) == "0123456789"
         with pytest.raises(IoFailure, match="larger than 9 bytes"):
             read_text_file(path, 9)
+
+
+class TestParseWarnings:
+    def test_every_warning_of_a_read_pom_names_its_path_and_coordinate(self, tmp_path, caplog):
+        version = "${revision}"
+        pom = tmp_path / "g" / "a" / version / "pom.xml"
+        pom.parent.mkdir(parents=True)
+        pom.write_text(
+            f"<project><groupId>g</groupId><artifactId>a</artifactId><version>{version}</version>"
+            "<properties/><dependencies><dependency><groupId>x</groupId><artifactId>y</artifactId>"
+            "<version>${y.version}</version><exclusions/></dependency></dependencies></project>",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="shadowscan.pom"):
+            fetch_pom(load_repository(tmp_path), Coordinate.of("g", "a", version))
+        source = f"{pom} (g:a:{version}): "
+        assert [record.getMessage() for record in caplog.records] == [
+            source + "project: property placeholder '${revision}' is not interpolated",
+            source + "project g:a:${revision}: ignoring <properties>",
+            source + "dependency #0 of g:a:${revision}: "
+            "property placeholder '${y.version}' is not interpolated",
+            source + "dependency x:y:${y.version}: ignoring <exclusions>",
+        ]
