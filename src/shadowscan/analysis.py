@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from shadowscan.errors import MissingContent, UnknownArtifact
+from shadowscan.errors import UnknownArtifact
 from shadowscan.inventory import ClassInventory
 from shadowscan.model import Coordinate, ResolvedNode, ResolvedTree, TreePath
 from shadowscan.ordering import Classpath, Ecosystem, build_classpath
@@ -130,24 +130,27 @@ class EcosystemComparison:
 
 
 def compare_ecosystems(
-    tree: ResolvedTree, inventories_by_coord: Mapping[Coordinate, ClassInventory]
+    tree: ResolvedTree, inventories: Sequence[ClassInventory]
 ) -> EcosystemComparison:
     """Compare the winner of every duplicated class across both orderings.
 
-    Both orderings hold the same artifacts, so one class index in Maven order
+    ``inventories`` is the Maven-ordered list that ``inventory_all`` returns.
+    Both orderings hold the same artifacts, so one class index in that order
     serves both: the Maven winner is a class's first provider, the Gradle
-    winner the provider at the earliest Gradle classpath position.
+    winner the provider at the earliest Gradle classpath position. An
+    inventory whose coordinate is not on the tree's classpath raises
+    ``UnknownArtifact``.
     """
-    maven = build_classpath(tree, Ecosystem.MAVEN).entries
+    maven = [inventory.coordinate for inventory in inventories]
     gradle = build_classpath(tree, Ecosystem.GRADLE).entries
     gradle_position = {coordinate: index for index, coordinate in enumerate(gradle)}
-    rank = [gradle_position[coordinate] for coordinate in maven]
+    try:
+        rank = [gradle_position[coordinate] for coordinate in maven]
+    except KeyError as exc:
+        raise UnknownArtifact(f"{exc.args[0]} is not on the classpath") from None
     # class name -> Maven positions of its providers, in Maven order
     providers: dict[str, list[int]] = {}
-    for index, coordinate in enumerate(maven):
-        inventory = inventories_by_coord.get(coordinate)
-        if inventory is None:
-            raise MissingContent(f"no inventory supplied for {coordinate}")
+    for index, inventory in enumerate(inventories):
         for cls in inventory.classes:
             providers.setdefault(cls, []).append(index)
     entries = tuple(

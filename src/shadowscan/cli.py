@@ -31,6 +31,7 @@ from shadowscan.errors import (
     UnknownArtifact,
     UnresolvableDependency,
 )
+# load_inventory is unused here but stays bound: shadowbench/spans.py wraps cli.load_inventory
 from shadowscan.inventory import inventory_all, load_inventory
 from shadowscan.mitigations import (
     DuplicateClassViolation,
@@ -381,11 +382,8 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
     repo, resolution = _load_resolution(args)
-    classpath = build_classpath(resolution.tree, Ecosystem.MAVEN)
-    inventories_by_coord = {
-        coordinate: load_inventory(repo, coordinate) for coordinate in classpath.entries
-    }
-    comparison = compare_ecosystems(resolution.tree, inventories_by_coord)
+    inventories = inventory_all(repo, build_classpath(resolution.tree, Ecosystem.MAVEN))
+    comparison = compare_ecosystems(resolution.tree, inventories)
     if args.format == "json":
         payload = {"classes": comparison.entries}
         return EXIT_OK, _json_report("compare", _inputs(args), payload)

@@ -118,22 +118,20 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
     """
     path = Path(file)
     try:
-        if not zipfile.is_zipfile(path):
-            raise NotAZip(f"{path} is not a ZIP archive")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        with zipfile.ZipFile(path) as archive:
-            names = archive.namelist()
-            manifest_text = None
-            if _MANIFEST_PATH in names:
-                with archive.open(_MANIFEST_PATH) as entry:
-                    manifest = entry.read(_MANIFEST_LIMIT + 1)
-                if len(manifest) > _MANIFEST_LIMIT:
-                    raise CorruptArchive(
-                        f"{path}: {_MANIFEST_PATH} inflates past {_MANIFEST_LIMIT} bytes"
-                    )
-                manifest_text = manifest.decode("utf-8", errors="replace")
+        with open(path, "rb") as handle:
+            if not zipfile.is_zipfile(handle):
+                raise NotAZip(f"{path} is not a ZIP archive")
+            with zipfile.ZipFile(handle) as archive:
+                names = archive.namelist()
+                manifest_text = None
+                if _MANIFEST_PATH in names:
+                    with archive.open(_MANIFEST_PATH) as entry:
+                        manifest = entry.read(_MANIFEST_LIMIT + 1)
+                    if len(manifest) > _MANIFEST_LIMIT:
+                        raise CorruptArchive(
+                            f"{path}: {_MANIFEST_PATH} inflates past {_MANIFEST_LIMIT} bytes"
+                        )
+                    manifest_text = manifest.decode("utf-8", errors="replace")
     # zipfile reports a damaged entry as an unsupported compression method
     # (NotImplementedError), a truncated stream (EOFError), a spurious
     # encryption flag (RuntimeError) or an undecodable UTF-8 name

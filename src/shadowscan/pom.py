@@ -11,8 +11,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping
 
 from shadowscan.errors import (
     CoordinateMismatch,
@@ -20,6 +18,7 @@ from shadowscan.errors import (
     MalformedXml,
     MissingCoordinate,
     PomNotFound,
+    ShadowscanError,
 )
 from shadowscan.model import Coordinate, GroupArtifact, PomDocument
 
@@ -39,10 +38,11 @@ _IGNORED_PROJECT_ELEMENTS = ("dependencyManagement", "profiles", "properties")
 def read_text_file(path: Path, limit: int) -> str:
     """The UTF-8 text of a regular file of at most ``limit`` bytes, else ``IoFailure``.
 
-    The file is opened without blocking, so a FIFO is refused instead of
-    waited on, and its type is checked on the open descriptor, so a symlink
-    to a device is refused too. The first read is sized by ``fstat``, so a
-    small file never gets a buffer of the cap's size.
+    A leading byte-order mark is dropped, so that it cannot hide the first
+    line's name. The file is opened without blocking, so a FIFO is refused
+    instead of waited on, and its type is checked on the open descriptor, so
+    a symlink to a device is refused too. The first read is sized by
+    ``fstat``, so a small file never gets a buffer of the cap's size.
     """
     try:
         with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as file:
@@ -55,7 +55,7 @@ def read_text_file(path: Path, limit: int) -> str:
                 data += file.read(limit - size)
         if len(data) > limit:
             raise IoFailure(f"cannot read {path}: larger than {limit} bytes")
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
@@ -129,8 +129,8 @@ class RepositoryEntry:
 
     ``pom_path`` is ``<root>/<group>/<artifact>/<version>/pom.xml`` for
     ``coordinate``. The POM is read, parsed and checked against the
-    coordinate on the first read of ``document`` (every parse warning names
-    the file and the coordinate), and the content source is
+    coordinate on the first read of ``document`` (every parse warning and
+    error names the file and the coordinate), and the content source is
     looked up on the first read of ``content_path``; each result is then
     kept on the entry.
     """
@@ -141,7 +141,11 @@ class RepositoryEntry:
     @cached_property
     def document(self) -> PomDocument:
         text = read_text_file(self.pom_path, POM_LIMIT)
-        document = parse_pom(text, f"{self.pom_path} ({self.coordinate})")
+        source = f"{self.pom_path} ({self.coordinate})"
+        try:
+            document = parse_pom(text, source)
+        except ShadowscanError as exc:  # the same error, naming the file
+            raise type(exc)(f"{source}: {exc}") from exc
         if document.coordinate != self.coordinate:
             raise CoordinateMismatch(
                 f"{self.pom_path} declares {document.coordinate} but its "
@@ -172,19 +176,13 @@ _ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENAMETOOLON
 class Repository:
     """A ``<root>/<group>/<artifact>/<version>/`` layout, looked up by coordinate.
 
-    ``entries`` is a read-only view of the entries found so far: it starts
-    with those passed in, and ``lookup`` adds each coordinate whose POM it
-    finds. The repository is never listed.
+    ``entries`` holds the entries found so far: it starts with those passed
+    in, and ``lookup`` adds each coordinate whose POM it finds. The
+    repository is never listed.
     """
 
     root_directory: Path
-    entries: Mapping[Coordinate, RepositoryEntry] = field(default_factory=dict)
-    _found: dict[Coordinate, RepositoryEntry] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        found = dict(self.entries)
-        object.__setattr__(self, "_found", found)
-        object.__setattr__(self, "entries", MappingProxyType(found))
+    entries: dict[Coordinate, RepositoryEntry] = field(default_factory=dict)
 
     def lookup(self, coordinate: Coordinate) -> RepositoryEntry | None:
         """The entry at the coordinate's path, found on first use and then kept.
@@ -196,7 +194,7 @@ class Repository:
         rest. A failure to check the path other than its absence raises
         ``IoFailure``.
         """
-        entry = self._found.get(coordinate)
+        entry = self.entries.get(coordinate)
         if entry is not None:
             return entry
         tokens = (coordinate.group_id, coordinate.artifact_id, coordinate.version)
@@ -209,7 +207,7 @@ class Repository:
             if exc.errno in _ABSENT:
                 return None
             raise IoFailure(f"cannot read {pom_path}: {exc}") from exc
-        entry = self._found[coordinate] = RepositoryEntry(coordinate, pom_path)
+        entry = self.entries[coordinate] = RepositoryEntry(coordinate, pom_path)
         return entry
 
 

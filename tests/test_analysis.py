@@ -13,7 +13,7 @@ from shadowscan.analysis import (
     hijack_reach,
     hijack_surface,
 )
-from shadowscan.errors import MissingContent, UnknownArtifact
+from shadowscan.errors import UnknownArtifact
 from shadowscan.inventory import ClassInventory
 from shadowscan.model import check_class_name
 from shadowscan.ordering import Ecosystem, build_classpath
@@ -236,8 +236,7 @@ class TestOrderSensitivity:
 class TestCompareEcosystems:
     def test_attack_order_winner_differs_between_ecosystems(self):
         pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        inventories_by_coord = {inv.coordinate: inv for inv in pipeline.inventories}
-        comparison = compare_ecosystems(pipeline.resolution.tree, inventories_by_coord)
+        comparison = compare_ecosystems(pipeline.resolution.tree, pipeline.inventories)
         assert len(comparison.entries) == 1
         entry = comparison.entries[0]
         assert entry.class_name == NICE_CLASS
@@ -247,22 +246,22 @@ class TestCompareEcosystems:
 
     def test_clean_fixture_has_empty_comparison(self):
         pipeline = run_pipeline("sample-app", "com.example:Project:1.0")
-        inventories_by_coord = {inv.coordinate: inv for inv in pipeline.inventories}
-        comparison = compare_ecosystems(pipeline.resolution.tree, inventories_by_coord)
+        comparison = compare_ecosystems(pipeline.resolution.tree, pipeline.inventories)
         assert comparison.entries == ()
 
     def test_duplicate_between_two_direct_deps_is_not_flagged(self):
         tree = build_tree(("g:root:1", [("g:a:1", []), ("g:b:1", [])]))
-        inventories_by_coord = {
-            coord("g:a:1"): inventory("g:a:1", "org.x.Common"),
-            coord("g:b:1"): inventory("g:b:1", "org.x.Common"),
-        }
-        comparison = compare_ecosystems(tree, inventories_by_coord)
+        inventories = [
+            inventory("g:a:1", "org.x.Common"),
+            inventory("g:b:1", "org.x.Common"),
+        ]
+        comparison = compare_ecosystems(tree, inventories)
         assert len(comparison.entries) == 1
         assert not comparison.entries[0].differs
         assert comparison.flagged == ()
 
-    def test_missing_inventory(self):
+    def test_an_inventory_off_the_classpath_is_an_unknown_artifact(self):
         tree = build_tree(("g:root:1", [("g:a:1", [])]))
-        with pytest.raises(MissingContent):
-            compare_ecosystems(tree, {})
+        inventories = [inventory("g:a:1", "org.x.Common"), inventory("g:z:1", "org.x.Common")]
+        with pytest.raises(UnknownArtifact, match="g:z:1 is not on the classpath"):
+            compare_ecosystems(tree, inventories)

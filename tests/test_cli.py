@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import importlib
 import importlib.util
 import json
@@ -57,6 +58,23 @@ class TestResolveCommand:
         assert code == 0
         assert "(omitted: conflict, winner g:x:1.0)" in out
         assert "conflicts:" in out
+
+    def test_duplicate_marks_in_text(self, capsys, tmp_path):
+        make_repo(
+            tmp_path,
+            {"g:root:1": ["g:a:1", "g:b:1"], "g:a:1": ["g:c:1"], "g:b:1": ["g:c:1"], "g:c:1": []},
+        )
+        code, out, _ = run(capsys, "resolve", "--repo", str(tmp_path), "--root", "g:root:1")
+        assert code == 0
+        assert out.splitlines() == [
+            "g:root:1",
+            "+-g:a:1",
+            "|  +-g:c:1",
+            "+-g:b:1",
+            "   +-g:c:1 (omitted: duplicate of path [0, 0])",
+            "",
+            "no conflicts",
+        ]
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run(capsys, "resolve", *SAMPLE, "--format", "json")
@@ -316,6 +334,75 @@ def test_negative_max_depth_is_a_usage_error(capsys, command):
     assert "--max-depth" in capsys.readouterr().err
 
 
+def test_non_integer_max_depth_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["resolve", *ATTACK, "--max-depth", "abc"])
+    assert excinfo.value.code == 1
+    assert "--max-depth: must be a non-negative integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_a_byte_order_mark_cannot_hide_a_shadowed_class(capsys, tmp_path):
+    # the nice library's class list and the allowlist are saved with a UTF-8 BOM
+    repo = make_repo(
+        tmp_path / "repo",
+        {"g:app:1": ["g:evil:1", "g:nice:1"], "g:evil:1": [], "g:nice:1": []},
+        {"g:evil:1": ["org.test.NiceClass"], "g:nice:1": ["org.test.NiceClass"]},
+    )
+    listing = repo / "g" / "nice" / "1" / "classes.txt"
+    listing.write_bytes(codecs.BOM_UTF8 + listing.read_bytes())
+    args = ["--repo", str(repo), "--root", "g:app:1"]
+    code, out, _ = run(capsys, "scan", *args)
+    assert code == 0
+    assert out.splitlines() == [
+        "1 class collision(s):",
+        "  org.test.NiceClass",
+        "    winner: g:evil:1 (depth 1, path [0])",
+        "    shadowed: g:nice:1",
+    ]
+    code, out, _ = run(capsys, "check", "--rules", "dup", *args)
+    assert (code, out) == (4, "ban-duplicate-classes: FAIL (1 violation(s))\n"
+                              "  org.test.NiceClass: winner g:evil:1 shadows g:nice:1\n")
+    allowlist = tmp_path / "allow.txt"
+    allowlist.write_bytes(codecs.BOM_UTF8 + b"org.test.NiceClass\n")
+    code, _, _ = run(capsys, "check", "--rules", "dup", "--allowlist", str(allowlist), *args)
+    assert code == 0
+
+
+# g:b:1's POM text for each parse fault, and the error that follows its file's name;
+# TestLazyPomParsing covers a truncated POM
+POM_HEAD = "<project><groupId>g</groupId><artifactId>b</artifactId><version>1</version>"
+DEPENDENCY = (
+    "<dependency><groupId>g</groupId><artifactId>{}</artifactId>"
+    "<version>{}</version></dependency>"
+)
+POM_FAULTS = {
+    "missing-group": (
+        "<project><artifactId>b</artifactId><version>1</version></project>",
+        "project: missing or empty <groupId>",
+    ),
+    "repeated-dependency": (
+        POM_HEAD + "<dependencies>" + DEPENDENCY.format("c", 1) + DEPENDENCY.format("c", 2)
+        + "</dependencies></project>",
+        "g:c declared more than once",
+    ),
+    "invalid-artifact-id": (
+        POM_HEAD + "<dependencies>" + DEPENDENCY.format("c c", 1) + "</dependencies></project>",
+        "artifact id 'c c' must not contain ':' or whitespace",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(POM_FAULTS))
+def test_a_pom_parse_error_names_the_file(capsys, tmp_path, fault):
+    text, message = POM_FAULTS[fault]
+    repo = make_repo(tmp_path, {"g:a:1": ["g:b:1"], "g:b:1": []})
+    pom = repo / "g" / "b" / "1" / "pom.xml"
+    pom.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "resolve", "--repo", str(repo), "--root", "g:a:1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {pom} (g:b:1): {message}")
+
+
 class TestConfinement:
     """A coordinate token that is a path step names no POM, even where a file would be found."""
 
@@ -380,14 +467,15 @@ class TestLazyPomParsing:
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_reached_malformed_pom_is_an_input_error(self, capsys, tmp_path, command):
         repo = self.attack_copy(tmp_path)
-        self.truncate(repo / "org.evil" / "fakelibrary" / "1.0" / "pom.xml")
+        pom = repo / "org.evil" / "fakelibrary" / "1.0" / "pom.xml"
+        self.truncate(pom)
         code, out, err = run(
             capsys, *command, "--repo", str(repo), "--root", "org.example:victim:1.0",
             "--format", "json",
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: not well-formed XML")
+        assert err.startswith(f"error: {pom} (org.evil:fakelibrary:1.0): not well-formed XML")
 
 
 def test_a_reached_fifo_pom_is_an_input_error_not_a_hang(tmp_path):
@@ -541,6 +629,22 @@ def test_a_traced_scan_runs_and_counts_content_bytes():
     assert (code, err) == (0, b"")
     assert json.loads(out)["command"] == "scan"
     assert tracer.counts["inventory.content_bytes"] > 0
+
+
+def test_a_traced_compare_shares_the_stage_chain_of_scan_and_check():
+    # compare reads the inventory list that inventory_all returns, and builds
+    # the Maven and the Gradle classpath once each
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        code, out, err = tracer.run(main, ["compare", *ATTACK, "--format", "json"])
+    assert (code, err) == (0, b"")
+    assert json.loads(out)["command"] == "compare"
+    assert tracer.counts["inventory.content_bytes"] > 0
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert names.count("ordering.build_classpath") == 2
+    assert names.count("inventory.inventory_all") == 1
+    assert "inventory.load_inventory" not in names
 
 
 def test_the_traced_benchmark_counts_every_resolved_node(tmp_path):

@@ -141,7 +141,7 @@ def test_compare_ecosystems_matches_the_two_map_reference(rng):
     coordinates = build_classpath(tree, Ecosystem.MAVEN).entries
     inventories = random_inventories(rng, max_classes=60, coordinates=coordinates)
     by_coordinate = {inventory.coordinate: inventory for inventory in inventories}
-    assert compare_ecosystems(tree, by_coordinate) == reference_compare_ecosystems(
+    assert compare_ecosystems(tree, inventories) == reference_compare_ecosystems(
         tree, by_coordinate
     )
 
@@ -273,8 +273,7 @@ def test_findings_verdicts_and_comparison_match_the_payload_references(rng, root
         check_sealed(inventories, class_map),
         check_modules(inventories, root_is_module),
     ]
-    by_coordinate = {inventory.coordinate: inventory for inventory in inventories}
-    comparison = compare_ecosystems(tree, by_coordinate)
+    comparison = compare_ecosystems(tree, inventories)
     payload = {"findings": findings, "verdicts": verdicts, "classes": comparison.entries}
     expected = {
         "findings": reference_findings_payload(findings),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import errno
 import zipfile
 from random import Random
 
@@ -99,6 +101,20 @@ class TestInspectJar:
         bogus.write_bytes(b"definitely not an archive")
         with pytest.raises(NotAZip):
             inspect_jar(bogus, COORD)
+
+    def test_unreadable_archive_is_an_io_failure(self, tmp_path, monkeypatch):
+        # file modes do not stop root, so the refusal to open is simulated
+        jar = make_jar(tmp_path / "artifact.jar", ["org/test/A.class"])
+        real_open = builtins.open
+
+        def refusing_open(file, *args, **kwargs):
+            if file == jar or file == str(jar):
+                raise PermissionError(errno.EACCES, "Permission denied", str(jar))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing_open)
+        with pytest.raises(IoFailure, match=f"cannot read {jar}: .*Permission denied"):
+            inspect_jar(jar, COORD)
 
     def test_corrupt_entry_data(self, tmp_path):
         jar = make_jar(tmp_path / "a.jar", ["org/test/A.class"], manifest="Sealed: true\n")
@@ -223,6 +239,12 @@ class TestInspectClasslist:
     def test_directive_without_argument(self, tmp_path):
         with pytest.raises(InvalidClassName):
             inspect_classlist(self.write(tmp_path, "@sealed\n"), COORD)
+
+
+class TestClassInventory:
+    def test_module_name_requires_is_module(self):
+        with pytest.raises(ValueError, match="module_name requires is_module"):
+            ClassInventory(COORD, ("org.test.A",), module_name="org.test")
 
 
 class TestRoundTrip:

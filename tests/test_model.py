@@ -172,6 +172,12 @@ class TestTreeValidation:
         with pytest.raises(ValueError):
             check_invariants(tree_of(root))
 
+    def test_child_path_must_extend_the_parent_path(self):
+        child = ResolvedNode(coord("g:b:1"), (1,), 1, INCLUDED)
+        root = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED, (child,))
+        with pytest.raises(ValueError, match=r"child at \(1,\) does not extend parent path \(\)"):
+            check_invariants(tree_of(root))
+
     def test_nodes_must_be_the_level_order_walk(self):
         tree = sample_tree()
         check_invariants(tree)

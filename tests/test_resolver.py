@@ -214,6 +214,10 @@ class TestErrors:
         report = resolve_repo(tmp_path, {"g:root:1": []}, "g:root:1", max_depth=0)
         assert len(report.tree.nodes) == 1
 
+    def test_negative_depth_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            resolve_repo(tmp_path, {"g:root:1": []}, "g:root:1", max_depth=-1)
+
 
 class TestResolutionProperties:
     def test_deterministic(self, tmp_path):
