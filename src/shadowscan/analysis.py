@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from shadowscan.errors import UnknownArtifact
 from shadowscan.inventory import ClassInventory
@@ -11,16 +10,14 @@ from shadowscan.model import Coordinate, ResolvedNode, ResolvedTree, TreePath
 from shadowscan.ordering import Classpath, Ecosystem, build_classpath
 
 
-@dataclass(frozen=True)
-class ClassBinding:
+class ClassBinding(NamedTuple):
     """Winning provider of one class plus the providers it shadows."""
 
     winner: Coordinate
     shadowed: tuple[Coordinate, ...] = ()
 
 
-@dataclass(frozen=True)
-class EffectiveClassMap:
+class EffectiveClassMap(NamedTuple):
     """What actually loads: each class name bound to its first provider."""
 
     bindings: Mapping[str, ClassBinding]
@@ -42,8 +39,7 @@ def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMa
     )
 
 
-@dataclass(frozen=True)
-class ShadowFinding:
+class ShadowFinding(NamedTuple):
     """One class that masks identically named classes later on the classpath."""
 
     class_name: str
@@ -105,8 +101,7 @@ def hijack_surface(
     return classpath.entries[: max(position, 0)]
 
 
-@dataclass(frozen=True)
-class WinnerComparison:
+class WinnerComparison(NamedTuple):
     """Maven and Gradle winners for one class provided more than once."""
 
     class_name: str
@@ -118,8 +113,7 @@ class WinnerComparison:
         return self.maven_winner != self.gradle_winner
 
 
-@dataclass(frozen=True)
-class EcosystemComparison:
+class EcosystemComparison(NamedTuple):
     """Per-class winner diff between the two classpath orderings."""
 
     entries: tuple[WinnerComparison, ...]

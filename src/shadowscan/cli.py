@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import fields, is_dataclass
@@ -77,9 +76,9 @@ _RULE_TOKENS = {
 # A resolve report nests two levels per tree level; text output has no limit.
 _MAX_NESTING = 1000
 
-# Report members that are not dataclass fields: name -> value of the object. All
-# other keys are field names, so renaming a field of a reported dataclass changes
-# schema v1; tests/test_equivalence.py and tests/test_golden.py pin the keys.
+# Report members that are not fields: name -> value of the object. All other keys
+# are field names, so renaming a field of a reported record changes schema v1;
+# tests/test_equivalence.py and tests/test_golden.py pin the keys.
 _DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
     Included: {"kind": lambda status: "included"},
     OmittedConflict: {"kind": lambda status: "omitted-conflict"},
@@ -93,10 +92,14 @@ _DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
 
 @cache
 def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
-    """Quoted member names and getters of a dataclass's JSON object, in key order."""
-    if not is_dataclass(cls):
+    """Quoted member names and getters of a record's JSON object, in key order."""
+    if is_dataclass(cls):
+        names = [field.name for field in fields(cls)]
+    elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        names = cls._fields
+    else:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    getters = {field.name: attrgetter(field.name) for field in fields(cls)}
+    getters = {name: attrgetter(name) for name in names}
     getters.update(_DERIVED_MEMBERS.get(cls, {}))
     return [(encode_basestring_ascii(name) + ": ", getters[name]) for name in sorted(getters)]
 
@@ -104,8 +107,9 @@ def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
 def _json_text(document: Any) -> str:
     """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
 
-    A dataclass is written as the object of its fields plus its
-    ``_DERIVED_MEMBERS``; a ``Coordinate`` or ``GroupArtifact`` as its string.
+    A record (a dataclass or a NamedTuple) is written as the object of its
+    fields plus its ``_DERIVED_MEMBERS``, never as an array; a ``Coordinate``
+    or ``GroupArtifact`` as its string.
     Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
     """
     parts: list[str] = []
@@ -472,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     if not args.repo:
         print(f"error: no repository given (--repo or ${REPO_ENV_VAR})", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -19,7 +19,8 @@ from shadowscan.errors import (
 )
 from shadowscan.model import CLASS_NAME, Coordinate, check_class_name, package_of
 from shadowscan.ordering import Classpath
-from shadowscan.pom import CLASSLIST_LIMIT, CLASSLIST_NAME, JAR_NAME, Repository, read_text_file
+from shadowscan.pom import CLASSLIST_LIMIT, CLASSLIST_NAME, JAR_NAME, Repository
+from shadowscan.pom import open_regular_file, read_text_file
 
 _MANIFEST_PATH = "META-INF/MANIFEST.MF"
 # Signed JARs list a digest per entry, so large manifests exist; a larger one
@@ -115,10 +116,11 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
     ``module-info.class`` marks the artifact as modular, nothing more.
     Sealing is read from the manifest when one is present; that single entry
     is the only one decompressed, and only up to ``_MANIFEST_LIMIT`` bytes.
+    A FIFO or a device is refused by ``pom.open_regular_file``, not waited on.
     """
     path = Path(file)
     try:
-        with open(path, "rb") as handle:
+        with open_regular_file(path) as handle:
             if not zipfile.is_zipfile(handle):
                 raise NotAZip(f"{path} is not a ZIP archive")
             with zipfile.ZipFile(handle) as archive:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from shadowscan.analysis import EffectiveClassMap
 from shadowscan.errors import InvalidClassName, InvalidPattern
@@ -24,28 +23,24 @@ class MitigationRule(str, Enum):
     JAVA_MODULES = "java-modules"
 
 
-@dataclass(frozen=True)
-class DuplicateClassViolation:
+class DuplicateClassViolation(NamedTuple):
     class_name: str
     winner: Coordinate
     shadowed: tuple[Coordinate, ...]
 
 
-@dataclass(frozen=True)
-class SealedPackageViolation:
+class SealedPackageViolation(NamedTuple):
     package: str
     sealed_by: Coordinate
     winners: tuple[Coordinate, ...]
 
 
-@dataclass(frozen=True)
-class SplitPackageViolation:
+class SplitPackageViolation(NamedTuple):
     package: str
     providers: tuple[Coordinate, ...]
 
 
-@dataclass(frozen=True)
-class MitigationVerdict:
+class MitigationVerdict(NamedTuple):
     """Pass/fail outcome of one rule with its structured violations."""
 
     rule: MitigationRule

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoordinate
 
@@ -97,20 +98,17 @@ class PomDocument:
             seen.add(dependency.ga)
 
 
-@dataclass(frozen=True)
-class Included:
+class Included(NamedTuple):
     """The node survived conflict resolution and contributes to the classpath."""
 
 
-@dataclass(frozen=True)
-class OmittedConflict:
+class OmittedConflict(NamedTuple):
     """Dropped because another version of the same group:artifact won."""
 
     winner: Coordinate
 
 
-@dataclass(frozen=True)
-class OmittedDuplicate:
+class OmittedDuplicate(NamedTuple):
     """Dropped because the identical coordinate occurs at an earlier position."""
 
     first_occurrence_path: TreePath
@@ -144,8 +142,7 @@ class ResolvedNode:
         return isinstance(self.status, Included)
 
 
-@dataclass(frozen=True)
-class ResolvedTree:
+class ResolvedTree(NamedTuple):
     """Conflict-resolved dependency tree; the root is the project itself.
 
     ``nodes`` holds every node, omitted ones included, in level order, so

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
+from typing import NamedTuple
 
 from shadowscan.model import Coordinate, ResolvedTree
 
@@ -19,8 +19,7 @@ class LayoutMode(str, Enum):
     NESTED = "nested"
 
 
-@dataclass(frozen=True)
-class Classpath:
+class Classpath(NamedTuple):
     """Ordered dependency coordinates as the class loader will search them.
 
     The project's own classes implicitly precede ``entries[0]``, so the root
@@ -43,8 +42,7 @@ def build_classpath(tree: ResolvedTree, ecosystem: Ecosystem) -> Classpath:
     return Classpath(ecosystem, tuple(node.coordinate for node in nodes))
 
 
-@dataclass(frozen=True)
-class PackagingLayout:
+class PackagingLayout(NamedTuple):
     """Display listing of the packaged archive, one line per entry."""
 
     mode: LayoutMode

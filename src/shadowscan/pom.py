@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import errno
-import logging
 import os
 import re
 import stat
@@ -11,6 +10,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import BinaryIO
 
 from shadowscan.errors import (
     CoordinateMismatch,
@@ -21,8 +21,6 @@ from shadowscan.errors import (
     ShadowscanError,
 )
 from shadowscan.model import Coordinate, GroupArtifact, PomDocument
-
-logger = logging.getLogger(__name__)
 
 JAR_NAME = "artifact.jar"
 CLASSLIST_NAME = "classes.txt"
@@ -35,21 +33,30 @@ CLASSLIST_LIMIT = 64 * 2**20
 _IGNORED_PROJECT_ELEMENTS = ("dependencyManagement", "profiles", "properties")
 
 
+def open_regular_file(path: Path) -> BinaryIO:
+    """``path`` opened for binary reading if it is a regular file, else ``IoFailure``.
+
+    It is opened without blocking, so a FIFO is refused instead of waited on,
+    and checked on the open descriptor, so a symlink to a device is refused
+    too. A failed open raises ``OSError``.
+    """
+    file = open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        file.close()
+        raise IoFailure(f"cannot read {path}: not a regular file")
+    return file
+
+
 def read_text_file(path: Path, limit: int) -> str:
     """The UTF-8 text of a regular file of at most ``limit`` bytes, else ``IoFailure``.
 
     A leading byte-order mark is dropped, so that it cannot hide the first
-    line's name. The file is opened without blocking, so a FIFO is refused
-    instead of waited on, and its type is checked on the open descriptor, so
-    a symlink to a device is refused too. The first read is sized by
-    ``fstat``, so a small file never gets a buffer of the cap's size.
+    line's name. The file is opened by ``open_regular_file``, and the first
+    read is sized by ``fstat``, so a small file never gets a cap-sized buffer.
     """
     try:
-        with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as file:
-            info = os.fstat(file.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                raise IoFailure(f"cannot read {path}: not a regular file")
-            size = min(info.st_size, limit)
+        with open_regular_file(path) as file:
+            size = min(os.fstat(file.fileno()).st_size, limit)
             data = file.read(size + 1)
             if len(data) > size:  # the file holds more than fstat reported
                 data += file.read(limit - size)
@@ -58,6 +65,13 @@ def read_text_file(path: Path, limit: int) -> str:
         return data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _warn(message: str, *args: object) -> None:
+    # logging loads on the first warning, not with every command; with no handler
+    # configured, its last-resort handler writes the bare message to stderr
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _local_name(tag: str) -> str:
@@ -79,7 +93,7 @@ def _read_coordinate(element: ET.Element, where: str, prefix: str) -> Coordinate
         if not text:
             raise MissingCoordinate(f"{where}: missing or empty <{name}>")
         if "${" in text:
-            logger.warning("%s%s: property placeholder %r is not interpolated", prefix, where, text)
+            _warn("%s%s: property placeholder %r is not interpolated", prefix, where, text)
         values[name] = text
     return Coordinate(GroupArtifact(values["groupId"], values["artifactId"]), values["version"])
 
@@ -105,7 +119,7 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
     for child in root:
         name = _local_name(child.tag)
         if name in _IGNORED_PROJECT_ELEMENTS:
-            logger.warning("%sproject %s: ignoring <%s>", prefix, coordinate, name)
+            _warn("%sproject %s: ignoring <%s>", prefix, coordinate, name)
 
     dependencies: list[Coordinate] = []
     sections = [child for child in root if _local_name(child.tag) == "dependencies"]
@@ -118,7 +132,7 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
             dep_coordinate = _read_coordinate(element, where, prefix)
             for child in element:
                 if _local_name(child.tag) == "exclusions":
-                    logger.warning("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
+                    _warn("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
             dependencies.append(dep_coordinate)
     return PomDocument(coordinate, tuple(dependencies))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from shadowscan.errors import DepthLimitExceeded, PomNotFound, UnresolvableDependency
 from shadowscan.model import (
@@ -23,16 +23,14 @@ from shadowscan.pom import Repository, fetch_pom
 DEFAULT_MAX_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """A coordinate at a specific tree position."""
 
     coordinate: Coordinate
     path: TreePath
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """The version-conflicted occurrences of one group:artifact."""
 
     group_artifact: GroupArtifact
@@ -40,8 +38,7 @@ class Conflict:
     losers: tuple[Occurrence, ...]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     """Outcome of resolve(): the pruned tree plus its conflict table."""
 
     tree: ResolvedTree

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from shadowscan.analysis import ShadowFinding
 from shadowscan.cli import _MAX_NESTING, _json_report, main
 from shadowscan.errors import ReportTooDeep
+from shadowscan.mitigations import MitigationRule, MitigationVerdict
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, make_repo, write_pom
@@ -30,6 +32,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv):
+    """``python *argv`` in a fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 class TestResolveCommand:
@@ -485,12 +496,8 @@ def test_a_reached_fifo_pom_is_an_input_error_not_a_hang(tmp_path):
     pom = repo / "org.test" / "nicelibrary" / "1.2" / "pom.xml"
     pom.unlink()
     os.mkfifo(pom)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "shadowscan", "resolve", "--repo", str(repo),
-         "--root", "org.example:victim:1.0"],
-        capture_output=True, text=True, env=env, timeout=60,
+    result = run_child(
+        "-m", "shadowscan", "resolve", "--repo", str(repo), "--root", "org.example:victim:1.0"
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == f"error: cannot read {pom}: not a regular file\n"
@@ -501,15 +508,68 @@ def test_a_fifo_allowlist_is_an_input_error_not_a_hang(tmp_path, rules):
     # run in a child process: reading a FIFO without a writer would block forever
     allowlist = tmp_path / "allow.txt"
     os.mkfifo(allowlist)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "shadowscan", "check", *ATTACK, "--rules", rules,
-         "--allowlist", str(allowlist)],
-        capture_output=True, text=True, env=env, timeout=60,
+    result = run_child(
+        "-m", "shadowscan", "check", *ATTACK, "--rules", rules, "--allowlist", str(allowlist)
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == f"error: cannot read {allowlist}: not a regular file\n"
+
+
+def test_a_fifo_archive_is_an_io_failure_not_a_hang(tmp_path):
+    # run in a child process: opening a FIFO without a writer would block forever;
+    # a command skips a FIFO artifact.jar, so inspect_jar is called directly
+    jar = tmp_path / "artifact.jar"
+    os.mkfifo(jar)
+    script = (
+        "import sys\n"
+        "from shadowscan.errors import IoFailure\n"
+        "from shadowscan.inventory import inspect_jar\n"
+        "from shadowscan.model import Coordinate\n"
+        "try:\n"
+        "    inspect_jar(sys.argv[1], Coordinate.parse('g:a:1'))\n"
+        "except IoFailure as exc:\n"
+        "    print(exc)\n"
+    )
+    result = run_child("-c", script, str(jar))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"cannot read {jar}: not a regular file\n"
+
+
+def test_importing_the_cli_loads_no_logging():
+    # parse warnings import logging on the first warning, so start-up never does
+    result = run_child(
+        "-c",
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import shadowscan.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n",
+    )
+    assert result.returncode == 0, result.stderr
+    added = json.loads(result.stdout)
+    assert "shadowscan.cli" in added
+    assert "logging" not in added
+
+
+def test_parse_warnings_reach_stderr_as_bare_lines(tmp_path):
+    poms = {"g:root:1": ["g:a:1"], "g:a:1": []}
+    plain = make_repo(tmp_path / "plain", poms)
+    noisy = make_repo(tmp_path / "noisy", poms)
+    pom = noisy / "g" / "root" / "1" / "pom.xml"
+    text = pom.read_text(encoding="utf-8")
+    text = text.replace("  <dependencies>", "  <properties><x>1</x></properties>\n  <dependencies>")
+    text = text.replace("    </dependency>", "      <exclusions/>\n    </dependency>")
+    pom.write_text(text, encoding="utf-8")
+    expected, result = (
+        run_child("-m", "shadowscan", "resolve", "--repo", str(repo), "--root", "g:root:1")
+        for repo in (plain, noisy)
+    )
+    assert (expected.returncode, expected.stderr) == (0, "")
+    assert (result.returncode, result.stdout) == (0, expected.stdout)
+    source = f"{pom} (g:root:1): "
+    assert result.stderr == (
+        f"{source}project g:root:1: ignoring <properties>\n"
+        f"{source}dependency g:a:1: ignoring <exclusions>\n"
+    )
 
 
 class TestDeepChain:
@@ -561,6 +621,10 @@ class TestDeepChain:
         )
 
 
+class Pair(tuple):
+    """A tuple subclass without ``_fields``: not a record, so not JSON."""
+
+
 class TestJsonReport:
     @staticmethod
     def nested(pairs):
@@ -594,7 +658,21 @@ class TestJsonReport:
         with pytest.raises(ReportTooDeep, match=f"deeper than {_MAX_NESTING} levels"):
             _json_report("resolve", {}, [payload])
 
-    @pytest.mark.parametrize("value", [1.5, {1}, object(), b"bytes"])
+    def test_a_named_tuple_record_is_an_object_of_its_fields_and_derived_members(self):
+        verdict = MitigationVerdict(MitigationRule.SEALED_JARS)
+        finding = ShadowFinding("org.x.A", coord("g:a:1"), (coord("g:b:1"),), (0, 1))
+        report = json.loads(_json_report("check", {}, {"verdict": verdict, "finding": finding}))
+        assert report["payload"] == {
+            "verdict": {
+                "rule": "sealed-jars", "violations": [], "diagnostic": None, "passed": True,
+            },
+            "finding": {
+                "class_name": "org.x.A", "winner": "g:a:1", "shadowed_victims": ["g:b:1"],
+                "winner_path": [0, 1], "winner_depth": 2,
+            },
+        }
+
+    @pytest.mark.parametrize("value", [1.5, {1}, object(), b"bytes", Pair((1, 2))])
     def test_an_unsupported_type_is_rejected(self, value):
         with pytest.raises(TypeError):
             _json_report("resolve", {}, {"value": value})

@@ -17,6 +17,8 @@ from shadowscan.cli import _json_report
 from shadowscan.inventory import inspect_classlist
 from shadowscan.errors import InvalidClassName, InvalidCoordinate
 from shadowscan.mitigations import (
+    DuplicateClassViolation,
+    SealedPackageViolation,
     check_ban_duplicate_classes,
     check_modules,
     check_sealed,
@@ -53,6 +55,29 @@ from tests.helpers import (
 # separators, inner-class markers, ASCII and Unicode whitespace, letters
 ALPHABET = list(".:/$aZé") + [" ", "\t", "\n", "\x1c", "\x85", "\xa0", " ", "　"]
 NAMES = st.one_of(st.text(alphabet=ALPHABET, max_size=12), st.text(max_size=12))
+
+
+def typed(value):
+    """``value`` with every NamedTuple record in it paired with its type.
+
+    NamedTuple equality is tuple equality and ignores the class: a
+    ``DuplicateClassViolation`` equals a ``SealedPackageViolation`` with the
+    same values. Comparing ``typed`` values compares the classes too.
+    """
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return (type(value), *map(typed, value))
+    if type(value) in (tuple, list):
+        return type(value)(map(typed, value))
+    return value
+
+
+def test_typed_tells_equal_records_of_two_classes_apart():
+    winner, victim = Coordinate.of("g", "a", "1"), Coordinate.of("g", "b", "1")
+    duplicate = DuplicateClassViolation("org.x", winner, (victim,))
+    sealed = SealedPackageViolation("org.x", winner, (victim,))
+    assert duplicate == sealed
+    assert typed((duplicate,)) != typed((sealed,))
+    assert typed((duplicate,)) == typed((DuplicateClassViolation("org.x", winner, (victim,)),))
 
 
 def accepts(constructor, error, value) -> bool:
@@ -124,14 +149,16 @@ def test_coordinate_token_rule_matches_the_per_character_reference(value):
 def test_check_sealed_matches_the_list_reference(rng):
     inventories = random_inventories(rng, max_artifacts=20, max_classes=60, seal=True)
     class_map = effective_classes(inventories)
-    assert check_sealed(inventories, class_map) == reference_check_sealed(inventories, class_map)
+    assert typed(check_sealed(inventories, class_map)) == typed(
+        reference_check_sealed(inventories, class_map)
+    )
 
 
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_check_modules_matches_the_list_reference(rng, root_is_module):
     inventories = random_inventories(rng, max_artifacts=20, max_classes=60, seal=True)
-    assert check_modules(inventories, root_is_module) == reference_check_modules(
-        inventories, root_is_module
+    assert typed(check_modules(inventories, root_is_module)) == typed(
+        reference_check_modules(inventories, root_is_module)
     )
 
 
@@ -141,8 +168,8 @@ def test_compare_ecosystems_matches_the_two_map_reference(rng):
     coordinates = build_classpath(tree, Ecosystem.MAVEN).entries
     inventories = random_inventories(rng, max_classes=60, coordinates=coordinates)
     by_coordinate = {inventory.coordinate: inventory for inventory in inventories}
-    assert compare_ecosystems(tree, inventories) == reference_compare_ecosystems(
-        tree, by_coordinate
+    assert typed(compare_ecosystems(tree, inventories)) == typed(
+        reference_compare_ecosystems(tree, by_coordinate)
     )
 
 
