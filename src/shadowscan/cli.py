@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import fields, is_dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from shadowscan.analysis import (
     EcosystemComparison,
@@ -104,12 +106,102 @@ def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
     return [(encode_basestring_ascii(name) + ": ", getters[name]) for name in sorted(getters)]
 
 
+# Scalar type -> the JSON texts of a list of values of exactly that type, with
+# no Python-level call per value but a GroupArtifact's __str__ (conflicts only);
+# a str subclass (a str-valued enum) is written as its str.
+_SCALAR_TEXTS: dict[type, Callable[[list[Any]], Iterable[str]]] = {
+    str: partial(map, encode_basestring_ascii),
+    int: partial(map, int.__repr__),
+    bool: partial(map, {True: "true", False: "false"}.__getitem__),
+    type(None): lambda values: ["null"] * len(values),
+    Coordinate: lambda values: map(encode_basestring_ascii, map(attrgetter("text"), values)),
+    GroupArtifact: lambda values: map(encode_basestring_ascii, map(str, values)),
+}
+
+
+def _scalar_encoder(kind: type) -> Callable[[list[Any]], Iterable[str]] | None:
+    if kind in _SCALAR_TEXTS:
+        return _SCALAR_TEXTS[kind]
+    return _SCALAR_TEXTS[str] if issubclass(kind, str) else None
+
+
+def _scalar_texts(values: list[Any], kinds: set[type]) -> list[str] | None:
+    """The JSON texts of ``values``, whose types are ``kinds``; None unless one scalar type."""
+    if not kinds:
+        return []
+    encode = _scalar_encoder(kinds.pop()) if len(kinds) == 1 else None
+    return None if encode is None else list(encode(values))
+
+
+@cache
+def _record_template(cls: type, level: int) -> str:
+    """``%``-template of a record's JSON object whose members sit at nesting ``level``."""
+    indent = "\n" + "  " * level
+    members = ("," + indent).join(key.replace("%", "%%") + "%s" for key, _ in _members(cls))
+    return "{" + indent + members + "\n" + "  " * (level - 1) + "}"
+
+
+def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str | None:
+    """The JSON text of an array of records of one class, written column by column.
+
+    ``level`` is the array's own nesting level. Each member is read over all
+    records at once and encoded by ``_SCALAR_TEXTS``, and each record is
+    joined through one template. None, for ``_json_text`` to write the array
+    value by value, unless each member holds scalars of one type, or arrays
+    of scalars of one type, in every record, and the deepest of them stays
+    within ``_MAX_NESTING``.
+    """
+    cls = records[0].__class__
+    if _scalar_encoder(cls) is not None or level + 3 > _MAX_NESTING:
+        return None
+    try:
+        members = _members(cls)
+    except TypeError:  # not a record
+        return None
+    # the first record's member kinds rule out most arrays (a tree's children,
+    # whose status is a record) before any column is read
+    first = records[0]
+    for _, get in members:
+        kind = get(first).__class__
+        if kind is not list and kind is not tuple and _scalar_encoder(kind) is None:
+            return None
+    if not members or len(set(map(type, records))) > 1:
+        return None
+    item_indent = "\n" + "  " * (level + 3)
+    opening, separator = "[" + item_indent, "," + item_indent
+    closing = "\n" + "  " * (level + 2) + "]"
+    columns = []
+    for _, get in members:
+        values = list(map(get, records))
+        kinds = set(map(type, values))
+        if kinds <= {list, tuple}:
+            items = list(chain.from_iterable(values))
+            texts = _scalar_texts(items, set(map(type, items)))
+            if texts is not None:
+                remaining = iter(texts)
+                texts = [
+                    opening + separator.join(islice(remaining, len(value))) + closing
+                    if value else "[]"
+                    for value in values
+                ]
+        else:
+            texts = _scalar_texts(values, kinds)
+        if texts is None:
+            return None
+        columns.append(texts)
+    indent = "\n" + "  " * (level + 1)
+    rows = map(_record_template(cls, level + 2).__mod__, zip(*columns))
+    return "[" + indent + ("," + indent).join(rows) + "\n" + "  " * level + "]"
+
+
 def _json_text(document: Any) -> str:
     """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
 
     A record (a dataclass or a NamedTuple) is written as the object of its
     fields plus its ``_DERIVED_MEMBERS``, never as an array; a ``Coordinate``
-    or ``GroupArtifact`` as its string.
+    or ``GroupArtifact`` as its string. An array of records of one class
+    with only scalar or scalar-array members is written column by column by
+    ``_record_array_text``, to the same text.
     Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
     """
     parts: list[str] = []
@@ -145,6 +237,12 @@ def _json_text(document: Any) -> str:
                         for name, item in sorted(value.items())
                     ]
                 elif cls is list or cls is tuple:
+                    # most arrays hold scalars (paths above all): skip those without a call
+                    if len(value) > 1 and value[0].__class__ not in _SCALAR_TEXTS:
+                        text = _record_array_text(value, level)
+                        if text is not None:
+                            emit(text)
+                            continue
                     opening, close = "[", "]"
                     items = [("", item) for item in value]
                 else:
@@ -487,5 +585,44 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ShadowscanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    sys.stdout.write(output)
+    try:
+        _write_stdout(output)
+    except OSError as exc:  # a full disk, a closed pipe
+        _discard_stdout()
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return code
+
+
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout and flush it, or raise ``OSError``.
+
+    Under ``python -u`` (``PYTHONUNBUFFERED``) the byte layer of stdout is a
+    raw file, whose write may take only part of the data, and the text layer
+    drops the rest; so the bytes are written here until none are left.
+    """
+    stream = sys.stdout
+    binary = getattr(stream, "buffer", None)
+    if binary is None:  # a text-only stream, such as io.StringIO
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        written = binary.write(data)
+        if not written:  # a raw non-blocking descriptor that is full
+            raise BlockingIOError(errno.EAGAIN, "stdout would block")
+        data = data[written:]
+    binary.flush()
+
+
+def _discard_stdout() -> None:
+    # the interpreter flushes stdout at exit, which would fail again on the
+    # unwritten bytes and print "Exception ignored"; send them to the null device
+    try:
+        fileno = sys.stdout.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+    except (OSError, ValueError):  # no descriptor behind stdout
+        return
+    os.dup2(null, fileno)
+    os.close(null)

@@ -46,8 +46,8 @@ class GroupArtifact:
 class Coordinate:
     """Exact artifact identity: group, artifact, and version.
 
-    Its ``group:artifact:version`` text is built on the first ``str()`` and
-    then kept on the instance; it is not a field.
+    Its ``group:artifact:version`` text, ``text`` and ``str()``, is built on
+    first use and then kept on the instance; it is not a field.
     """
 
     ga: GroupArtifact
@@ -76,11 +76,11 @@ class Coordinate:
         return self.ga.artifact_id
 
     @cached_property
-    def _text(self) -> str:
+    def text(self) -> str:
         return f"{self.ga.group_id}:{self.ga.artifact_id}:{self.version}"
 
     def __str__(self) -> str:
-        return self._text
+        return self.text
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,10 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
     return PomDocument(coordinate, tuple(dependencies))
 
 
+# errno values meaning that no file is at a path; any other error is a failed read.
+_ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENAMETOOLONG})
+
+
 @dataclass(frozen=True)
 class RepositoryEntry:
     """One artifact version on disk, found at its coordinate's path.
@@ -169,21 +173,26 @@ class RepositoryEntry:
 
     @cached_property
     def content_path(self) -> Path | None:
-        """A sibling ``artifact.jar`` (preferred) or ``classes.txt``, if any."""
-        try:
-            for name in (JAR_NAME, CLASSLIST_NAME):
-                candidate = self.pom_path.parent / name
-                if candidate.is_file():
-                    return candidate
-        except OSError as exc:
-            raise IoFailure(f"cannot read {self.pom_path.parent}: {exc}") from exc
+        """A sibling ``artifact.jar`` (preferred) or ``classes.txt``, if present.
+
+        A name is present if ``lstat`` finds it, whatever it is: reading a
+        present ``artifact.jar`` that is not a regular file then fails with
+        ``IoFailure``, rather than the class list being read in its place.
+        """
+        for name in (JAR_NAME, CLASSLIST_NAME):
+            candidate = self.pom_path.parent / name
+            try:
+                os.lstat(candidate)
+            except OSError as exc:
+                if exc.errno in _ABSENT:
+                    continue
+                raise IoFailure(f"cannot read {candidate}: {exc}") from exc
+            return candidate
         return None
 
 
 # A token that would leave its level of the layout, or that no path can hold.
 _NOT_A_NAME = re.compile(r"\A\.\.?\Z|[/\0]")
-# errno values meaning that no file is at a path; any other error is a failed read.
-_ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENAMETOOLONG})
 
 
 @dataclass(frozen=True)

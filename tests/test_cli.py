@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import errno
 import importlib
 import importlib.util
 import json
@@ -515,9 +516,26 @@ def test_a_fifo_allowlist_is_an_input_error_not_a_hang(tmp_path, rules):
     assert result.stderr == f"error: cannot read {allowlist}: not a regular file\n"
 
 
-def test_a_fifo_archive_is_an_io_failure_not_a_hang(tmp_path):
+@pytest.mark.parametrize("beside_a_class_list", [True, False])
+def test_a_reached_fifo_archive_is_an_input_error_not_a_hang(tmp_path, beside_a_class_list):
     # run in a child process: opening a FIFO without a writer would block forever;
-    # a command skips a FIFO artifact.jar, so inspect_jar is called directly
+    # a present artifact.jar is the content source, so a class list beside it is not read
+    repo = tmp_path / "repo"
+    shutil.copytree(FIXTURES / "poc-attack-order", repo)
+    directory = repo / "org.test" / "nicelibrary" / "1.2"
+    if not beside_a_class_list:
+        (directory / "classes.txt").unlink()
+    jar = directory / "artifact.jar"
+    os.mkfifo(jar)
+    result = run_child(
+        "-m", "shadowscan", "scan", "--repo", str(repo), "--root", "org.example:victim:1.0"
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: cannot read {jar}: not a regular file\n"
+
+
+def test_a_fifo_archive_is_an_io_failure_not_a_hang(tmp_path):
+    # run in a child process: opening a FIFO without a writer would block forever
     jar = tmp_path / "artifact.jar"
     os.mkfifo(jar)
     script = (
@@ -533,6 +551,72 @@ def test_a_fifo_archive_is_an_io_failure_not_a_hang(tmp_path):
     result = run_child("-c", script, str(jar))
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == f"cannot read {jar}: not a regular file\n"
+
+
+@pytest.fixture(scope="module")
+def large_scan(tmp_path_factory):
+    """``python`` arguments of a JSON scan whose report, about 1.2 MB, outgrows a pipe's buffer."""
+    names = [f"org.big.p{number % 10}.C{number:05d}" for number in range(6000)]
+    repo = make_repo(
+        tmp_path_factory.mktemp("large"),
+        {"g:root:1": ["g:a:1", "g:b:1"], "g:a:1": [], "g:b:1": []},
+        {"g:a:1": names, "g:b:1": names},
+    )
+    return ["-m", "shadowscan", "scan", "--repo", str(repo), "--root", "g:root:1",
+            "--format", "json"]
+
+
+def stdout_child_env(unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def write_error(code):
+    return f"error: cannot write the report: [Errno {code}] {os.strerror(code)}\n".encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("large", [False, True])
+def test_a_full_stdout_is_an_input_error(large_scan, unbuffered, large):
+    # a small report stays in the stream's buffer when its write fails, and
+    # must not fail once more when the interpreter flushes stdout at exit
+    argv = large_scan if large else ["-m", "shadowscan", "resolve", *SAMPLE, "--format", "json"]
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
+            env=stdout_child_env(unbuffered), timeout=60,
+        )
+    assert (result.returncode, result.stderr) == (1, write_error(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_stops_early_is_an_input_error(large_scan, unbuffered):
+    # unbuffered, a write to a closing pipe is short before it fails; the text
+    # layer would drop the rest and the run would end with exit code 0
+    with subprocess.Popen(
+        [sys.executable, *large_scan], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=stdout_child_env(unbuffered),
+    ) as process:
+        try:
+            assert process.stdout.read(10) == b'{\n  "comma'
+            process.stdout.close()
+            _, err = process.communicate(timeout=60)
+        finally:
+            process.kill()
+    assert (process.returncode, err) == (1, write_error(errno.EPIPE))
+
+
+def test_a_large_report_reaches_stdout_whole(large_scan):
+    result = subprocess.run(
+        [sys.executable, *large_scan], capture_output=True,
+        env=stdout_child_env(True), timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert len(json.loads(result.stdout)["payload"]["findings"]) == 6000
 
 
 def test_importing_the_cli_loads_no_logging():
@@ -657,6 +741,44 @@ class TestJsonReport:
         payload, _ = self.nested((_MAX_NESTING - 2) // 2)
         with pytest.raises(ReportTooDeep, match=f"deeper than {_MAX_NESTING} levels"):
             _json_report("resolve", {}, [payload])
+
+    @staticmethod
+    def findings_under(arrays):
+        """Two findings under ``arrays`` arrays, so that the items of their path
+        and victim arrays sit at nesting level ``arrays + 4``, and the same
+        payload with each finding written out as a plain object."""
+        findings = [
+            ShadowFinding("org.x.A", coord("g:a:1"), (coord("g:b:1"), coord("g:c:1")), (0, 1)),
+            ShadowFinding("org.x.B", coord("g:a:1"), (), (2,)),
+        ]
+        payload = findings
+        plain = [
+            {
+                "class_name": finding.class_name,
+                "shadowed_victims": list(map(str, finding.shadowed_victims)),
+                "winner": str(finding.winner),
+                "winner_depth": finding.winner_depth,
+                "winner_path": list(finding.winner_path),
+            }
+            for finding in findings
+        ]
+        for _ in range(arrays):
+            payload, plain = [payload], [plain]
+        return payload, plain
+
+    def test_record_array_nested_to_the_limit(self):
+        # the report object and the wrapping arrays hold the findings array at
+        # level _MAX_NESTING - 3, so each finding's arrays reach the limit
+        payload, plain = self.findings_under(_MAX_NESTING - 4)
+        report = _json_report("scan", {}, payload)
+        assert report == _json_report("scan", {}, plain)
+        assert "  " * _MAX_NESTING + '"g:c:1"\n' in report
+        assert "  " * (_MAX_NESTING + 1) not in report
+
+    def test_record_array_nested_past_the_limit_is_refused(self):
+        payload, _ = self.findings_under(_MAX_NESTING - 3)
+        with pytest.raises(ReportTooDeep, match=f"deeper than {_MAX_NESTING} levels"):
+            _json_report("scan", {}, payload)
 
     def test_a_named_tuple_record_is_an_object_of_its_fields_and_derived_members(self):
         verdict = MitigationVerdict(MitigationRule.SEALED_JARS)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from random import Random
+from typing import Any, NamedTuple
 
 import pytest
 
@@ -12,7 +15,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowscan.analysis import compare_ecosystems, detect_shadowing, effective_classes
+from shadowscan.analysis import (
+    ShadowFinding,
+    WinnerComparison,
+    compare_ecosystems,
+    detect_shadowing,
+    effective_classes,
+)
 from shadowscan.cli import _json_report
 from shadowscan.inventory import inspect_classlist
 from shadowscan.errors import InvalidClassName, InvalidCoordinate
@@ -195,6 +204,122 @@ def dumped(command, inputs, payload) -> str:
 @given(STRINGS, st.dictionaries(STRINGS, DOCUMENTS, max_size=3), DOCUMENTS)
 def test_report_writer_matches_json_dumps(command, inputs, payload):
     assert _json_report(command, inputs, payload) == dumped(command, inputs, payload)
+
+
+class Side(str, Enum):
+    LEFT = "left"
+    RIGHT = "r\u00e9ght\n"
+
+
+class Row(NamedTuple):
+    name: Any
+    items: Any
+    extra: Any = None
+
+
+@dataclass(frozen=True)
+class Cell:
+    label: Any
+    count: Any
+
+
+class Blank(NamedTuple):
+    """A record with no members."""
+
+
+# members that are properties, by name: the report's contract, read back here
+# with getattr rather than through the writer's getters
+DERIVED = {ShadowFinding: ("winner_depth",), WinnerComparison: ("differs",)}
+
+
+def expanded(value):
+    """``value`` as the plain JSON document a report writes; TypeError where it has none."""
+    kind = type(value)
+    if isinstance(value, str) or value is None or kind in (int, bool):
+        return value
+    if kind in (Coordinate, GroupArtifact):
+        return str(value)
+    if kind in (list, tuple):
+        return [expanded(item) for item in value]
+    if kind is dict:
+        return {key: expanded(item) for key, item in value.items()}
+    if is_dataclass(kind):
+        names = [field.name for field in fields(kind)]
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+        names = list(kind._fields)
+    else:
+        raise TypeError(f"{kind.__name__} is not a report value")
+    names += DERIVED.get(kind, ())
+    return {name: expanded(getattr(value, name)) for name in names}
+
+
+TOKENS = st.text(alphabet="ab\u00e9.-_", min_size=1, max_size=3)
+SCALAR_KINDS = [
+    STRINGS,
+    st.sampled_from(Side),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.builds(Coordinate.of, TOKENS, TOKENS, TOKENS),
+    st.builds(GroupArtifact, TOKENS, TOKENS),
+]
+RECORD_SCALARS = st.one_of(SCALAR_KINDS)
+
+
+def arrays(items):
+    return st.lists(items, max_size=3) | st.lists(items, max_size=3).map(tuple)
+
+
+# What one member holds across an array's records: scalars of one type or
+# arrays of them, which the columns take; or mixed scalars, scalars mixed with
+# arrays, or now and then a value only the iterative writer takes or none does
+# (a float, a nested record, an array of arrays).
+ONE_KIND_COLUMNS = st.sampled_from(SCALAR_KINDS) | st.sampled_from(SCALAR_KINDS).map(arrays)
+COLUMNS = st.one_of(
+    ONE_KIND_COLUMNS,
+    st.sampled_from([
+        RECORD_SCALARS, arrays(RECORD_SCALARS), RECORD_SCALARS | arrays(RECORD_SCALARS),
+    ]),
+    st.sampled_from([st.just(1.5), st.builds(Cell, RECORD_SCALARS, RECORD_SCALARS),
+                     st.just([[1], []])]).map(lambda odd: odd | RECORD_SCALARS),
+)
+
+
+@st.composite
+def record_arrays(draw):
+    """An array of records, mostly of one class, under up to three levels of arrays and objects."""
+    columns = draw(st.sampled_from([ONE_KIND_COLUMNS] * 3 + [COLUMNS]))
+    a, b, c = (draw(columns) for _ in range(3))
+    paths = draw(st.sampled_from(SCALAR_KINDS).map(arrays) | st.just(arrays(RECORD_SCALARS)))
+    strategies = [
+        st.builds(Row, a, b, c),
+        st.builds(Cell, a, b),
+        st.just(Blank()),
+        st.builds(ShadowFinding, a, b, c, paths),
+        st.builds(WinnerComparison, a, b, c),
+    ]
+    if draw(st.integers(0, 4)):
+        strategy = draw(st.sampled_from(strategies))
+    else:
+        strategy = st.one_of(strategies)
+    document = draw(st.lists(strategy, max_size=6))
+    if draw(st.booleans()):
+        document = tuple(document)
+    for wrapper in draw(st.lists(st.sampled_from(["array", "object"]), max_size=3)):
+        document = [document] if wrapper == "array" else {"key": document}
+    return document
+
+
+@settings(max_examples=500)
+@given(record_arrays())
+def test_record_arrays_match_json_dumps_of_their_expansion(payload):
+    try:
+        expected = dumped("records", {}, expanded(payload))
+    except TypeError:
+        with pytest.raises(TypeError):
+            _json_report("records", {}, payload)
+    else:
+        assert _json_report("records", {}, payload) == expected
 
 
 @given(st.randoms(use_true_random=False))

@@ -1,10 +1,13 @@
-"""Random corruption of a reached POM, class list or JAR ends in an exit code, never a crash."""
+"""Random corruption of a reached POM, class list or JAR, or a FIFO, directory or device
+in place of a class list or beside it as a JAR, ends in an exit code, never a crash or a hang."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
+import signal
 import zipfile
 
 import pytest
@@ -53,21 +56,73 @@ def _corrupt(data, original: bytes) -> bytes:
     return bytes(corrupted)
 
 
+class Hang(Exception):
+    """A command outlived its time limit; not an OSError, so no reader maps it to IoFailure."""
+
+
+def _hang(signum, frame):
+    raise Hang
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    # SIGALRM interrupts a blocking open or read, such as on a FIFO without a writer
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def _replaced(data, target):
+    """``target``, a reached class list, swapped for a FIFO, a directory or a link to
+    /dev/null, or such a file put beside it as ``artifact.jar``, which comes first."""
+    path = target.with_name(data.draw(st.sampled_from([target.name, "artifact.jar"])))
+    moved = target.with_name(target.name + ".moved")
+    if path == target:
+        target.rename(moved)
+    kind = data.draw(st.sampled_from(["fifo", "directory", "devnull"]))
+    if kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path.symlink_to(os.devnull)
+    try:
+        yield
+    finally:
+        if kind == "directory":
+            path.rmdir()
+        else:
+            path.unlink()
+        if path == target:
+            moved.rename(target)
+
+
 @given(st.data())
 def test_every_command_exits_with_a_stable_code(repos, data):
     fixture = data.draw(st.sampled_from(sorted(ROOTS)))
     target = data.draw(st.sampled_from(_inputs(repos[fixture])))
     original = target.read_bytes()
-    target.write_bytes(_corrupt(data, original))
+    if target.name == "classes.txt" and data.draw(st.booleans()):
+        damaged = _replaced(data, target)
+    else:
+        target.write_bytes(_corrupt(data, original))
+        damaged = contextlib.nullcontext()
     try:
-        for command in COMMANDS:
-            argv = [*command, "--repo", str(repos[fixture]), "--root", ROOTS[fixture],
-                    "--format", data.draw(st.sampled_from(["text", "json"]))]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in range(5), (argv, code)
-            assert "Traceback" not in err.getvalue()
+        with damaged:
+            for command in COMMANDS:
+                argv = [*command, "--repo", str(repos[fixture]), "--root", ROOTS[fixture],
+                        "--format", data.draw(st.sampled_from(["text", "json"]))]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    with _time_limit(10):
+                        code = main(argv)
+                assert code in range(5), (argv, code)
+                assert "Traceback" not in err.getvalue()
     finally:
         target.write_bytes(original)
 
