@@ -32,7 +32,6 @@ from shadowscan.mitigations import (
 )
 from shadowscan.model import (
     Coordinate,
-    GroupArtifact,
     PomDocument,
     ResolvedNode,
     ResolvedTree,
@@ -61,7 +60,6 @@ __all__ = [
     "Ecosystem",
     "EcosystemComparison",
     "EffectiveClassMap",
-    "GroupArtifact",
     "LayoutMode",
     "MitigationRule",
     "MitigationVerdict",

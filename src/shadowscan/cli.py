@@ -47,7 +47,6 @@ from shadowscan.mitigations import (
 )
 from shadowscan.model import (
     Coordinate,
-    GroupArtifact,
     Included,
     OmittedConflict,
     OmittedDuplicate,
@@ -107,18 +106,17 @@ def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
 
 
 # Scalar type -> the JSON texts of a list of values of exactly that type, with
-# no Python-level call per value but a GroupArtifact's __str__ (conflicts only);
-# a str subclass (a str-valued enum) is written as its str.
+# no Python-level call per value; a str subclass (a Coordinate, a str-valued
+# enum) is written as its str.
 _SCALAR_TEXTS: dict[type, Callable[[list[Any]], Iterable[str]]] = {
     str: partial(map, encode_basestring_ascii),
     int: partial(map, int.__repr__),
     bool: partial(map, {True: "true", False: "false"}.__getitem__),
     type(None): lambda values: ["null"] * len(values),
-    Coordinate: lambda values: map(encode_basestring_ascii, map(attrgetter("text"), values)),
-    GroupArtifact: lambda values: map(encode_basestring_ascii, map(str, values)),
 }
 
 
+@cache
 def _scalar_encoder(kind: type) -> Callable[[list[Any]], Iterable[str]] | None:
     if kind in _SCALAR_TEXTS:
         return _SCALAR_TEXTS[kind]
@@ -198,10 +196,10 @@ def _json_text(document: Any) -> str:
     """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
 
     A record (a dataclass or a NamedTuple) is written as the object of its
-    fields plus its ``_DERIVED_MEMBERS``, never as an array; a ``Coordinate``
-    or ``GroupArtifact`` as its string. An array of records of one class
-    with only scalar or scalar-array members is written column by column by
-    ``_record_array_text``, to the same text.
+    fields plus its ``_DERIVED_MEMBERS``, never as an array; a ``str``
+    subclass such as a ``Coordinate`` as its string. An array of records of
+    one class with only scalar or scalar-array members is written column by
+    column by ``_record_array_text``, to the same text.
     Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
     """
     parts: list[str] = []
@@ -221,8 +219,6 @@ def _json_text(document: Any) -> str:
             cls = value.__class__
             if isinstance(value, str):
                 emit(encode_basestring_ascii(value))
-            elif cls is Coordinate or cls is GroupArtifact:
-                emit(encode_basestring_ascii(str(value)))
             elif cls is int:
                 emit(int.__repr__(value))
             elif cls is bool:
@@ -340,9 +336,7 @@ def _finding_lines(findings: list[ShadowFinding]) -> list[str]:
             f"    winner: {finding.winner} "
             f"(depth {finding.winner_depth}, path {list(finding.winner_path)})"
         )
-        lines.append(
-            "    shadowed: " + ", ".join(str(victim) for victim in finding.shadowed_victims)
-        )
+        lines.append("    shadowed: " + ", ".join(finding.shadowed_victims))
     return lines
 
 
@@ -353,16 +347,16 @@ def _verdict_lines(verdict: MitigationVerdict) -> list[str]:
     lines = [f"{verdict.rule.value}: FAIL ({len(verdict.violations)} violation(s)){note}"]
     for violation in verdict.violations:
         if isinstance(violation, DuplicateClassViolation):
-            shadowed = ", ".join(str(coordinate) for coordinate in violation.shadowed)
+            shadowed = ", ".join(violation.shadowed)
             lines.append(f"  {violation.class_name}: winner {violation.winner} shadows {shadowed}")
         elif isinstance(violation, SealedPackageViolation):
-            winners = ", ".join(str(coordinate) for coordinate in violation.winners)
+            winners = ", ".join(violation.winners)
             lines.append(
                 f"  package {violation.package} sealed by {violation.sealed_by} "
                 f"splits across {winners}"
             )
         elif isinstance(violation, SplitPackageViolation):
-            providers = ", ".join(str(coordinate) for coordinate in violation.providers)
+            providers = ", ".join(violation.providers)
             lines.append(f"  package {violation.package} provided by {providers}")
     return lines
 
@@ -385,7 +379,7 @@ def _comparison_lines(comparison: EcosystemComparison) -> list[str]:
 
 def _load_resolution(args: argparse.Namespace) -> tuple[Repository, ResolutionReport]:
     repo = load_repository(args.repo)
-    root_document = fetch_pom(repo, Coordinate.parse(args.root))
+    root_document = fetch_pom(repo, Coordinate(args.root))
     return repo, resolve(repo, root_document, max_depth=args.max_depth)
 
 
@@ -421,7 +415,7 @@ def cmd_classpath(args: argparse.Namespace) -> tuple[int, str]:
             "layout": layout,
         }
         return EXIT_OK, _json_report("classpath", _inputs(args), payload)
-    lines = [str(entry) for entry in classpath.entries] or ["(empty classpath)"]
+    lines = list(classpath.entries) or ["(empty classpath)"]
     if layout is not None:
         lines += [""] + list(layout.lines)
     return EXIT_OK, _text_report(lines)
@@ -444,12 +438,12 @@ def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
     ecosystem = Ecosystem(args.ecosystem)
     classpath = build_classpath(resolution.tree, ecosystem)
     nodes = included_nodes(resolution.tree)
-    if args.attacker:
-        subject = Coordinate.parse(args.attacker)
+    if args.attacker is not None:
+        subject = Coordinate(args.attacker)
         mode = "reach"
         members = hijack_reach(resolution.tree, classpath, subject)
     else:
-        subject = Coordinate.parse(args.target)
+        subject = Coordinate(args.target)
         mode = "surface"
         members = hijack_surface(resolution.tree, classpath, subject)
     if args.format == "json":

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoordinate
@@ -19,68 +18,51 @@ _TOKEN_FORBIDDEN = re.compile(r"[:\s]")
 CLASS_NAME = re.compile(r"[^./\s]+(?:\.[^./\s]+)*")
 
 
-def _coordinate_token(value: str, label: str) -> str:
+def _coordinate_token(value: str, label: str) -> None:
     if not value:
         raise InvalidCoordinate(f"{label} must be a nonempty string")
     if _TOKEN_FORBIDDEN.search(value):
         raise InvalidCoordinate(f"{label} {value!r} must not contain ':' or whitespace")
-    return value
 
 
-@dataclass(frozen=True, order=True)
-class GroupArtifact:
-    """Conflict key of an artifact: group and artifact identifiers."""
+class Coordinate(str):
+    """Exact artifact identity: its validated ``group:artifact:version`` text.
 
-    group_id: str
-    artifact_id: str
-
-    def __post_init__(self) -> None:
-        _coordinate_token(self.group_id, "group id")
-        _coordinate_token(self.artifact_id, "artifact id")
-
-    def __str__(self) -> str:
-        return f"{self.group_id}:{self.artifact_id}"
-
-
-@dataclass(frozen=True, order=True)
-class Coordinate:
-    """Exact artifact identity: group, artifact, and version.
-
-    Its ``group:artifact:version`` text, ``text`` and ``str()``, is built on
-    first use and then kept on the instance; it is not a field.
+    A coordinate equals, hashes and sorts as that text. Each token is
+    nonempty and holds no ':' and no whitespace. ``ga``, the
+    ``group:artifact`` conflict key, is a plain ``str``.
     """
 
-    ga: GroupArtifact
-    version: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _coordinate_token(self.version, "version")
-
-    @classmethod
-    def of(cls, group_id: str, artifact_id: str, version: str) -> Coordinate:
-        return cls(GroupArtifact(group_id, artifact_id), version)
-
-    @classmethod
-    def parse(cls, text: str) -> Coordinate:
+    def __new__(cls, text: str) -> Coordinate:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidCoordinate(f"expected group:artifact:version, got {text!r}")
-        return cls.of(parts[0], parts[1], parts[2])
+        return cls.of(*parts)
+
+    @classmethod
+    def of(cls, group_id: str, artifact_id: str, version: str) -> Coordinate:
+        _coordinate_token(group_id, "group id")
+        _coordinate_token(artifact_id, "artifact id")
+        _coordinate_token(version, "version")
+        return str.__new__(cls, f"{group_id}:{artifact_id}:{version}")
 
     @property
     def group_id(self) -> str:
-        return self.ga.group_id
+        return self.partition(":")[0]
 
     @property
     def artifact_id(self) -> str:
-        return self.ga.artifact_id
+        return self.split(":")[1]
 
-    @cached_property
-    def text(self) -> str:
-        return f"{self.ga.group_id}:{self.ga.artifact_id}:{self.version}"
+    @property
+    def version(self) -> str:
+        return self.rpartition(":")[2]
 
-    def __str__(self) -> str:
-        return self.text
+    @property
+    def ga(self) -> str:
+        return self.rpartition(":")[0]
 
 
 @dataclass(frozen=True)
@@ -91,11 +73,12 @@ class PomDocument:
     dependencies: tuple[Coordinate, ...] = ()
 
     def __post_init__(self) -> None:
-        seen: set[GroupArtifact] = set()
+        seen: set[str] = set()
         for dependency in self.dependencies:
-            if dependency.ga in seen:
-                raise DuplicateDeclaration(f"{dependency.ga} declared more than once")
-            seen.add(dependency.ga)
+            ga = dependency.ga
+            if ga in seen:
+                raise DuplicateDeclaration(f"{ga} declared more than once")
+            seen.add(ga)
 
 
 class Included(NamedTuple):
@@ -172,7 +155,7 @@ def check_invariants(tree: ResolvedTree) -> None:
         level_order.extend(node.children)
     if list(map(id, level_order)) != list(map(id, tree.nodes)):
         raise ValueError("nodes is not the level-order walk from the root")
-    first_seen: dict[GroupArtifact, int] = {}
+    first_seen: dict[str, int] = {}
     for index, node in enumerate(tree.nodes):
         if node.bfs_index != index:
             raise ValueError(f"node at {node.path} has bfs_index {node.bfs_index}, not {index}")

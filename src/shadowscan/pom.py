@@ -20,7 +20,7 @@ from shadowscan.errors import (
     PomNotFound,
     ShadowscanError,
 )
-from shadowscan.model import Coordinate, GroupArtifact, PomDocument
+from shadowscan.model import Coordinate, PomDocument
 
 JAR_NAME = "artifact.jar"
 CLASSLIST_NAME = "classes.txt"
@@ -95,7 +95,7 @@ def _read_coordinate(element: ET.Element, where: str, prefix: str) -> Coordinate
         if "${" in text:
             _warn("%s%s: property placeholder %r is not interpolated", prefix, where, text)
         values[name] = text
-    return Coordinate(GroupArtifact(values["groupId"], values["artifactId"]), values["version"])
+    return Coordinate.of(values["groupId"], values["artifactId"], values["version"])
 
 
 def parse_pom(xml_text: str, source: str = "") -> PomDocument:
@@ -220,7 +220,7 @@ class Repository:
         entry = self.entries.get(coordinate)
         if entry is not None:
             return entry
-        tokens = (coordinate.group_id, coordinate.artifact_id, coordinate.version)
+        tokens = coordinate.split(":")
         if any(_NOT_A_NAME.search(token) for token in tokens):
             return None
         pom_path = self.root_directory.joinpath(*tokens, "pom.xml")

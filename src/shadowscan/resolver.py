@@ -9,7 +9,6 @@ from shadowscan.errors import DepthLimitExceeded, PomNotFound, UnresolvableDepen
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
-    GroupArtifact,
     NodeStatus,
     OmittedConflict,
     OmittedDuplicate,
@@ -33,7 +32,7 @@ class Occurrence(NamedTuple):
 class Conflict(NamedTuple):
     """The version-conflicted occurrences of one group:artifact."""
 
-    group_artifact: GroupArtifact
+    group_artifact: str
     winner: Occurrence
     losers: tuple[Occurrence, ...]
 
@@ -62,10 +61,10 @@ def resolve(
     rows: list[tuple[Coordinate, TreePath, NodeStatus, int]] = [
         (root.coordinate, (), INCLUDED, -1)
     ]
-    winners: dict[GroupArtifact, Occurrence] = {
+    winners: dict[str, Occurrence] = {
         root.coordinate.ga: Occurrence(root.coordinate, ())
     }
-    losers: dict[GroupArtifact, list[Occurrence]] = {}
+    losers: dict[str, list[Occurrence]] = {}
     # nodes still to place: parent's row, declaration index, coordinate
     queue: deque[tuple[int, int, Coordinate]] = deque(
         (0, position, child) for position, child in enumerate(root.dependencies)
@@ -78,7 +77,8 @@ def resolve(
             raise DepthLimitExceeded(
                 f"{coordinate} at depth {len(path)} exceeds the limit of {max_depth}"
             )
-        winner = winners.get(coordinate.ga)
+        ga = coordinate.ga
+        winner = winners.get(ga)
         status: NodeStatus
         if winner is None:
             status = INCLUDED
@@ -86,11 +86,11 @@ def resolve(
             status = OmittedDuplicate(first_occurrence_path=winner.path)
         else:
             status = OmittedConflict(winner=winner.coordinate)
-            losers.setdefault(coordinate.ga, []).append(Occurrence(coordinate, path))
+            losers.setdefault(ga, []).append(Occurrence(coordinate, path))
         index = len(rows)
         rows.append((coordinate, path, status, parent))
         if winner is None:
-            winners[coordinate.ga] = Occurrence(coordinate, path)
+            winners[ga] = Occurrence(coordinate, path)
             try:
                 document = fetch_pom(repo, coordinate)
             except PomNotFound as exc:

@@ -44,7 +44,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def coord(text: str) -> Coordinate:
-    return Coordinate.parse(text)
+    return Coordinate(text)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def build_tree(shape: Shape) -> ResolvedTree:
     def freeze(node: Shape, path: tuple[int, ...]) -> ResolvedNode:
         status: NodeStatus = node[2] if len(node) > 2 else INCLUDED
         return ResolvedNode(
-            coordinate=Coordinate.parse(node[0]),
+            coordinate=Coordinate(node[0]),
             path=path,
             bfs_index=indices[path],
             status=status,
@@ -161,10 +161,10 @@ def make_repo(
     """
     classes = classes or {}
     for text, dependency_texts in poms.items():
-        coordinate = Coordinate.parse(text)
+        coordinate = Coordinate(text)
         directory = root / coordinate.group_id / coordinate.artifact_id / coordinate.version
         directory.mkdir(parents=True, exist_ok=True)
-        write_pom(directory, coordinate, [Coordinate.parse(t) for t in dependency_texts])
+        write_pom(directory, coordinate, [Coordinate(t) for t in dependency_texts])
         if text in classes:
             (directory / "classes.txt").write_text(
                 "".join(line + "\n" for line in classes[text]), encoding="utf-8"
@@ -176,8 +176,8 @@ def memory_repo(poms: dict[str, list[str]]) -> Repository:
     """An in-memory Repository, for sweeps that would otherwise hit the disk."""
     entries = {}
     for text, dependency_texts in poms.items():
-        coordinate = Coordinate.parse(text)
-        document = PomDocument(coordinate, tuple(map(Coordinate.parse, dependency_texts)))
+        coordinate = Coordinate(text)
+        document = PomDocument(coordinate, tuple(map(Coordinate, dependency_texts)))
         entry = RepositoryEntry(coordinate, Path("<memory>/pom.xml"))
         # Fill the entry's memoized fields so that nothing is read from disk.
         vars(entry).update(document=document, content_path=None)

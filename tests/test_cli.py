@@ -216,6 +216,11 @@ class TestHijackCommand:
         code, _, err = run(capsys, "hijack", *SAMPLE, "--attacker", "com.example:ghost:1.0")
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--attacker", "--target"])
+    def test_an_empty_coordinate_is_an_input_error(self, capsys, option):
+        code, out, err = run(capsys, "hijack", *SAMPLE, option, "")
+        assert (code, out, err) == (1, "", "error: expected group:artifact:version, got ''\n")
+
     def test_attacker_and_target_are_mutually_exclusive(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["hijack", *SAMPLE, "--attacker", "g:a:1", "--target", "g:b:1"])
@@ -544,7 +549,7 @@ def test_a_fifo_archive_is_an_io_failure_not_a_hang(tmp_path):
         "from shadowscan.inventory import inspect_jar\n"
         "from shadowscan.model import Coordinate\n"
         "try:\n"
-        "    inspect_jar(sys.argv[1], Coordinate.parse('g:a:1'))\n"
+        "    inspect_jar(sys.argv[1], Coordinate('g:a:1'))\n"
         "except IoFailure as exc:\n"
         "    print(exc)\n"
     )

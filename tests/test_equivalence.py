@@ -34,7 +34,6 @@ from shadowscan.mitigations import (
 )
 from shadowscan.model import (
     Coordinate,
-    GroupArtifact,
     check_class_name,
     check_invariants,
 )
@@ -147,9 +146,12 @@ def test_class_list_reader_matches_the_per_line_reference(classlist_path, lines,
 @given(NAMES)
 def test_coordinate_token_rule_matches_the_per_character_reference(value):
     for build in (
-        lambda token: GroupArtifact(token, "a"),
-        lambda token: GroupArtifact("g", token),
+        lambda token: Coordinate.of(token, "a", "1"),
+        lambda token: Coordinate.of("g", token, "1"),
         lambda token: Coordinate.of("g", "a", token),
+        lambda token: Coordinate(f"{token}:a:1"),
+        lambda token: Coordinate(f"g:{token}:1"),
+        lambda token: Coordinate(f"g:a:{token}"),
     ):
         assert accepts(build, InvalidCoordinate, value) == reference_token_ok(value)
 
@@ -237,8 +239,6 @@ def expanded(value):
     kind = type(value)
     if isinstance(value, str) or value is None or kind in (int, bool):
         return value
-    if kind in (Coordinate, GroupArtifact):
-        return str(value)
     if kind in (list, tuple):
         return [expanded(item) for item in value]
     if kind is dict:
@@ -261,7 +261,6 @@ SCALAR_KINDS = [
     st.booleans(),
     st.none(),
     st.builds(Coordinate.of, TOKENS, TOKENS, TOKENS),
-    st.builds(GroupArtifact, TOKENS, TOKENS),
 ]
 RECORD_SCALARS = st.one_of(SCALAR_KINDS)
 
@@ -334,7 +333,7 @@ def test_tree_report_matches_the_node_payload_reference(rng):
 def test_resolution_report_matches_the_payload_references(seed):
     poms, root_text = random_conflict_repo(Random(seed))
     repo = memory_repo(poms)
-    resolution = resolve(repo, fetch_pom(repo, Coordinate.parse(root_text)))
+    resolution = resolve(repo, fetch_pom(repo, Coordinate(root_text)))
     expected = {
         "tree": reference_node_payload(resolution.tree.root),
         "conflicts": reference_conflicts_payload(resolution),
@@ -384,7 +383,7 @@ def deep_wide_repos(draw):
 def test_deep_and_wide_trees_match_the_full_expansion_oracle(repo_and_depth):
     poms, max_depth = repo_and_depth
     repo = memory_repo(poms)
-    root = fetch_pom(repo, Coordinate.parse("org.gen:root:1.0"))
+    root = fetch_pom(repo, Coordinate("org.gen:root:1.0"))
     tree = resolve(repo, root, max_depth=max_depth).tree
     check_invariants(tree)
     included = {
@@ -401,7 +400,7 @@ def test_deep_and_wide_trees_match_the_full_expansion_oracle(repo_and_depth):
 def test_maven_order_of_deep_and_wide_trees_is_the_preorder_walk(repo_and_depth):
     poms, max_depth = repo_and_depth
     repo = memory_repo(poms)
-    tree = resolve(repo, fetch_pom(repo, Coordinate.parse("org.gen:root:1.0")), max_depth).tree
+    tree = resolve(repo, fetch_pom(repo, Coordinate("org.gen:root:1.0")), max_depth).tree
     walked = [node.coordinate for node in reference_dfs_order(tree, include_omitted=False)[1:]]
     assert list(build_classpath(tree, Ecosystem.MAVEN).entries) == walked
     artifact_ids = [coordinate.artifact_id for coordinate in walked]

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import copy
 import pickle
-from dataclasses import fields
+import re
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoordinate
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
-    GroupArtifact,
     OmittedConflict,
     PomDocument,
     ResolvedNode,
@@ -27,6 +28,7 @@ from tests.helpers import (
     coord,
     random_tree,
     reference_dfs_order,
+    reference_token_ok,
     sample_tree,
     tree_of,
 )
@@ -41,28 +43,41 @@ class TestCoordinates:
         assert str(coord("org.test:nicelibrary:1.2")) == "org.test:nicelibrary:1.2"
 
     def test_parse_rejects_wrong_arity(self):
-        with pytest.raises(InvalidCoordinate):
-            Coordinate.parse("org.test:nicelibrary")
-        with pytest.raises(InvalidCoordinate):
-            Coordinate.parse("a:b:c:d")
+        with pytest.raises(InvalidCoordinate, match="expected group:artifact:version, got"):
+            Coordinate("org.test:nicelibrary")
+        with pytest.raises(InvalidCoordinate, match="expected group:artifact:version, got"):
+            Coordinate("a:b:c:d")
 
     @pytest.mark.parametrize("value", ["", "has space", "has:colon", "has\ttab"])
     def test_token_grammar(self, value):
-        with pytest.raises(InvalidCoordinate):
-            GroupArtifact(value, "ok")
-        with pytest.raises(InvalidCoordinate):
-            GroupArtifact("ok", value)
-        with pytest.raises(InvalidCoordinate):
-            Coordinate(GroupArtifact("g", "a"), value)
+        problem = "must be a nonempty string" if not value else f"{value!r} must not contain"
+        for label, tokens in (
+            ("group id", (value, "ok", "1")),
+            ("artifact id", ("ok", value, "1")),
+            ("version", ("g", "a", value)),
+        ):
+            with pytest.raises(InvalidCoordinate, match=re.escape(f"{label} {problem}")):
+                Coordinate.of(*tokens)
 
-    def test_ordering_is_field_wise_and_case_sensitive(self):
-        assert GroupArtifact("a", "x") < GroupArtifact("b", "a")
-        assert GroupArtifact("a", "B") != GroupArtifact("a", "b")
+    def test_ordering_is_textual_and_case_sensitive(self):
+        # "1" sorts before ":", so by text g1:a:1 precedes g:a:1, unlike by fields
+        assert coord("g1:a:1") < coord("g:a:1")
+        assert sorted([coord("g:a:1"), coord("g1:a:1")]) == ["g1:a:1", "g:a:1"]
+        assert coord("a:B:1") != coord("a:b:1")
         assert coord("g:a:1.0") < coord("g:a:2.0")
 
 
+# valid tokens, and tokens with a ':' or a whitespace character somewhere, or empty
+TOKEN_TEXTS = st.text(min_size=1, max_size=6).filter(reference_token_ok)
+BAD_TOKENS = st.just("") | st.builds(
+    lambda head, bad, tail: head + bad + tail,
+    st.text(max_size=2), st.sampled_from([":", " ", "\t", "\n", "\x85", "\u3000"]),
+    st.text(max_size=2),
+)
+
+
 class TestCoordinateText:
-    """The text is kept once built, and nothing else about a coordinate changes."""
+    """A coordinate is its validated ``group:artifact:version`` text."""
 
     def test_text_is_group_artifact_version_on_every_call(self):
         coordinate = Coordinate.of("org.test", "nicelibrary", "1.2")
@@ -74,15 +89,36 @@ class TestCoordinateText:
         coordinate, fresh = coord("g:a:1"), coord("g:a:1")
         if printed_first:
             str(coordinate)
-        assert [field.name for field in fields(Coordinate)] == ["ga", "version"]
+        parts = (coordinate.group_id, coordinate.artifact_id, coordinate.version)
+        assert parts == ("g", "a", "1") and coordinate.ga == "g:a"
         assert coordinate == fresh and hash(coordinate) == hash(fresh)
         assert not coordinate < fresh and not fresh < coordinate
         assert sorted([coord("g:b:0"), coordinate, coord("g:a:0")]) == [
             coord("g:a:0"), fresh, coord("g:b:0"),
         ]
-        assert repr(coordinate) == repr(fresh) == (
-            "Coordinate(ga=GroupArtifact(group_id='g', artifact_id='a'), version='1')"
-        )
+        assert repr(coordinate) == repr(fresh) == "'g:a:1'"
+
+    @given(st.tuples(TOKEN_TEXTS, TOKEN_TEXTS, TOKEN_TEXTS))
+    def test_a_coordinate_is_its_text(self, tokens):
+        coordinate = Coordinate.of(*tokens)
+        text = ":".join(tokens)
+        assert type(coordinate) is Coordinate and str(coordinate) == text
+        assert type(Coordinate(text)) is Coordinate
+        assert Coordinate(text) == Coordinate.of(*text.split(":")) == coordinate
+        parts = (coordinate.group_id, coordinate.artifact_id, coordinate.version)
+        assert parts == tokens and coordinate.ga == f"{tokens[0]}:{tokens[1]}"
+        assert type(coordinate.ga) is str
+        assert coordinate == text and hash(coordinate) == hash(text)
+        for clone in (copy.copy(coordinate), pickle.loads(pickle.dumps(coordinate))):
+            assert type(clone) is Coordinate and clone == coordinate
+
+    @given(st.tuples(TOKEN_TEXTS, TOKEN_TEXTS, TOKEN_TEXTS), st.integers(0, 2), BAD_TOKENS)
+    def test_a_bad_token_in_any_position_is_refused(self, tokens, position, bad):
+        tokens = tokens[:position] + (bad,) + tokens[position + 1:]
+        with pytest.raises(InvalidCoordinate):
+            Coordinate.of(*tokens)
+        with pytest.raises(InvalidCoordinate):
+            Coordinate(":".join(tokens))
 
     @pytest.mark.parametrize("printed_first", [False, True])
     def test_copy_and_pickle_round_trip(self, printed_first):
