@@ -21,7 +21,6 @@ from shadowscan.inventory import (
     inspect_classlist,
     inspect_jar,
     inventory_all,
-    render_classlist,
 )
 from shadowscan.mitigations import (
     MitigationRule,
@@ -91,6 +90,5 @@ __all__ = [
     "load_repository",
     "package_of",
     "parse_pom",
-    "render_classlist",
     "resolve",
 ]

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import zipfile
 import zlib
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from shadowscan.errors import (
     CorruptArchive,
@@ -29,33 +28,17 @@ _MANIFEST_LIMIT = 16 * 2**20
 _MODULE_INFO = "module-info.class"
 
 
-@dataclass(frozen=True)
-class ClassInventory:
-    """Classes and sealing/module metadata contributed by one artifact.
-
-    ``module_name`` is only known for class-list sources; a JAR with a module
-    descriptor is marked ``is_module`` with the name left unset, since the
-    descriptor's constant pool is not parsed.
+class ClassInventory(NamedTuple):
+    """Classes and sealed packages contributed by one artifact.
 
     Class names are plain ``str``. ``inspect_jar`` and ``inspect_classlist``
     validate each one and never list a class twice; an inventory built by
-    hand is not checked again, except that ``module_name`` requires
-    ``is_module``.
+    hand is not checked again.
     """
 
     coordinate: Coordinate
     classes: tuple[str, ...]
     sealed_packages: frozenset[str] = frozenset()
-    is_module: bool = False
-    module_name: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.module_name is not None and not self.is_module:
-            raise ValueError("module_name requires is_module")
-
-    @cached_property
-    def packages(self) -> frozenset[str]:
-        return frozenset(map(package_of, self.classes))
 
 
 def _entry_to_class_name(entry: str) -> str:
@@ -112,8 +95,8 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
     """Enumerate an archive's classes from its central directory.
 
     Entries under ``META-INF/`` (which covers multi-release trees) are not
-    classes, and module descriptors are metadata: a top-level
-    ``module-info.class`` marks the artifact as modular, nothing more.
+    classes, and a top-level ``module-info.class`` is a module descriptor, not
+    a class.
     Sealing is read from the manifest when one is present; that single entry
     is the only one decompressed, and only up to ``_MANIFEST_LIMIT`` bytes.
     A FIFO or a device is refused by ``pom.open_regular_file``, not waited on.
@@ -153,12 +136,7 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
         and name != _MODULE_INFO and not name.endswith("/" + _MODULE_INFO)
     ))
     sealed = _sealed_packages(manifest_text, classes) if manifest_text else frozenset()
-    return ClassInventory(
-        coordinate=coordinate,
-        classes=classes,
-        sealed_packages=sealed,
-        is_module=_MODULE_INFO in names,
-    )
+    return ClassInventory(coordinate, classes, sealed)
 
 
 def _validated_dotted(value: str, path: Path, line_number: int) -> str:
@@ -172,14 +150,14 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
     """Parse the one-class-per-line text format.
 
     Blank lines and ``#`` comments are skipped. ``@sealed <package>`` seals a
-    package; ``@module <name>`` declares the artifact a named module.
+    package. ``@module <name>`` is accepted and its name validated, but it has
+    no effect: ``check_modules`` counts every dependency once the root is a
+    module.
     """
     path = Path(file)
     text = read_text_file(path, CLASSLIST_LIMIT)
     classes: dict[str, None] = {}  # an insertion-ordered set
     sealed: set[str] = set()
-    module_name: str | None = None
-    is_module = False
     is_class_name = CLASS_NAME.fullmatch
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -191,8 +169,7 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
             if directive == "@sealed" and argument:
                 sealed.add(_validated_dotted(argument, path, line_number))
             elif directive == "@module" and argument:
-                is_module = True
-                module_name = _validated_dotted(argument, path, line_number)
+                _validated_dotted(argument, path, line_number)
             else:
                 raise InvalidClassName(f"{path}:{line_number}: unsupported directive {line!r}")
             continue
@@ -201,17 +178,7 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
         if line in classes:
             raise DuplicateClassName(f"{path}:{line_number}: {line} listed twice")
         classes[line] = None
-    return ClassInventory(coordinate, tuple(classes), frozenset(sealed), is_module, module_name)
-
-
-def render_classlist(inventory: ClassInventory) -> str:
-    """Serialize an inventory back to the class-list text format."""
-    lines: list[str] = []
-    if inventory.is_module and inventory.module_name:
-        lines.append(f"@module {inventory.module_name}")
-    lines.extend(f"@sealed {package}" for package in sorted(inventory.sealed_packages))
-    lines.extend(inventory.classes)
-    return "".join(line + "\n" for line in lines)
+    return ClassInventory(coordinate, tuple(classes), frozenset(sealed))
 
 
 def load_inventory(repo: Repository, coordinate: Coordinate) -> ClassInventory:

@@ -87,13 +87,16 @@ def load_allowlist(path: Path | str) -> tuple[str, ...]:
     """Read one pattern per line; blank lines and ``#`` comments are skipped.
 
     The file is read as a POM is, by ``pom.read_text_file``: a FIFO, a device
-    or more than ``ALLOWLIST_LIMIT`` bytes raises ``IoFailure``.
+    or more than ``ALLOWLIST_LIMIT`` bytes raises ``IoFailure``. Each pattern
+    is checked by ``compile_pattern`` as it is read, so a malformed one raises
+    ``InvalidPattern`` whichever rules run.
     """
     text = read_text_file(Path(path), ALLOWLIST_LIMIT)
     patterns: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
+            compile_pattern(line)
             patterns.append(line)
     return tuple(patterns)
 
@@ -157,7 +160,7 @@ def check_modules(
         )
     providers: dict[str, dict[Coordinate, None]] = {}
     for inventory in inventories:
-        for package in inventory.packages:
+        for package in set(map(package_of, inventory.classes)):
             providers.setdefault(package, {})[inventory.coordinate] = None
     violations = tuple(
         SplitPackageViolation(package, tuple(coordinates))

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoordinate
+from shadowscan.errors import InvalidClassName, InvalidCoordinate
 
 TreePath = tuple[int, ...]
 """Child indices leading from the root to a node; the empty tuple is the root."""
@@ -65,20 +65,15 @@ class Coordinate(str):
         return self.rpartition(":")[0]
 
 
-@dataclass(frozen=True)
-class PomDocument:
-    """Parsed project descriptor; a dependency's declaration index is its position."""
+class PomDocument(NamedTuple):
+    """Parsed project descriptor; a dependency's declaration index is its position.
+
+    ``parse_pom`` never lists a group:artifact twice; a document built by
+    hand is not checked.
+    """
 
     coordinate: Coordinate
     dependencies: tuple[Coordinate, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for dependency in self.dependencies:
-            ga = dependency.ga
-            if ga in seen:
-                raise DuplicateDeclaration(f"{ga} declared more than once")
-            seen.add(ga)
 
 
 class Included(NamedTuple):

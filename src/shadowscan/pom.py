@@ -7,13 +7,14 @@ import os
 import re
 import stat
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from shadowscan.errors import (
     CoordinateMismatch,
+    DuplicateDeclaration,
     IoFailure,
     MalformedXml,
     MissingCoordinate,
@@ -105,8 +106,9 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
     ``dependencies``, and ``dependency`` elements carry meaning. Namespaces
     are ignored. ``dependencyManagement``, ``profiles``, ``properties``, and
     per-dependency ``exclusions`` are ignored with a warning; other unknown
-    elements are ignored silently. A nonempty ``source`` begins every
-    warning, so that it names the file the text came from.
+    elements are ignored silently. A group:artifact declared twice raises
+    ``DuplicateDeclaration``. A nonempty ``source`` begins every warning, so
+    that it names the file the text came from.
     """
     prefix = f"{source}: " if source else ""
     try:
@@ -134,6 +136,12 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
                 if _local_name(child.tag) == "exclusions":
                     _warn("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
             dependencies.append(dep_coordinate)
+    seen: set[str] = set()
+    for dependency in dependencies:
+        ga = dependency.ga
+        if ga in seen:
+            raise DuplicateDeclaration(f"{ga} declared more than once")
+        seen.add(ga)
     return PomDocument(coordinate, tuple(dependencies))
 
 
@@ -195,8 +203,7 @@ class RepositoryEntry:
 _NOT_A_NAME = re.compile(r"\A\.\.?\Z|[/\0]")
 
 
-@dataclass(frozen=True)
-class Repository:
+class Repository(NamedTuple):
     """A ``<root>/<group>/<artifact>/<version>/`` layout, looked up by coordinate.
 
     ``entries`` holds the entries found so far: it starts with those passed
@@ -205,7 +212,7 @@ class Repository:
     """
 
     root_directory: Path
-    entries: dict[Coordinate, RepositoryEntry] = field(default_factory=dict)
+    entries: dict[Coordinate, RepositoryEntry]
 
     def lookup(self, coordinate: Coordinate) -> RepositoryEntry | None:
         """The entry at the coordinate's path, found on first use and then kept.
@@ -244,7 +251,7 @@ def load_repository(root_directory: Path | str) -> Repository:
     root = Path(root_directory)
     if not root.is_dir():
         raise IoFailure(f"repository root {root} is not a readable directory")
-    return Repository(root)
+    return Repository(root, {})
 
 
 def fetch_pom(repo: Repository, coordinate: Coordinate) -> PomDocument:

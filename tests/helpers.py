@@ -6,6 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from types import ModuleType
 from typing import Any, Mapping, Sequence
 
 from shadowscan.analysis import (
@@ -41,6 +42,18 @@ from shadowscan.pom import Repository, RepositoryEntry, fetch_pom, load_reposito
 from shadowscan.resolver import ResolutionReport, resolve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SPANS = Path(__file__).resolve().parent.parent / "shadowbench" / "spans.py"
+
+
+def load_spans() -> ModuleType:
+    """The benchmark's tracer, ``shadowbench/spans.py``, run from its source.
+
+    The source is compiled and run in a fresh module, not imported, so that
+    no bytecode is written under ``shadowbench/``.
+    """
+    spans = ModuleType("shadowbench_spans")
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), spans.__dict__)
+    return spans
 
 
 def coord(text: str) -> Coordinate:
@@ -368,8 +381,6 @@ def reference_inspect_classlist(path: Path, coordinate: Coordinate) -> ClassInve
     classes: list[str] = []
     seen: set[str] = set()
     sealed: set[str] = set()
-    module_name: str | None = None
-    is_module = False
 
     def validated(value: str, line_number: int) -> str:
         if not reference_class_name_ok(value):
@@ -388,8 +399,7 @@ def reference_inspect_classlist(path: Path, coordinate: Coordinate) -> ClassInve
             if directive == "@sealed" and argument:
                 sealed.add(validated(argument, line_number))
             elif directive == "@module" and argument:
-                is_module = True
-                module_name = validated(argument, line_number)
+                validated(argument, line_number)
             else:
                 raise InvalidClassName(f"{path}:{line_number}: unsupported directive {line!r}")
             continue
@@ -398,7 +408,7 @@ def reference_inspect_classlist(path: Path, coordinate: Coordinate) -> ClassInve
             raise DuplicateClassName(f"{path}:{line_number}: {name} listed twice")
         seen.add(name)
         classes.append(name)
-    return ClassInventory(coordinate, tuple(classes), frozenset(sealed), is_module, module_name)
+    return ClassInventory(coordinate, tuple(classes), frozenset(sealed))
 
 
 def reference_token_ok(value: str) -> bool:
@@ -437,7 +447,7 @@ def reference_check_modules(
         )
     providers: dict[str, list[Coordinate]] = {}
     for inventory in inventories:
-        for package in sorted(inventory.packages):
+        for package in sorted(map(package_of, inventory.classes)):
             bucket = providers.setdefault(package, [])
             if inventory.coordinate not in bucket:
                 bucket.append(inventory.coordinate)

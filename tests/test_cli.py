@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import codecs
 import errno
-import importlib
-import importlib.util
 import json
 import os
 import shutil
@@ -21,7 +19,7 @@ from shadowscan.errors import ReportTooDeep
 from shadowscan.mitigations import MitigationRule, MitigationVerdict
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
-from tests.helpers import FIXTURES, coord, make_repo, write_pom
+from tests.helpers import FIXTURES, coord, load_spans, make_repo, write_pom
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
 ATTACK = ["--repo", str(FIXTURES / "poc-attack-order"), "--root", "org.example:victim:1.0"]
@@ -272,12 +270,16 @@ class TestCheckCommand:
             main(["check", *SAMPLE, "--rules", "dup,bogus"])
         assert excinfo.value.code == 1
 
-    def test_malformed_allowlist_pattern_is_an_input_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("rules", ["dup", "sealed", "modules"])
+    def test_malformed_allowlist_pattern_is_an_input_error(self, capsys, tmp_path, rules):
+        # the allowlist is checked as it is read, whichever rules run
         allowlist = tmp_path / "allow.txt"
-        allowlist.write_text("org.*.broken\n", encoding="utf-8")
-        code, _, err = run(capsys, "check", *ATTACK, "--allowlist", str(allowlist))
-        assert code == 1
-        assert "pattern" in err or "'*'" in err
+        allowlist.write_text("org.test.*x\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "check", *ATTACK, "--rules", rules, "--allowlist", str(allowlist)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: 'org.test.*x': '*' may only appear as the final character\n"
 
 
 class TestCompareCommand:
@@ -803,25 +805,6 @@ class TestJsonReport:
     def test_an_unsupported_type_is_rejected(self, value):
         with pytest.raises(TypeError):
             _json_report("resolve", {}, {"value": value})
-
-
-def load_spans():
-    path = Path(__file__).resolve().parent.parent / "shadowbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("shadowbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
-
-
-def test_every_call_the_traced_benchmark_wraps_is_bound():
-    # shadowbench/spans.py swaps each (module, attribute) for a span wrapper;
-    # a name a refactor drops from its module would crash `run.py --trace 1`
-    spans = load_spans()
-    assert spans.LAYER_CALLS
-    for module_name, attribute, _, _ in spans.LAYER_CALLS:
-        assert callable(getattr(importlib.import_module(module_name), attribute, None)), (
-            f"{module_name}.{attribute}"
-        )
 
 
 def test_a_traced_scan_runs_and_counts_content_bytes():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import errno
+import re
 import zipfile
 from random import Random
 
@@ -24,7 +25,6 @@ from shadowscan.inventory import (
     inspect_classlist,
     inspect_jar,
     inventory_all,
-    render_classlist,
 )
 from shadowscan.model import package_of
 from shadowscan.ordering import Ecosystem, build_classpath
@@ -49,7 +49,6 @@ class TestInspectJar:
         jar = make_jar(tmp_path / "a.jar", ["org/test/NiceClass.class"])
         inventory = inspect_jar(jar, COORD)
         assert inventory.classes == ("org.test.NiceClass",)
-        assert not inventory.is_module
         assert inventory.sealed_packages == frozenset()
 
     def test_non_class_entries_ignored(self, tmp_path):
@@ -68,16 +67,12 @@ class TestInspectJar:
 
     def test_module_descriptor_detected_and_excluded(self, tmp_path):
         jar = make_jar(tmp_path / "a.jar", ["module-info.class", "org/test/A.class"])
-        inventory = inspect_jar(jar, COORD)
-        assert inventory.is_module
-        assert inventory.module_name is None
-        assert [str(c) for c in inventory.classes] == ["org.test.A"]
+        assert inspect_jar(jar, COORD).classes == ("org.test.A",)
 
     def test_nested_module_descriptor_is_not_a_module_marker(self, tmp_path):
+        # a descriptor below the top level is not a class either
         jar = make_jar(tmp_path / "a.jar", ["org/test/module-info.class", "org/test/A.class"])
-        inventory = inspect_jar(jar, COORD)
-        assert not inventory.is_module
-        assert [str(c) for c in inventory.classes] == ["org.test.A"]
+        assert inspect_jar(jar, COORD).classes == ("org.test.A",)
 
     def test_inner_classes_kept_verbatim(self, tmp_path):
         jar = make_jar(tmp_path / "a.jar", ["org/test/Outer$Inner.class"])
@@ -218,11 +213,16 @@ class TestInspectClasslist:
         assert inventory.sealed_packages == frozenset({"org.nice"})
 
     def test_module_directive(self, tmp_path):
+        # accepted and validated, but it adds nothing to the inventory
         inventory = inspect_classlist(
             self.write(tmp_path, "@module org.test.sample\norg.test.A\n"), COORD
         )
-        assert inventory.is_module
-        assert inventory.module_name == "org.test.sample"
+        assert inventory == ClassInventory(COORD, ("org.test.A",))
+
+    def test_invalid_module_name_names_the_line(self, tmp_path):
+        path = self.write(tmp_path, "org.test.A\n@module org/bad\n")
+        with pytest.raises(InvalidClassName, match=f"^{re.escape(str(path))}:2: .*'org/bad'"):
+            inspect_classlist(path, COORD)
 
     def test_duplicate_class(self, tmp_path):
         with pytest.raises(DuplicateClassName):
@@ -241,10 +241,12 @@ class TestInspectClasslist:
             inspect_classlist(self.write(tmp_path, "@sealed\n"), COORD)
 
 
-class TestClassInventory:
-    def test_module_name_requires_is_module(self):
-        with pytest.raises(ValueError, match="module_name requires is_module"):
-            ClassInventory(COORD, ("org.test.A",), module_name="org.test")
+def classlist_text(inventory: ClassInventory, module: str | None = None) -> str:
+    """The class-list text of an inventory, with an optional ``@module`` line."""
+    lines = [f"@module {module}"] if module else []
+    lines.extend(f"@sealed {package}" for package in sorted(inventory.sealed_packages))
+    lines.extend(inventory.classes)
+    return "".join(line + "\n" for line in lines)
 
 
 class TestRoundTrip:
@@ -261,15 +263,10 @@ class TestRoundTrip:
             sealed_packages=frozenset(
                 map(package_of, rng.sample(classes, k=rng.randint(0, len(classes))))
             ),
-            is_module=bool(rng.getrandbits(1)),
-            module_name=None,
         )
-        if inventory.is_module:
-            inventory = ClassInventory(
-                COORD, inventory.classes, inventory.sealed_packages, True, "org.test.mod"
-            )
+        module = "org.test.mod" if rng.getrandbits(1) else None
         path = tmp_path / "round.txt"
-        path.write_text(render_classlist(inventory), encoding="utf-8")
+        path.write_text(classlist_text(inventory, module), encoding="utf-8")
         assert inspect_classlist(path, COORD) == inventory
 
     def test_jar_and_classlist_fixtures_agree(self, tmp_path):

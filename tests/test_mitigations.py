@@ -8,7 +8,7 @@ import pytest
 
 from shadowscan.analysis import detect_shadowing, effective_classes
 from shadowscan.errors import InvalidPattern, IoFailure
-from shadowscan.inventory import ClassInventory
+from shadowscan.inventory import ClassInventory, inspect_classlist
 from shadowscan.mitigations import (
     ALLOWLIST_LIMIT,
     MitigationRule,
@@ -22,13 +22,9 @@ from shadowscan.model import check_class_name
 from tests.helpers import coord, random_inventories, run_pipeline
 
 
-def inventory(text, *classes, sealed=(), module=None):
+def inventory(text, *classes, sealed=()):
     return ClassInventory(
-        coord(text),
-        tuple(map(check_class_name, classes)),
-        sealed_packages=frozenset(sealed),
-        is_module=module is not None,
-        module_name=module,
+        coord(text), tuple(map(check_class_name, classes)), frozenset(sealed)
     )
 
 
@@ -154,9 +150,12 @@ class TestModules:
         pipeline = run_pipeline("sample-app", "com.example:Project:1.0")
         assert check_modules(pipeline.inventories, root_is_module=True).passed
 
-    def test_named_modules_participate_like_automatic_ones(self):
+    def test_named_modules_participate_like_automatic_ones(self, tmp_path):
+        # a class list that declares @module splits a package like one that does not
+        named = tmp_path / "named.txt"
+        named.write_text("@module mod.a\norg.x.One\n", encoding="utf-8")
         inventories = [
-            inventory("g:a:1", "org.x.One", module="mod.a"),
+            inspect_classlist(named, coord("g:a:1")),
             inventory("g:b:1", "org.x.Two"),
         ]
         verdict = check_modules(inventories, root_is_module=True)

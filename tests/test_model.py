@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shadowscan.errors import DuplicateDeclaration, InvalidClassName, InvalidCoordinate
+from shadowscan.errors import InvalidClassName, InvalidCoordinate
 from shadowscan.model import (
     INCLUDED,
     Coordinate,
@@ -132,13 +132,6 @@ class TestCoordinateText:
 
 
 class TestPomDocument:
-    def test_duplicate_group_artifact_rejected(self):
-        with pytest.raises(DuplicateDeclaration):
-            PomDocument(
-                coord("g:a:1"),
-                (coord("g:b:1"), coord("g:b:2")),
-            )
-
     def test_same_artifact_different_group_is_fine(self):
         document = PomDocument(
             coord("g:a:1"),

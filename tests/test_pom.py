@@ -136,7 +136,20 @@ class TestParsePom:
             "<dependency><groupId>x</groupId><artifactId>y</artifactId><version>2</version></dependency>"
             "</dependencies></project>"
         )
-        with pytest.raises(DuplicateDeclaration):
+        with pytest.raises(DuplicateDeclaration, match="^x:y declared more than once$"):
+            parse_pom(text)
+
+    def test_a_later_missing_coordinate_wins_over_a_duplicate(self):
+        # every dependency is read before the duplicate check runs
+        text = (
+            "<project><groupId>g</groupId><artifactId>a</artifactId><version>1</version>"
+            "<dependencies>"
+            "<dependency><groupId>x</groupId><artifactId>y</artifactId><version>1</version></dependency>"
+            "<dependency><groupId>x</groupId><artifactId>y</artifactId><version>2</version></dependency>"
+            "<dependency><groupId>x</groupId><artifactId>z</artifactId></dependency>"
+            "</dependencies></project>"
+        )
+        with pytest.raises(MissingCoordinate, match="dependency #2 of g:a:1"):
             parse_pom(text)
 
     def test_namespaced_elements_match_by_local_name(self):

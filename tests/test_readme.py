@@ -35,4 +35,3 @@ def test_the_class_list_example_parses(tmp_path):
     inventory = inspect_classlist(path, coord("org.nice:nice:1.0"))
     assert inventory.classes == ("org.nice.ClassA", "org.nice.ClassB")
     assert inventory.sealed_packages == {"org.nice"}
-    assert (inventory.is_module, inventory.module_name) == (True, "org.nice.mod")
