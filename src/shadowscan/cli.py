@@ -14,7 +14,6 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from shadowscan.analysis import (
-    EcosystemComparison,
     ShadowFinding,
     WinnerComparison,
     compare_ecosystems,
@@ -54,7 +53,7 @@ from shadowscan.model import (
 )
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import Repository, fetch_pom, load_repository
-from shadowscan.resolver import DEFAULT_MAX_DEPTH, Occurrence, ResolutionReport, resolve
+from shadowscan.resolver import DEFAULT_MAX_DEPTH, Conflict, Occurrence, ResolutionReport, resolve
 
 SCHEMA_VERSION = 1
 REPO_ENV_VAR = "SHADOWSCAN_REPO"
@@ -278,10 +277,6 @@ def _json_report(command: str, inputs: dict[str, Any], payload: dict[str, Any]) 
     })
 
 
-def _text_report(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # text rendering
 
@@ -311,11 +306,11 @@ def _tree_lines(root: ResolvedNode) -> list[str]:
     return lines
 
 
-def _conflict_lines(resolution: ResolutionReport) -> list[str]:
-    if not resolution.conflicts:
+def _conflict_lines(conflicts: tuple[Conflict, ...]) -> list[str]:
+    if not conflicts:
         return ["no conflicts"]
     lines = ["conflicts:"]
-    for conflict in resolution.conflicts:
+    for conflict in conflicts:
         losers = ", ".join(
             f"{loser.coordinate} at {list(loser.path)}" for loser in conflict.losers
         )
@@ -361,17 +356,46 @@ def _verdict_lines(verdict: MitigationVerdict) -> list[str]:
     return lines
 
 
-def _comparison_lines(comparison: EcosystemComparison) -> list[str]:
-    if not comparison.entries:
+def _comparison_lines(entries: tuple[WinnerComparison, ...]) -> list[str]:
+    if not entries:
         return ["no duplicated classes"]
     lines = []
-    for entry in comparison.entries:
+    for entry in entries:
         marker = " DIFFERS" if entry.differs else ""
         lines.append(
             f"{entry.class_name}: maven={entry.maven_winner} "
             f"gradle={entry.gradle_winner}{marker}"
         )
     return lines
+
+
+def _classpath_lines(payload: dict[str, Any], inputs: dict[str, Any]) -> list[str]:
+    lines = list(payload["entries"]) or ["(empty classpath)"]
+    if payload["layout"] is not None:
+        lines += [""] + list(payload["layout"].lines)
+    return lines
+
+
+def _hijack_lines(payload: dict[str, Any], inputs: dict[str, Any]) -> list[str]:
+    heading = f"{payload['mode']} of {payload['subject']} ({inputs['ecosystem']}):"
+    artifacts = [f"  {entry} (path {list(path)})" for entry, path in payload["artifacts"]]
+    return [heading] + (artifacts or ["  (empty)"])
+
+
+# The text view of each command's payload, given the report's inputs. The
+# renderers are looked up when a view runs, so a test can replace them.
+_TEXT_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], list[str]]] = {
+    "resolve": lambda payload, inputs: (
+        _tree_lines(payload["tree"]) + [""] + _conflict_lines(payload["conflicts"])
+    ),
+    "classpath": _classpath_lines,
+    "scan": lambda payload, inputs: _finding_lines(payload["findings"]),
+    "hijack": _hijack_lines,
+    "check": lambda payload, inputs: [
+        line for verdict in payload["verdicts"] for line in _verdict_lines(verdict)
+    ],
+    "compare": lambda payload, inputs: _comparison_lines(payload["classes"]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -389,73 +413,48 @@ def _inputs(args: argparse.Namespace) -> dict[str, Any]:
             if name not in ("command", "handler", "format")}
 
 
-# Each command returns its exit code and its stdout in the requested format;
-# the other format is never built.
+# Each command returns its exit code and its payload; main renders the payload
+# in the requested format only.
 
-def cmd_resolve(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_resolve(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     _, resolution = _load_resolution(args)
-    if args.format == "json":
-        payload = {"tree": resolution.tree.root, "conflicts": resolution.conflicts}
-        return EXIT_OK, _json_report("resolve", _inputs(args), payload)
-    lines = _tree_lines(resolution.tree.root) + [""] + _conflict_lines(resolution)
-    return EXIT_OK, _text_report(lines)
+    return EXIT_OK, {"tree": resolution.tree.root, "conflicts": resolution.conflicts}
 
 
-def cmd_classpath(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_classpath(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     _, resolution = _load_resolution(args)
     classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
     layout = None
     if args.layout != "none":
         layout = emit_layout(resolution.tree, LayoutMode(args.layout))
-    if args.format == "json":
-        payload = {
-            "ecosystem": classpath.ecosystem,
-            "root_precedes": True,
-            "entries": classpath.entries,
-            "layout": layout,
-        }
-        return EXIT_OK, _json_report("classpath", _inputs(args), payload)
-    lines = list(classpath.entries) or ["(empty classpath)"]
-    if layout is not None:
-        lines += [""] + list(layout.lines)
-    return EXIT_OK, _text_report(lines)
+    return EXIT_OK, {"ecosystem": args.ecosystem, "root_precedes": True,
+                     "entries": classpath.entries, "layout": layout}
 
 
-def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_scan(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     repo, resolution = _load_resolution(args)
     classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
     inventories = inventory_all(repo, classpath)
     findings = detect_shadowing(effective_classes(inventories), resolution.tree)
     code = EXIT_SHADOWS_FOUND if findings and args.fail_on_shadow else EXIT_OK
-    if args.format == "json":
-        payload = {"ecosystem": args.ecosystem, "findings": findings}
-        return code, _json_report("scan", _inputs(args), payload)
-    return code, _text_report(_finding_lines(findings))
+    return code, {"ecosystem": args.ecosystem, "findings": findings}
 
 
-def cmd_hijack(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_hijack(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     _, resolution = _load_resolution(args)
-    ecosystem = Ecosystem(args.ecosystem)
-    classpath = build_classpath(resolution.tree, ecosystem)
+    classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
     nodes = included_nodes(resolution.tree)
     if args.attacker is not None:
-        subject = Coordinate(args.attacker)
-        mode = "reach"
+        mode, subject = "reach", Coordinate(args.attacker)
         members = hijack_reach(resolution.tree, classpath, subject)
     else:
-        subject = Coordinate(args.target)
-        mode = "surface"
+        mode, subject = "surface", Coordinate(args.target)
         members = hijack_surface(resolution.tree, classpath, subject)
-    if args.format == "json":
-        artifacts = [Occurrence(entry, nodes[entry].path) for entry in members]
-        payload = {"mode": mode, "subject": subject, "artifacts": artifacts}
-        return EXIT_OK, _json_report("hijack", _inputs(args), payload)
-    lines = [f"{mode} of {subject} ({ecosystem.value}):"]
-    lines += [f"  {entry} (path {list(nodes[entry].path)})" for entry in members] or ["  (empty)"]
-    return EXIT_OK, _text_report(lines)
+    artifacts = [Occurrence(entry, nodes[entry].path) for entry in members]
+    return EXIT_OK, {"mode": mode, "subject": subject, "artifacts": artifacts}
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_check(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     repo, resolution = _load_resolution(args)
     classpath = build_classpath(resolution.tree, Ecosystem.MAVEN)
     inventories = inventory_all(repo, classpath)
@@ -470,20 +469,14 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
         else:
             verdicts.append(check_modules(inventories, args.root_module))
     code = EXIT_OK if all(verdict.passed for verdict in verdicts) else EXIT_MITIGATION_FAILED
-    if args.format == "json":
-        payload = {"verdicts": verdicts}
-        return code, _json_report("check", _inputs(args), payload)
-    return code, _text_report([line for verdict in verdicts for line in _verdict_lines(verdict)])
+    return code, {"verdicts": verdicts}
 
 
-def cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_compare(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     repo, resolution = _load_resolution(args)
     inventories = inventory_all(repo, build_classpath(resolution.tree, Ecosystem.MAVEN))
     comparison = compare_ecosystems(resolution.tree, inventories)
-    if args.format == "json":
-        payload = {"classes": comparison.entries}
-        return EXIT_OK, _json_report("compare", _inputs(args), payload)
-    return EXIT_OK, _text_report(_comparison_lines(comparison))
+    return EXIT_OK, {"classes": comparison.entries}
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +565,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: no repository given (--repo or ${REPO_ENV_VAR})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        code, output = args.handler(args)
+        code, payload = args.handler(args)
+        inputs = _inputs(args)
+        if args.format == "json":
+            output = _json_report(args.command, inputs, payload)
+        else:
+            output = "\n".join(_TEXT_VIEWS[args.command](payload, inputs)) + "\n"
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION_ERROR

@@ -41,54 +41,46 @@ class ClassInventory(NamedTuple):
     sealed_packages: frozenset[str] = frozenset()
 
 
-def _entry_to_class_name(entry: str) -> str:
+def _entry_to_class_name(path: Path, entry: str) -> str:
     dotted = entry[: -len(".class")].replace("/", ".")
     if not CLASS_NAME.fullmatch(dotted):
-        raise InvalidEntryName(f"entry {entry!r} is not convertible to a class name")
+        raise InvalidEntryName(f"{path}: entry {entry!r} is not convertible to a class name")
     return dotted
 
 
-def _unfold_manifest(text: str) -> list[str]:
-    # Manifest values wrap at 72 bytes; a continuation line starts with one space.
+def _sealed_packages(manifest_text: str, classes: tuple[str, ...]) -> frozenset[str]:
+    """The packages the JVM seals, decided as ``URLClassLoader.isSealed`` does.
+
+    A package's ``Sealed`` value comes from its own ``Name: <pkg>/`` section
+    when that section has one, and from the main section otherwise; attribute
+    names and the value ``true`` are case-insensitive. Only named packages
+    can be sealed: those of the classes and those the sections name. Values
+    wrap at 72 bytes, and a continuation line starts with one space.
+    """
     lines: list[str] = []
-    for raw in text.splitlines():
+    for raw in manifest_text.splitlines():
         if raw.startswith(" ") and lines:
             lines[-1] += raw[1:]
         else:
             lines.append(raw)
-    return lines
-
-
-def _manifest_sections(lines: list[str]) -> list[dict[str, str]]:
-    chunks: list[list[str]] = [[]]
+    sections: list[dict[str, str]] = [{}]  # the main section, then one per blank line
     for line in lines:
-        if not line.strip():
-            if chunks[-1]:
-                chunks.append([])
-            continue
-        chunks[-1].append(line)
-    sections: list[dict[str, str]] = []
-    for chunk in chunks:
-        attributes: dict[str, str] = {}
-        for line in chunk:
-            key, sep, value = line.partition(":")
-            if sep:
-                attributes[key.strip()] = value.strip()
-        sections.append(attributes)
-    return sections
-
-
-def _sealed_packages(manifest_text: str, classes: tuple[str, ...]) -> frozenset[str]:
-    sections = _manifest_sections(_unfold_manifest(manifest_text))
-    main = sections[0] if sections else {}
-    sealed: set[str] = set()
-    if main.get("Sealed", "").lower() == "true":
-        sealed.update(map(package_of, classes))
+        key, sep, value = line.partition(":")
+        if sep:
+            sections[-1][key.strip().lower()] = value.strip()
+        elif not line.strip():
+            sections.append({})
+    main = sections[0].get("sealed", "")
+    values: dict[str, str] = {}  # package -> its Sealed value
+    if main.lower() == "true":  # else only a package's own section can seal it
+        values = {package_of(name): main for name in classes if "." in name}
     for section in sections[1:]:
-        name = section.get("Name", "")
-        if name.endswith("/") and section.get("Sealed", "").lower() == "true":
-            sealed.add(name.rstrip("/").replace("/", "."))
-    return frozenset(sealed)
+        name = section.get("name", "")
+        if name.endswith("/") and "." not in name:
+            package = name[:-1].replace("/", ".")  # sections of one name merge
+            values[package] = section.get("sealed", values.get(package, main))
+    return frozenset(package for package, value in values.items()
+                     if package and value.lower() == "true")
 
 
 def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
@@ -130,7 +122,7 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
 
     # an archive may repeat an entry name; the first occurrence stands
     classes = tuple(dict.fromkeys(
-        _entry_to_class_name(name)
+        _entry_to_class_name(path, name)
         for name in names
         if name.endswith(".class") and not name.startswith("META-INF/")
         and name != _MODULE_INFO and not name.endswith("/" + _MODULE_INFO)

@@ -89,14 +89,18 @@ def load_allowlist(path: Path | str) -> tuple[str, ...]:
     The file is read as a POM is, by ``pom.read_text_file``: a FIFO, a device
     or more than ``ALLOWLIST_LIMIT`` bytes raises ``IoFailure``. Each pattern
     is checked by ``compile_pattern`` as it is read, so a malformed one raises
-    ``InvalidPattern`` whichever rules run.
+    ``InvalidPattern``, naming ``<path>:<line>``, whichever rules run.
     """
-    text = read_text_file(Path(path), ALLOWLIST_LIMIT)
+    path = Path(path)
+    text = read_text_file(path, ALLOWLIST_LIMIT)
     patterns: list[str] = []
-    for raw in text.splitlines():
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            compile_pattern(line)
+            try:
+                compile_pattern(line)
+            except InvalidPattern as exc:
+                raise InvalidPattern(f"{path}:{line_number}: {exc}") from exc
             patterns.append(line)
     return tuple(patterns)
 

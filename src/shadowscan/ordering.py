@@ -26,7 +26,6 @@ class Classpath(NamedTuple):
     always wins lookups against its dependencies.
     """
 
-    ecosystem: Ecosystem
     entries: tuple[Coordinate, ...]
 
 
@@ -39,7 +38,7 @@ def build_classpath(tree: ResolvedTree, ecosystem: Ecosystem) -> Classpath:
     nodes = [node for node in tree.nodes[1:] if node.included]
     if ecosystem is Ecosystem.MAVEN:
         nodes.sort(key=attrgetter("path"))
-    return Classpath(ecosystem, tuple(node.coordinate for node in nodes))
+    return Classpath(tuple(node.coordinate for node in nodes))
 
 
 class PackagingLayout(NamedTuple):

@@ -411,6 +411,34 @@ def reference_inspect_classlist(path: Path, coordinate: Coordinate) -> ClassInve
     return ClassInventory(coordinate, tuple(classes), frozenset(sealed))
 
 
+def reference_is_sealed(manifest_text: str, package: str) -> bool:
+    """``URLClassLoader.isSealed`` for a package, over the manifest as the JDK reads it.
+
+    Continuation lines are joined first. The main section runs to the first
+    blank line; each later section is keyed by its ``Name``, and sections of
+    one name merge, the later value winning. Attribute names are
+    case-insensitive. The section of ``org.x`` is ``Name: org/x/``; its
+    ``Sealed`` value wins over the main section's. The JVM checks sealing
+    only for classes whose name holds a ``.``, so the unnamed package is
+    never sealed.
+    """
+    text = manifest_text.replace("\r\n", "\n").replace("\r", "\n").replace("\n ", "")
+    main_text, _, rest = ("\n" + text).partition("\n\n")  # a first blank line ends main
+
+    def attributes(block: str) -> dict[str, str]:
+        pairs = (line.split(":", 1) for line in block.split("\n") if ":" in line)
+        return {name.strip().lower(): value.strip() for name, value in pairs}
+
+    sections: dict[str, dict[str, str]] = {}
+    for block in rest.split("\n\n"):
+        section = attributes(block)
+        if "name" in section:
+            sections.setdefault(section["name"], {}).update(section)
+    own = sections.get(package.replace(".", "/") + "/", {})
+    value = own.get("sealed", attributes(main_text).get("sealed"))
+    return bool(package) and value is not None and value.lower() == "true"
+
+
 def reference_token_ok(value: str) -> bool:
     """Per-character rule for coordinate tokens: nonempty, no ':' and no whitespace."""
     return bool(value) and ":" not in value and not any(ch.isspace() for ch in value)

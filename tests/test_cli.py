@@ -279,7 +279,9 @@ class TestCheckCommand:
             capsys, "check", *ATTACK, "--rules", rules, "--allowlist", str(allowlist)
         )
         assert (code, out) == (1, "")
-        assert err == "error: 'org.test.*x': '*' may only appear as the final character\n"
+        assert err == (
+            f"error: {allowlist}:1: 'org.test.*x': '*' may only appear as the final character\n"
+        )
 
 
 class TestCompareCommand:

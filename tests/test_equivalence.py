@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from random import Random
@@ -23,7 +24,7 @@ from shadowscan.analysis import (
     effective_classes,
 )
 from shadowscan.cli import _json_report
-from shadowscan.inventory import inspect_classlist
+from shadowscan.inventory import inspect_classlist, inspect_jar
 from shadowscan.errors import InvalidClassName, InvalidCoordinate
 from shadowscan.mitigations import (
     DuplicateClassViolation,
@@ -54,6 +55,7 @@ from tests.helpers import (
     reference_conflicts_payload,
     reference_dfs_order,
     reference_findings_payload,
+    reference_is_sealed,
     reference_inspect_classlist,
     reference_node_payload,
     reference_token_ok,
@@ -141,6 +143,60 @@ def test_class_list_reader_matches_the_per_line_reference(classlist_path, lines,
     classlist_path.write_bytes(text.encode("utf-8"))
     expected = read_or_error(reference_inspect_classlist, classlist_path)
     assert read_or_error(inspect_classlist, classlist_path) == expected
+
+
+# manifests: attribute names in any case, values that are and are not "true",
+# sections for packages with and without classes, for the unnamed package, for
+# a file and under a dotted name, repeated sections, CRLF, and lines wrapped
+# at any width
+PACKAGES = ["org", "org.nice", "org.nice.deep", "org.other"]
+CLASSES = st.lists(
+    st.tuples(st.sampled_from(PACKAGES + [""]), st.sampled_from(["A", "B$C"])).map(
+        lambda parts: ".".join(filter(None, parts))
+    ),
+    unique=True,
+    max_size=6,
+)
+ATTRIBUTES = st.lists(st.tuples(
+    st.sampled_from(["Sealed", "sealed", "SEALED", "Manifest-Version", "Created-By"]),
+    st.sampled_from(["true", "TRUE", "True", "false", "yes", "1.0", ""]),
+), max_size=3)
+# the section name of each package, the unnamed one and one without classes included
+PACKAGE_SECTIONS = {package.replace(".", "/") + "/": package for package in PACKAGES}
+PACKAGE_SECTIONS.update({"/": "", "com/unused/": "com.unused"})
+SECTION_NAMES = st.sampled_from([*PACKAGE_SECTIONS, "org/nice/A.class", "org.nice/"])
+SECTIONS = st.lists(
+    st.tuples(st.sampled_from(["Name", "name", "NAME"]), SECTION_NAMES, ATTRIBUTES), max_size=4
+)
+
+
+def manifest_lines(attributes, width):
+    for name, value in attributes:
+        line = f"{name}: {value}"
+        yield line[:width]
+        yield from (" " + line[start:start + width] for start in range(width, len(line), width))
+
+
+@pytest.fixture(scope="module")
+def jar_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("jar") / "artifact.jar"
+
+
+@settings(max_examples=300)
+@given(CLASSES, ATTRIBUTES, SECTIONS, st.integers(1, 30), st.sampled_from(["\n", "\r\n"]))
+def test_jar_sealing_matches_the_jvm_reference(jar_path, classes, main, sections, width, newline):
+    lines = list(manifest_lines(main, width))
+    for name_key, name, attributes in sections:
+        lines += ["", *manifest_lines([(name_key, name), *attributes], width)]
+    manifest = newline.join(lines) + newline
+    with zipfile.ZipFile(jar_path, "w") as archive:
+        archive.writestr("META-INF/MANIFEST.MF", manifest)
+        for name in classes:
+            archive.writestr(name.replace(".", "/") + ".class", b"")
+    named = {PACKAGE_SECTIONS[name] for _, name, _ in sections if name in PACKAGE_SECTIONS}
+    candidates = {name.rpartition(".")[0] for name in classes} | named
+    expected = {package for package in candidates if reference_is_sealed(manifest, package)}
+    assert inspect_jar(jar_path, Coordinate.of("g", "a", "1")).sealed_packages == expected
 
 
 @given(NAMES)

@@ -91,6 +91,12 @@ class TestInspectJar:
         with pytest.raises(InvalidEntryName):
             inspect_jar(jar, COORD)
 
+    def test_a_bad_entry_name_names_the_archive(self, tmp_path):
+        jar = make_jar(tmp_path / "a.jar", ["a b/C.class"])
+        with pytest.raises(InvalidEntryName) as excinfo:
+            inspect_jar(jar, COORD)
+        assert str(excinfo.value) == f"{jar}: entry 'a b/C.class' is not convertible to a class name"
+
     def test_not_a_zip(self, tmp_path):
         bogus = tmp_path / "a.jar"
         bogus.write_bytes(b"definitely not an archive")
@@ -142,6 +148,28 @@ class TestManifestSealing:
             tmp_path / "a.jar",
             ["org/nice/A.class", "org/other/B.class"],
             manifest=manifest,
+        )
+        assert inspect_jar(jar, COORD).sealed_packages == frozenset({"org.nice"})
+
+    def test_a_package_section_overrides_the_main_attribute(self, tmp_path):
+        manifest = "Manifest-Version: 1.0\nSealed: true\n\nName: org/other/\nSealed: false\n"
+        jar = make_jar(
+            tmp_path / "a.jar",
+            ["org/nice/A.class", "org/other/B.class"],
+            manifest=manifest,
+        )
+        assert inspect_jar(jar, COORD).sealed_packages == frozenset({"org.nice"})
+
+    def test_attribute_names_are_case_insensitive(self, tmp_path):
+        jar = make_jar(tmp_path / "a.jar", ["org/nice/A.class"], manifest="sealed: true\n")
+        assert inspect_jar(jar, COORD).sealed_packages == frozenset({"org.nice"})
+
+    def test_the_unnamed_package_is_never_sealed(self, tmp_path):
+        # the JVM checks sealing only for classes whose name holds a "."
+        jar = make_jar(
+            tmp_path / "a.jar",
+            ["Main.class", "org/nice/A.class"],
+            manifest="Manifest-Version: 1.0\nSealed: true\n",
         )
         assert inspect_jar(jar, COORD).sealed_packages == frozenset({"org.nice"})
 

@@ -59,6 +59,20 @@ class TestPatterns:
         path.write_text("# expected collisions\n\norg.test.*\norg.other.Exact\n", encoding="utf-8")
         assert load_allowlist(path) == ("org.test.*", "org.other.Exact")
 
+    def test_a_malformed_allowlist_line_is_named(self, tmp_path):
+        path = tmp_path / "allow.txt"
+        path.write_text("# expected collisions\n\norg.*.test\n", encoding="utf-8")
+        message = f"{path}:3: 'org.*.test': '*' may only appear as the final character"
+        with pytest.raises(InvalidPattern) as excinfo:
+            load_allowlist(path)
+        assert str(excinfo.value) == message
+
+    def test_a_raw_malformed_pattern_keeps_the_bare_message(self):
+        class_map = effective_classes([])
+        with pytest.raises(InvalidPattern) as excinfo:
+            check_ban_duplicate_classes(class_map, ["org.*.test"])
+        assert str(excinfo.value) == "'org.*.test': '*' may only appear as the final character"
+
     def test_an_allowlist_one_byte_over_the_cap_is_refused(self, tmp_path):
         path = tmp_path / "allow.txt"
         with path.open("wb") as file:
