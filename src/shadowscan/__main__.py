@@ -1,6 +1,4 @@
-import sys
-
-from shadowscan.cli import main
+from shadowscan.cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,7 +6,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from functools import cache, partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -93,11 +92,12 @@ _DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
 @cache
 def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
     """Quoted member names and getters of a record's JSON object, in key order."""
-    if is_dataclass(cls):
+    names = getattr(cls, "_fields", None)
+    if names is None and hasattr(cls, "__dataclass_fields__"):
+        # no import at start-up: a dataclass exists only once dataclasses is loaded
+        from dataclasses import fields
         names = [field.name for field in fields(cls)]
-    elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
-        names = cls._fields
-    else:
+    if names is None:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     getters = {name: attrgetter(name) for name in names}
     getters.update(_DERIVED_MEMBERS.get(cls, {}))
@@ -194,9 +194,10 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
 def _json_text(document: Any) -> str:
     """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
 
-    A record (a dataclass or a NamedTuple) is written as the object of its
-    fields plus its ``_DERIVED_MEMBERS``, never as an array; a ``str``
-    subclass such as a ``Coordinate`` as its string. An array of records of
+    A record (a NamedTuple or another class with ``_fields``, or a
+    dataclass) is written as the object of its fields plus its
+    ``_DERIVED_MEMBERS``, never as an array; a ``str`` subclass such as a
+    ``Coordinate`` as its string. An array of records of
     one class with only scalar or scalar-array members is written column by
     column by ``_record_array_text``, to the same text.
     Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
@@ -388,9 +389,9 @@ _TEXT_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], list[str]]] = 
     "resolve": lambda payload, inputs: (
         _tree_lines(payload["tree"]) + [""] + _conflict_lines(payload["conflicts"])
     ),
-    "classpath": _classpath_lines,
+    "classpath": lambda payload, inputs: _classpath_lines(payload, inputs),
     "scan": lambda payload, inputs: _finding_lines(payload["findings"]),
-    "hijack": _hijack_lines,
+    "hijack": lambda payload, inputs: _hijack_lines(payload, inputs),
     "check": lambda payload, inputs: [
         line for verdict in payload["verdicts"] for line in _verdict_lines(verdict)
     ],
@@ -584,6 +585,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return code
+
+
+def run() -> NoReturn:
+    """The command-line entry point: ``main`` on ``sys.argv``, then end the process.
+
+    Once the report is written and both streams are flushed, the process
+    ends with ``os._exit``, which skips the interpreter's teardown of every
+    object that a run made. argparse's ``SystemExit`` and an uncaught
+    exception still take the normal exit path.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 def _write_stdout(text: str) -> None:

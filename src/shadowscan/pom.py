@@ -7,7 +7,6 @@ import os
 import re
 import stat
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
@@ -77,33 +76,40 @@ def _warn(message: str, *args: object) -> None:
 
 def _local_name(tag: str) -> str:
     # ElementTree encodes namespaces as "{uri}local"; match the local part only.
-    return tag.rsplit("}", 1)[-1]
+    return tag.rpartition("}")[2]
 
 
-def _find_text(element: ET.Element, name: str) -> str | None:
+def _children(element: ET.Element) -> tuple[list[str], dict[str, ET.Element]]:
+    """The local names of an element's children in order, and the first child of each name."""
+    names: list[str] = []
+    first: dict[str, ET.Element] = {}
     for child in element:
-        if _local_name(child.tag) == name:
-            return (child.text or "").strip()
-    return None
+        name = _local_name(child.tag)
+        names.append(name)
+        if name not in first:
+            first[name] = child
+    return names, first
 
 
-def _read_coordinate(element: ET.Element, where: str, prefix: str) -> Coordinate:
-    values: dict[str, str] = {}
+def _read_coordinate(children: dict[str, ET.Element], where: str, prefix: str) -> Coordinate:
+    values: list[str] = []
     for name in ("groupId", "artifactId", "version"):
-        text = _find_text(element, name)
+        child = children.get(name)
+        text = "" if child is None else (child.text or "").strip()
         if not text:
             raise MissingCoordinate(f"{where}: missing or empty <{name}>")
         if "${" in text:
             _warn("%s%s: property placeholder %r is not interpolated", prefix, where, text)
-        values[name] = text
-    return Coordinate.of(values["groupId"], values["artifactId"], values["version"])
+        values.append(text)
+    return Coordinate.of(*values)
 
 
 def parse_pom(xml_text: str, source: str = "") -> PomDocument:
     """Parse the supported POM subset into a document.
 
     Only ``project``, ``groupId``, ``artifactId``, ``version``,
-    ``dependencies``, and ``dependency`` elements carry meaning. Namespaces
+    ``dependencies``, and ``dependency`` elements carry meaning; where one
+    element holds several of the first five, the first counts. Namespaces
     are ignored. ``dependencyManagement``, ``profiles``, ``properties``, and
     per-dependency ``exclusions`` are ignored with a warning; other unknown
     elements are ignored silently. A group:artifact declared twice raises
@@ -117,24 +123,22 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
         raise MalformedXml(f"not well-formed XML: {exc}") from exc
     if _local_name(root.tag) != "project":
         raise MalformedXml(f"root element must be <project>, got <{_local_name(root.tag)}>")
-    coordinate = _read_coordinate(root, "project", prefix)
-    for child in root:
-        name = _local_name(child.tag)
+    names, children = _children(root)
+    coordinate = _read_coordinate(children, "project", prefix)
+    for name in names:
         if name in _IGNORED_PROJECT_ELEMENTS:
             _warn("%sproject %s: ignoring <%s>", prefix, coordinate, name)
 
     dependencies: list[Coordinate] = []
-    sections = [child for child in root if _local_name(child.tag) == "dependencies"]
-    if sections:
-        dependency_elements = [
-            child for child in sections[0] if _local_name(child.tag) == "dependency"
-        ]
-        for index, element in enumerate(dependency_elements):
+    section = children.get("dependencies")
+    if section is not None:
+        elements = [child for child in section if _local_name(child.tag) == "dependency"]
+        for index, element in enumerate(elements):
+            names, children = _children(element)
             where = f"dependency #{index} of {coordinate}"
-            dep_coordinate = _read_coordinate(element, where, prefix)
-            for child in element:
-                if _local_name(child.tag) == "exclusions":
-                    _warn("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
+            dep_coordinate = _read_coordinate(children, where, prefix)
+            for _ in range(names.count("exclusions")):
+                _warn("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
             dependencies.append(dep_coordinate)
     seen: set[str] = set()
     for dependency in dependencies:
@@ -149,7 +153,6 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
 _ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENAMETOOLONG})
 
 
-@dataclass(frozen=True)
 class RepositoryEntry:
     """One artifact version on disk, found at its coordinate's path.
 
@@ -161,8 +164,9 @@ class RepositoryEntry:
     kept on the entry.
     """
 
-    coordinate: Coordinate
-    pom_path: Path
+    def __init__(self, coordinate: Coordinate, pom_path: Path) -> None:
+        self.coordinate = coordinate
+        self.pom_path = pom_path
 
     @cached_property
     def document(self) -> PomDocument:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,6 +10,7 @@ from random import Random
 from types import ModuleType
 from typing import Any, Mapping, Sequence
 
+from shadowscan import pom
 from shadowscan.analysis import (
     EcosystemComparison,
     EffectiveClassMap,
@@ -16,7 +18,14 @@ from shadowscan.analysis import (
     WinnerComparison,
     effective_classes,
 )
-from shadowscan.errors import DuplicateClassName, InvalidClassName, MissingContent
+from shadowscan.errors import (
+    DuplicateClassName,
+    DuplicateDeclaration,
+    InvalidClassName,
+    MalformedXml,
+    MissingContent,
+    MissingCoordinate,
+)
 from shadowscan.inventory import ClassInventory, inventory_all
 from shadowscan.mitigations import (
     DuplicateClassViolation,
@@ -361,6 +370,65 @@ def reference_dfs_order(tree: ResolvedTree, include_omitted: bool = True) -> lis
             out.append(node)
             stack.extend(reversed(node.children))
     return out
+
+
+def reference_parse_pom(xml_text: str, source: str = "") -> PomDocument:
+    """``parse_pom`` as a walk that scans an element's children once per name it looks for.
+
+    Warnings go through ``shadowscan.pom._warn``, looked up at each call, so
+    that a test can record them for both parsers alike.
+    """
+
+    def local_name(tag: str) -> str:
+        return tag.rsplit("}", 1)[-1]
+
+    def find_text(element: ET.Element, name: str) -> str | None:
+        for child in element:
+            if local_name(child.tag) == name:
+                return (child.text or "").strip()
+        return None
+
+    def read_coordinate(element: ET.Element, where: str) -> Coordinate:
+        values: dict[str, str] = {}
+        for name in ("groupId", "artifactId", "version"):
+            text = find_text(element, name)
+            if not text:
+                raise MissingCoordinate(f"{where}: missing or empty <{name}>")
+            if "${" in text:
+                pom._warn("%s%s: property placeholder %r is not interpolated", prefix, where, text)
+            values[name] = text
+        return Coordinate.of(values["groupId"], values["artifactId"], values["version"])
+
+    prefix = f"{source}: " if source else ""
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as exc:
+        raise MalformedXml(f"not well-formed XML: {exc}") from exc
+    if local_name(root.tag) != "project":
+        raise MalformedXml(f"root element must be <project>, got <{local_name(root.tag)}>")
+    coordinate = read_coordinate(root, "project")
+    for child in root:
+        name = local_name(child.tag)
+        if name in ("dependencyManagement", "profiles", "properties"):
+            pom._warn("%sproject %s: ignoring <%s>", prefix, coordinate, name)
+    dependencies: list[Coordinate] = []
+    sections = [child for child in root if local_name(child.tag) == "dependencies"]
+    if sections:
+        dependency_elements = [
+            child for child in sections[0] if local_name(child.tag) == "dependency"
+        ]
+        for index, element in enumerate(dependency_elements):
+            dep_coordinate = read_coordinate(element, f"dependency #{index} of {coordinate}")
+            for child in element:
+                if local_name(child.tag) == "exclusions":
+                    pom._warn("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
+            dependencies.append(dep_coordinate)
+    seen: set[str] = set()
+    for dependency in dependencies:
+        if dependency.ga in seen:
+            raise DuplicateDeclaration(f"{dependency.ga} declared more than once")
+        seen.add(dependency.ga)
+    return PomDocument(coordinate, tuple(dependencies))
 
 
 def reference_class_name_ok(value: str) -> bool:

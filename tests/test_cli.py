@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import errno
+import importlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from shadowscan import cli
 from shadowscan.analysis import ShadowFinding
 from shadowscan.cli import _MAX_NESTING, _json_report, main
 from shadowscan.errors import ReportTooDeep
@@ -628,8 +630,54 @@ def test_a_large_report_reaches_stdout_whole(large_scan):
     assert len(json.loads(result.stdout)["payload"]["findings"]) == 6000
 
 
-def test_importing_the_cli_loads_no_logging():
-    # parse warnings import logging on the first warning, so start-up never does
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", *ATTACK],
+        ["scan", *ATTACK, "--fail-on-shadow"],
+        ["resolve", "--repo", str(FIXTURES / "sample-app"), "--root", "g:missing:1"],
+    ],
+    ids=["check-fails", "scan-finds-shadows", "root-not-found"],
+)
+def test_the_module_entry_point_matches_main(capsysbinary, argv, output_format):
+    argv = [*argv, "--format", output_format]
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    result = subprocess.run(
+        [sys.executable, "-m", "shadowscan", *argv], capture_output=True,
+        env=stdout_child_env(False), timeout=60,
+    )
+    assert code in (2, 3, 4)
+    assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, captured.err)
+
+
+def test_the_entry_point_skips_teardown_only_after_main_returns():
+    # an exit handler runs in the interpreter's teardown, which os._exit skips
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'teardown', file=sys.stderr)\n"
+        "from shadowscan.cli import run\n"
+        "run()\n"
+    )
+    report = run_child("-c", script, "resolve", *SAMPLE)
+    assert (report.returncode, report.stderr) == (0, "")
+    assert report.stdout.startswith("com.example:Project:1.0\n")
+    usage = run_child("-c", script, "resolve", "--root", "g:a:1", "--max-depth", "x")
+    assert usage.returncode == 1
+    assert usage.stderr.endswith("teardown\n")
+
+
+def test_the_installed_command_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module_name, _, name = target["shadowscan"].partition(":")
+    entry = getattr(importlib.import_module(module_name), name)
+    assert callable(entry) and entry is cli.run
+
+
+def modules_added_by_importing_the_cli():
     result = run_child(
         "-c",
         "import json, sys\n"
@@ -640,7 +688,19 @@ def test_importing_the_cli_loads_no_logging():
     assert result.returncode == 0, result.stderr
     added = json.loads(result.stdout)
     assert "shadowscan.cli" in added
-    assert "logging" not in added
+    return added
+
+
+def test_importing_the_cli_loads_no_logging():
+    # parse warnings import logging on the first warning, so start-up never does
+    assert "logging" not in modules_added_by_importing_the_cli()
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, and with it ast, dis and tokenize
+    added = modules_added_by_importing_the_cli()
+    assert "dataclasses" not in added
+    assert "inspect" not in added
 
 
 def test_parse_warnings_reach_stderr_as_bare_lines(tmp_path):

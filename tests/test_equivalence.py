@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from random import Random
 from typing import Any, NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowscan import pom
 from shadowscan.analysis import (
     ShadowFinding,
     WinnerComparison,
@@ -25,7 +27,7 @@ from shadowscan.analysis import (
 )
 from shadowscan.cli import _json_report
 from shadowscan.inventory import inspect_classlist, inspect_jar
-from shadowscan.errors import InvalidClassName, InvalidCoordinate
+from shadowscan.errors import InvalidClassName, InvalidCoordinate, ShadowscanError
 from shadowscan.mitigations import (
     DuplicateClassViolation,
     SealedPackageViolation,
@@ -39,7 +41,7 @@ from shadowscan.model import (
     check_invariants,
 )
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
-from shadowscan.pom import fetch_pom
+from shadowscan.pom import fetch_pom, parse_pom
 from shadowscan.resolver import resolve
 from tests.helpers import (
     full_expansion_winners,
@@ -58,6 +60,7 @@ from tests.helpers import (
     reference_is_sealed,
     reference_inspect_classlist,
     reference_node_payload,
+    reference_parse_pom,
     reference_token_ok,
     reference_verdict_payload,
 )
@@ -210,6 +213,87 @@ def test_coordinate_token_rule_matches_the_per_character_reference(value):
         lambda token: Coordinate(f"g:a:{token}"),
     ):
         assert accepts(build, InvalidCoordinate, value) == reference_token_ok(value)
+
+
+# POMs: the coordinate elements shuffled, repeated or missing, with padded,
+# placeholder and now and then empty, invalid or element-only values;
+# repeated dependencies sections and coordinates from small pools, so that
+# some group:artifacts repeat; ignored and unknown elements; no, a default and
+# a prefixed namespace; a wrong root now and then, and truncated text
+COORDINATE_NAMES = ["groupId", "artifactId", "version"]
+POM_VALUES = {
+    name: st.sampled_from(valid * 6 + ["", "a b", "a:b", "<x/>g"])
+    for name, valid in [
+        ("groupId", ["g", "h", "  g\n", "${group}"]),
+        ("artifactId", ["a", "b", "c", "${artifact}"]),
+        ("version", ["1", "2", " 1 ", "${version}"]),
+    ]
+}
+NAMESPACES = ["", ' xmlns="http://maven.apache.org/POM/4.0.0"', ' xmlns:p="urn:p"',
+              ' xmlns="urn:x" xmlns:p="urn:p"']
+
+
+@st.composite
+def pom_texts(draw):
+    namespace = draw(st.sampled_from(NAMESPACES))
+    prefixes = st.sampled_from(["", "p:"] if "xmlns:p" in namespace else [""])
+
+    def element(name, body):
+        prefix = draw(prefixes)
+        return f"<{prefix}{name}>{body}</{prefix}{name}>"
+
+    def children(extras):
+        """The coordinate elements, each once in most draws, mixed into ``extras``."""
+        if draw(st.integers(0, 5)):
+            names = list(draw(st.permutations(COORDINATE_NAMES)))
+        else:
+            names = draw(st.lists(st.sampled_from(COORDINATE_NAMES), max_size=5))
+        parts = [element(name, draw(POM_VALUES[name])) for name in names]
+        for extra in extras:
+            parts.insert(draw(st.integers(0, len(parts))), extra)
+        return "".join(parts)
+
+    def dependency():
+        extras = draw(st.lists(st.sampled_from(["exclusions", "scope", "type"]), max_size=3))
+        return element("dependency", children([element(name, "") for name in extras]))
+
+    def section():
+        items = draw(st.lists(st.sampled_from(["dependency"] * 3 + ["other"]), max_size=5))
+        return element("dependencies", "".join(
+            dependency() if item == "dependency" else element("dependencyX", "") for item in items
+        ))
+
+    extras = [
+        section() if name == "dependencies" else element(name, "<x>1</x>")
+        for name in draw(st.lists(st.sampled_from(
+            ["dependencies", "dependencyManagement", "profiles", "properties", "modelVersion",
+             "dependency"]
+        ), max_size=4))
+    ]
+    if draw(st.booleans()):
+        extras.insert(0, section())
+    root_name = draw(st.sampled_from(["project"] * 9 + ["projects"]))
+    text = f"<{root_name}{namespace}>{children(extras)}</{root_name}>"
+    if not draw(st.integers(0, 19)):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def parsed(parse, text):
+    """The document or the error that ``parse`` gives, and the warnings it logs in order."""
+    warnings = []
+    with mock.patch.object(pom, "_warn", lambda message, *args: warnings.append(message % args)):
+        try:
+            result = parse(text, "pom.xml")
+        except ShadowscanError as exc:
+            result = (type(exc), str(exc))
+    return result, warnings
+
+
+@settings(max_examples=500)
+@given(pom_texts())
+def test_pom_parsing_matches_the_per_name_walk(text):
+    assert parsed(parse_pom, text) == parsed(reference_parse_pom, text)
 
 
 @given(st.randoms(use_true_random=False))

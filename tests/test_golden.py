@@ -53,6 +53,7 @@ COMMANDS = {
 }
 TEXT_RENDERERS = [
     "_tree_lines", "_conflict_lines", "_finding_lines", "_verdict_lines", "_comparison_lines",
+    "_classpath_lines", "_hijack_lines",
 ]
 JSON_RENDERERS = ["_json_report", "_json_text"]
 

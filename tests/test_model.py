@@ -140,6 +140,35 @@ class TestPomDocument:
         assert len(document.dependencies) == 2
 
 
+class TestResolvedNode:
+    def test_a_field_cannot_be_assigned_or_deleted(self):
+        node = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED)
+        for name in ResolvedNode._fields:
+            with pytest.raises(AttributeError):
+                setattr(node, name, ())
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        assert node == ResolvedNode(coord("g:a:1"), (), 0, INCLUDED)
+
+    def test_equality_hash_and_repr_leave_the_children_out(self):
+        bare = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED)
+        parent = ResolvedNode(coord("g:a:1"), (), 0, INCLUDED, (bare,))
+        assert (parent, hash(parent), repr(parent)) == (bare, hash(bare), repr(bare))
+        assert repr(bare) == (
+            "ResolvedNode(coordinate='g:a:1', path=(), bfs_index=0, status=Included())"
+        )
+        others = [
+            ResolvedNode(coord("g:a:2"), (), 0, INCLUDED),
+            ResolvedNode(coord("g:a:1"), (0,), 0, INCLUDED),
+            ResolvedNode(coord("g:a:1"), (), 1, INCLUDED),
+            ResolvedNode(coord("g:a:1"), (), 0, OmittedConflict(coord("g:a:2"))),
+        ]
+        assert all(other != bare for other in others)
+        assert bare != (coord("g:a:1"), (), 0, INCLUDED)
+
+
 class TestFullyQualifiedClassName:
     """A class name is a plain ``str`` that ``check_class_name`` accepts."""
 
