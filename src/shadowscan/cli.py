@@ -93,10 +93,6 @@ _DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
 def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
     """Quoted member names and getters of a record's JSON object, in key order."""
     names = getattr(cls, "_fields", None)
-    if names is None and hasattr(cls, "__dataclass_fields__"):
-        # no import at start-up: a dataclass exists only once dataclasses is loaded
-        from dataclasses import fields
-        names = [field.name for field in fields(cls)]
     if names is None:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     getters = {name: attrgetter(name) for name in names}
@@ -194,12 +190,11 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
 def _json_text(document: Any) -> str:
     """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
 
-    A record (a NamedTuple or another class with ``_fields``, or a
-    dataclass) is written as the object of its fields plus its
-    ``_DERIVED_MEMBERS``, never as an array; a ``str`` subclass such as a
-    ``Coordinate`` as its string. An array of records of
-    one class with only scalar or scalar-array members is written column by
-    column by ``_record_array_text``, to the same text.
+    A record (a NamedTuple or another class with ``_fields``) is written as
+    the object of its fields plus its ``_DERIVED_MEMBERS``, never as an
+    array; a ``str`` subclass such as a ``Coordinate`` as its string. An
+    array of records of one class with only scalar or scalar-array members
+    is written column by column by ``_record_array_text``, to the same text.
     Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
     """
     parts: list[str] = []

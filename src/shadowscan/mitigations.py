@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from shadowscan.analysis import EffectiveClassMap
 from shadowscan.errors import InvalidClassName, InvalidPattern
@@ -52,8 +52,8 @@ class MitigationVerdict(NamedTuple):
         return not self.violations
 
 
-def compile_pattern(pattern: str) -> Callable[[str], bool]:
-    """Validate an allowlist pattern and return its matcher.
+def check_pattern(pattern: str) -> str:
+    """Return an allowlist pattern unchanged if it is valid; raise ``InvalidPattern`` if not.
 
     Three forms are supported: an exact class name, a package prefix such as
     ``org.test.*`` (matching everything under the package), and a trailing
@@ -71,9 +71,9 @@ def compile_pattern(pattern: str) -> Callable[[str], bool]:
             _require_dotted(dotted, pattern)
         elif prefix:
             raise InvalidPattern(f"{pattern!r} has an empty package prefix")
-        return lambda name: name.startswith(prefix)
-    _require_dotted(pattern, pattern)
-    return lambda name: name == pattern
+    else:
+        _require_dotted(pattern, pattern)
+    return pattern
 
 
 def _require_dotted(value: str, pattern: str) -> None:
@@ -88,8 +88,8 @@ def load_allowlist(path: Path | str) -> tuple[str, ...]:
 
     The file is read as a POM is, by ``pom.read_text_file``: a FIFO, a device
     or more than ``ALLOWLIST_LIMIT`` bytes raises ``IoFailure``. Each pattern
-    is checked by ``compile_pattern`` as it is read, so a malformed one raises
-    ``InvalidPattern``, naming ``<path>:<line>``, whichever rules run.
+    is checked by ``check_pattern`` as it is read; a malformed one raises its
+    ``InvalidPattern`` message behind ``<path>:<line>: ``, whichever rules run.
     """
     path = Path(path)
     text = read_text_file(path, ALLOWLIST_LIMIT)
@@ -98,10 +98,9 @@ def load_allowlist(path: Path | str) -> tuple[str, ...]:
         line = raw.strip()
         if line and not line.startswith("#"):
             try:
-                compile_pattern(line)
+                patterns.append(check_pattern(line))
             except InvalidPattern as exc:
                 raise InvalidPattern(f"{path}:{line_number}: {exc}") from exc
-            patterns.append(line)
     return tuple(patterns)
 
 
@@ -112,12 +111,15 @@ def check_ban_duplicate_classes(
 
     Collisions are sometimes expected (artifacts that were split or
     repackaged), hence the allowlist; left empty this is the strict CI gate.
+    A class is allowed if it equals an exact pattern or starts with a ``*`` pattern's prefix.
     """
-    matchers = [compile_pattern(pattern) for pattern in allowlist]
+    patterns = [check_pattern(pattern) for pattern in allowlist]
+    exact = {pattern for pattern in patterns if not pattern.endswith("*")}
+    prefixes = tuple(pattern[:-1] for pattern in patterns if pattern.endswith("*"))
     violations = [
         DuplicateClassViolation(class_name, binding.winner, binding.shadowed)
         for class_name, binding in class_map.bindings.items()
-        if binding.shadowed and not any(match(class_name) for match in matchers)
+        if binding.shadowed and class_name not in exact and not class_name.startswith(prefixes)
     ]
     violations.sort(key=attrgetter("class_name"))
     return MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, tuple(violations))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from types import ModuleType
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from shadowscan import pom
 from shadowscan.analysis import (
@@ -510,6 +510,14 @@ def reference_is_sealed(manifest_text: str, package: str) -> bool:
 def reference_token_ok(value: str) -> bool:
     """Per-character rule for coordinate tokens: nonempty, no ':' and no whitespace."""
     return bool(value) and ":" not in value and not any(ch.isspace() for ch in value)
+
+
+def reference_allowed(name: str, patterns: Iterable[str]) -> bool:
+    """Per-pattern allowlist rule: ``name`` equals a pattern or starts with one less its ``*``."""
+    return any(
+        name.startswith(pattern[:-1]) if pattern.endswith("*") else name == pattern
+        for pattern in patterns
+    )
 
 
 def reference_check_sealed(

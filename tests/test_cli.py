@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -778,6 +779,13 @@ class Pair(tuple):
     """A tuple subclass without ``_fields``: not a record, so not JSON."""
 
 
+@dataclass(frozen=True)
+class Point:
+    """A dataclass names no ``_fields``: not a record, so not JSON."""
+
+    x: int
+
+
 class TestJsonReport:
     @staticmethod
     def nested(pairs):
@@ -863,7 +871,7 @@ class TestJsonReport:
             },
         }
 
-    @pytest.mark.parametrize("value", [1.5, {1}, object(), b"bytes", Pair((1, 2))])
+    @pytest.mark.parametrize("value", [1.5, {1}, object(), b"bytes", Pair((1, 2)), Point(1)])
     def test_an_unsupported_type_is_rejected(self, value):
         with pytest.raises(TypeError):
             _json_report("resolve", {}, {"value": value})

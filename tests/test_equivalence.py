@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from random import Random
 from typing import Any, NamedTuple
@@ -26,7 +25,7 @@ from shadowscan.analysis import (
     effective_classes,
 )
 from shadowscan.cli import _json_report
-from shadowscan.inventory import inspect_classlist, inspect_jar
+from shadowscan.inventory import ClassInventory, inspect_classlist, inspect_jar
 from shadowscan.errors import InvalidClassName, InvalidCoordinate, ShadowscanError
 from shadowscan.mitigations import (
     DuplicateClassViolation,
@@ -49,6 +48,7 @@ from tests.helpers import (
     random_conflict_repo,
     random_inventories,
     random_tree,
+    reference_allowed,
     reference_check_modules,
     reference_check_sealed,
     reference_class_name_ok,
@@ -313,6 +313,47 @@ def test_check_modules_matches_the_list_reference(rng, root_is_module):
     )
 
 
+# dotted names over few short segments, so that names share prefixes and
+# packages and a pattern drawn from one name often covers another
+SEGMENTS = st.sampled_from(["a", "ab", "b", "A", "Ab", "B"])
+CLASS_NAMES = st.lists(SEGMENTS, min_size=1, max_size=4).map(".".join)
+
+
+@st.composite
+def allowlist_patterns(draw):
+    """An exact name, a ``pkg.*``, a ``pkg.Name*`` or, rarely, a bare ``*``, which allows all."""
+    name = draw(CLASS_NAMES)
+    package, _, simple = name.rpartition(".")
+    form = draw(st.sampled_from(["exact", "package", "name-prefix"] * 3 + ["star"]))
+    if form == "star":
+        return "*"
+    if form == "package" and package:
+        return package + ".*"
+    if form == "name-prefix":
+        return name[: len(name) - len(simple) + draw(st.integers(1, len(simple)))] + "*"
+    return name
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.lists(CLASS_NAMES, unique=True, max_size=12), min_size=1, max_size=4),
+    st.lists(allowlist_patterns(), max_size=6),
+)
+def test_allowlist_matching_matches_the_per_pattern_reference(provided, patterns):
+    inventories = [
+        ClassInventory(Coordinate.of("org.gen", f"art{n}", "1.0"), tuple(names), frozenset())
+        for n, names in enumerate(provided)
+    ]
+    class_map = effective_classes(inventories)
+    expected = tuple(
+        DuplicateClassViolation(name, binding.winner, binding.shadowed)
+        for name, binding in sorted(class_map.bindings.items())
+        if binding.shadowed and not reference_allowed(name, patterns)
+    )
+    verdict = check_ban_duplicate_classes(class_map, patterns)
+    assert typed(verdict.violations) == typed(expected)
+
+
 @given(st.randoms(use_true_random=False))
 def test_compare_ecosystems_matches_the_two_map_reference(rng):
     tree = random_tree(rng, max_depth=4, max_children=3)
@@ -359,10 +400,14 @@ class Row(NamedTuple):
     extra: Any = None
 
 
-@dataclass(frozen=True)
 class Cell:
-    label: Any
-    count: Any
+    """A record that is no tuple: a ``__slots__`` class that names ``_fields``, as ``ResolvedNode`` is."""
+
+    __slots__ = _fields = ("label", "count")
+
+    def __init__(self, label, count):
+        self.label = label
+        self.count = count
 
 
 class Blank(NamedTuple):
@@ -383,13 +428,9 @@ def expanded(value):
         return [expanded(item) for item in value]
     if kind is dict:
         return {key: expanded(item) for key, item in value.items()}
-    if is_dataclass(kind):
-        names = [field.name for field in fields(kind)]
-    elif isinstance(value, tuple) and hasattr(value, "_fields"):
-        names = list(kind._fields)
-    else:
+    if not hasattr(kind, "_fields"):
         raise TypeError(f"{kind.__name__} is not a report value")
-    names += DERIVED.get(kind, ())
+    names = [*kind._fields, *DERIVED.get(kind, ())]
     return {name: expanded(getattr(value, name)) for name in names}
 
 

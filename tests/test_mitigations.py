@@ -14,8 +14,8 @@ from shadowscan.mitigations import (
     MitigationRule,
     check_ban_duplicate_classes,
     check_modules,
+    check_pattern,
     check_sealed,
-    compile_pattern,
     load_allowlist,
 )
 from shadowscan.model import check_class_name
@@ -28,31 +28,49 @@ def inventory(text, *classes, sealed=()):
     )
 
 
+# each malformed pattern and the message it is refused with
+INVALID_PATTERNS = {
+    "": "empty pattern",
+    "org.*.test": "'org.*.test': '*' may only appear as the final character",
+    "*front": "'*front': '*' may only appear as the final character",
+    ".*": "'.*' has an empty package prefix",
+    "org..x": "'org..x' is not a valid class or package pattern",
+    "org.x *": "'org.x *' is not a valid class or package pattern",
+}
+
+
+def disallowed(allowlist, *names):
+    """Of ``names``, each shadowed in a second artifact, those ``allowlist`` leaves as violations."""
+    class_map = effective_classes([inventory("g:first:1", *names), inventory("g:second:1", *names)])
+    verdict = check_ban_duplicate_classes(class_map, allowlist)
+    return [violation.class_name for violation in verdict.violations]
+
+
 class TestPatterns:
     def test_exact_match(self):
-        match = compile_pattern("org.test.NiceClass")
-        assert match("org.test.NiceClass")
-        assert not match("org.test.NiceClassX")
+        names = ("org.test.NiceClass", "org.test.NiceClassX")
+        assert disallowed(["org.test.NiceClass"], *names) == ["org.test.NiceClassX"]
 
     def test_package_prefix(self):
-        match = compile_pattern("org.test.*")
-        assert match("org.test.NiceClass")
-        assert match("org.test.sub.Deep")
-        assert not match("org.testing.Other")
+        names = ("org.test.NiceClass", "org.test.sub.Deep", "org.testing.Other")
+        assert disallowed(["org.test.*"], *names) == ["org.testing.Other"]
 
     def test_final_segment_prefix(self):
-        match = compile_pattern("org.test.Nice*")
-        assert match("org.test.NiceClass")
-        assert match("org.test.NiceHelper")
-        assert not match("org.test.Other")
+        names = ("org.test.NiceClass", "org.test.NiceHelper", "org.test.Other")
+        assert disallowed(["org.test.Nice*"], *names) == ["org.test.Other"]
 
     def test_bare_star_matches_everything(self):
-        assert compile_pattern("*")("anything.at.All")
+        assert disallowed(["*"], "anything.at.All", "Top") == []
 
-    @pytest.mark.parametrize("pattern", ["", "org.*.test", "*front", ".*", "org..x", "org.x *"])
+    @pytest.mark.parametrize("pattern", ["org.test.NiceClass", "org.test.*", "org.test.Nice*", "*", "Top"])
+    def test_a_valid_pattern_is_returned_unchanged(self, pattern):
+        assert check_pattern(pattern) is pattern
+
+    @pytest.mark.parametrize("pattern", INVALID_PATTERNS)
     def test_invalid_patterns(self, pattern):
-        with pytest.raises(InvalidPattern):
-            compile_pattern(pattern)
+        with pytest.raises(InvalidPattern) as excinfo:
+            check_pattern(pattern)
+        assert str(excinfo.value) == INVALID_PATTERNS[pattern]
 
     def test_allowlist_file(self, tmp_path):
         path = tmp_path / "allow.txt"

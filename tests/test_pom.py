@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from shadowscan.cli import main
 from shadowscan.errors import (
     CoordinateMismatch,
     DuplicateDeclaration,
@@ -161,6 +162,24 @@ class TestParsePom:
         )
         document = parse_pom(text)
         assert str(document.dependencies[0]) == "x:y:1"
+
+    def test_a_close_brace_in_a_namespace_uri_is_refused_as_malformed(self, tmp_path, capsys):
+        # XML allows "}" in a namespace URI, but ElementTree's expat parser
+        # separates URI and local name with it and refuses the document; this
+        # pins that input error (exit 1, one line, no traceback) until it is mended
+        text = (
+            '<project xmlns="urn:a}b"><groupId>g</groupId><artifactId>a</artifactId>'
+            "<version>1</version></project>"
+        )
+        with pytest.raises(MalformedXml):
+            parse_pom(text)
+        make_repo(tmp_path, {"g:a:1": []})
+        pom = tmp_path / "g" / "a" / "1" / "pom.xml"
+        pom.write_text(text, encoding="utf-8")
+        code = main(["resolve", "--repo", str(tmp_path), "--root", "g:a:1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"error: {pom} (g:a:1): not well-formed XML: syntax error: line 1, column 0\n"
 
     def test_unknown_elements_ignored_silently(self, caplog):
         text = (
