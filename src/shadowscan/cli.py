@@ -6,13 +6,14 @@ import argparse
 import errno
 import os
 import sys
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from shadowscan.analysis import (
+    EffectiveClassMap,
     ShadowFinding,
     WinnerComparison,
     compare_ecosystems,
@@ -31,7 +32,7 @@ from shadowscan.errors import (
     UnresolvableDependency,
 )
 # load_inventory is unused here but stays bound: shadowbench/spans.py wraps cli.load_inventory
-from shadowscan.inventory import inventory_all, load_inventory
+from shadowscan.inventory import ClassInventory, inventory_all, load_inventory
 from shadowscan.mitigations import (
     DuplicateClassViolation,
     MitigationRule,
@@ -50,7 +51,7 @@ from shadowscan.model import (
     OmittedDuplicate,
     ResolvedNode,
 )
-from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
+from shadowscan.ordering import Classpath, Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import Repository, fetch_pom, load_repository
 from shadowscan.resolver import DEFAULT_MAX_DEPTH, Conflict, Occurrence, ResolutionReport, resolve
 
@@ -397,10 +398,35 @@ _TEXT_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], list[str]]] = 
 # ---------------------------------------------------------------------------
 # commands
 
-def _load_resolution(args: argparse.Namespace) -> tuple[Repository, ResolutionReport]:
-    repo = load_repository(args.repo)
-    root_document = fetch_pom(repo, Coordinate(args.root))
-    return repo, resolve(repo, root_document, max_depth=args.max_depth)
+class Run:
+    """One invocation's stage chain: each stage is computed once, on first use.
+
+    The stages call this module's names, so a tracer that rebinds them here sees every call.
+    """
+
+    def __init__(self, repo: os.PathLike[str] | str, root: str,
+                 max_depth: int = DEFAULT_MAX_DEPTH, ecosystem: Ecosystem = Ecosystem.MAVEN) -> None:
+        self.path, self.root, self.max_depth, self.ecosystem = repo, root, max_depth, ecosystem
+
+    @cached_property
+    def repo(self) -> Repository:
+        return load_repository(self.path)
+
+    @cached_property
+    def resolution(self) -> ResolutionReport:
+        return resolve(self.repo, fetch_pom(self.repo, Coordinate(self.root)), max_depth=self.max_depth)
+
+    @cached_property
+    def classpath(self) -> Classpath:
+        return build_classpath(self.resolution.tree, self.ecosystem)
+
+    @cached_property
+    def inventories(self) -> list[ClassInventory]:
+        return inventory_all(self.repo, self.classpath)
+
+    @cached_property
+    def class_map(self) -> EffectiveClassMap:
+        return effective_classes(self.inventories)
 
 
 def _inputs(args: argparse.Namespace) -> dict[str, Any]:
@@ -409,70 +435,57 @@ def _inputs(args: argparse.Namespace) -> dict[str, Any]:
             if name not in ("command", "handler", "format")}
 
 
-# Each command returns its exit code and its payload; main renders the payload
-# in the requested format only.
+# Each command reads its stages from the run and returns its exit code and its
+# payload; main renders the payload in the requested format only.
 
-def cmd_resolve(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    _, resolution = _load_resolution(args)
-    return EXIT_OK, {"tree": resolution.tree.root, "conflicts": resolution.conflicts}
+def cmd_resolve(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    return EXIT_OK, {"tree": run.resolution.tree.root, "conflicts": run.resolution.conflicts}
 
 
-def cmd_classpath(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    _, resolution = _load_resolution(args)
-    classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
-    layout = None
-    if args.layout != "none":
-        layout = emit_layout(resolution.tree, LayoutMode(args.layout))
+def cmd_classpath(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    entries = run.classpath.entries
+    layout = None if args.layout == "none" else emit_layout(run.resolution.tree, LayoutMode(args.layout))
     return EXIT_OK, {"ecosystem": args.ecosystem, "root_precedes": True,
-                     "entries": classpath.entries, "layout": layout}
+                     "entries": entries, "layout": layout}
 
 
-def cmd_scan(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    repo, resolution = _load_resolution(args)
-    classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
-    inventories = inventory_all(repo, classpath)
-    findings = detect_shadowing(effective_classes(inventories), resolution.tree)
+def cmd_scan(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    findings = detect_shadowing(run.class_map, run.resolution.tree)
     code = EXIT_SHADOWS_FOUND if findings and args.fail_on_shadow else EXIT_OK
     return code, {"ecosystem": args.ecosystem, "findings": findings}
 
 
-def cmd_hijack(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    _, resolution = _load_resolution(args)
-    classpath = build_classpath(resolution.tree, Ecosystem(args.ecosystem))
-    nodes = included_nodes(resolution.tree)
+def cmd_hijack(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    tree, classpath = run.resolution.tree, run.classpath
+    nodes = included_nodes(tree)
     if args.attacker is not None:
         mode, subject = "reach", Coordinate(args.attacker)
-        members = hijack_reach(resolution.tree, classpath, subject)
+        members = hijack_reach(tree, classpath, subject)
     else:
         mode, subject = "surface", Coordinate(args.target)
-        members = hijack_surface(resolution.tree, classpath, subject)
+        members = hijack_surface(tree, classpath, subject)
     artifacts = [Occurrence(entry, nodes[entry].path) for entry in members]
     return EXIT_OK, {"mode": mode, "subject": subject, "artifacts": artifacts}
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    repo, resolution = _load_resolution(args)
-    classpath = build_classpath(resolution.tree, Ecosystem.MAVEN)
-    inventories = inventory_all(repo, classpath)
-    class_map = effective_classes(inventories)
+def cmd_check(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    # the class map is read before the allowlist: an artifact's error comes first
+    class_map = run.class_map
     allowlist = load_allowlist(args.allowlist) if args.allowlist else ()
     verdicts: list[MitigationVerdict] = []
     for rule in args.rules:
         if rule is MitigationRule.BAN_DUPLICATE_CLASSES:
             verdicts.append(check_ban_duplicate_classes(class_map, allowlist))
         elif rule is MitigationRule.SEALED_JARS:
-            verdicts.append(check_sealed(inventories, class_map))
+            verdicts.append(check_sealed(run.inventories, class_map))
         else:
-            verdicts.append(check_modules(inventories, args.root_module))
+            verdicts.append(check_modules(run.inventories, args.root_module))
     code = EXIT_OK if all(verdict.passed for verdict in verdicts) else EXIT_MITIGATION_FAILED
     return code, {"verdicts": verdicts}
 
 
-def cmd_compare(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    repo, resolution = _load_resolution(args)
-    inventories = inventory_all(repo, build_classpath(resolution.tree, Ecosystem.MAVEN))
-    comparison = compare_ecosystems(resolution.tree, inventories)
-    return EXIT_OK, {"classes": comparison.entries}
+def cmd_compare(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    return EXIT_OK, {"classes": compare_ecosystems(run.resolution.tree, run.inventories).entries}
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +520,12 @@ def _depth_argument(value: str) -> int:
     if depth < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
     return depth
+
+
+def _allowlist_argument(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must name a file, got ''")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("check", parents=[common], help="run mitigation checks")
     sub.add_argument("--rules", type=_rules_argument, default=tuple(_RULE_TOKENS.values()))
-    sub.add_argument("--allowlist", help="file of allowed collision patterns")
+    sub.add_argument("--allowlist", type=_allowlist_argument, help="file of allowed collision patterns")
     sub.add_argument("--root-module", action="store_true", dest="root_module")
     sub.set_defaults(handler=cmd_check)
 
@@ -560,8 +579,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.repo:
         print(f"error: no repository given (--repo or ${REPO_ENV_VAR})", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    # check and compare have no --ecosystem: they read the Maven classpath
+    run = Run(args.repo, args.root, args.max_depth, Ecosystem(getattr(args, "ecosystem", "maven")))
     try:
-        code, payload = args.handler(args)
+        code, payload = args.handler(run, args)
         inputs = _inputs(args)
         if args.format == "json":
             output = _json_report(args.command, inputs, payload)

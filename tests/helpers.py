@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from types import ModuleType
@@ -26,7 +25,7 @@ from shadowscan.errors import (
     MissingContent,
     MissingCoordinate,
 )
-from shadowscan.inventory import ClassInventory, inventory_all
+from shadowscan.inventory import ClassInventory
 from shadowscan.mitigations import (
     DuplicateClassViolation,
     MitigationRule,
@@ -46,9 +45,9 @@ from shadowscan.model import (
     check_class_name,
     package_of,
 )
-from shadowscan.ordering import Classpath, Ecosystem, build_classpath
-from shadowscan.pom import Repository, RepositoryEntry, fetch_pom, load_repository
-from shadowscan.resolver import ResolutionReport, resolve
+from shadowscan.ordering import Ecosystem, build_classpath
+from shadowscan.pom import Repository, RepositoryEntry
+from shadowscan.resolver import ResolutionReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SPANS = Path(__file__).resolve().parent.parent / "shadowbench" / "spans.py"
@@ -327,27 +326,6 @@ def first_provider_scan(
         providers = [inv.coordinate for inv in inventories if name in inv.classes]
         result[name] = (providers[0], tuple(providers[1:]))
     return result
-
-
-# ---------------------------------------------------------------------------
-# fixture pipeline
-
-@dataclass
-class Pipeline:
-    repo: Repository
-    resolution: ResolutionReport
-    classpath: Classpath
-    inventories: list[ClassInventory]
-    class_map: EffectiveClassMap
-
-
-def run_pipeline(fixture: str, root_text: str, ecosystem: Ecosystem = Ecosystem.MAVEN) -> Pipeline:
-    """Load a bundled fixture end to end, up to its effective class map."""
-    repo = load_repository(FIXTURES / fixture)
-    resolution = resolve(repo, fetch_pom(repo, coord(root_text)))
-    classpath = build_classpath(resolution.tree, ecosystem)
-    inventories = inventory_all(repo, classpath)
-    return Pipeline(repo, resolution, classpath, inventories, effective_classes(inventories))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from random import Random
 
 from shadowscan.analysis import detect_shadowing, effective_classes, hijack_surface
-from shadowscan.cli import main
+from shadowscan.cli import Run, main
 from shadowscan.mitigations import (
     check_ban_duplicate_classes,
     check_modules,
@@ -28,7 +28,6 @@ from tests.helpers import (
     random_conflict_repo,
     random_inventories,
     random_tree,
-    run_pipeline,
 )
 
 
@@ -95,8 +94,8 @@ def test_criterion_2_layout_reproduction():
 
 def test_criterion_3_declaration_order_sensitivity():
     with criterion(3, "declaration order flips the winning provider"):
-        safe = run_pipeline("poc-safe-order", "org.example:victim:1.0")
-        attack = run_pipeline("poc-attack-order", "org.example:victim:1.0")
+        safe = Run(FIXTURES / "poc-safe-order", "org.example:victim:1.0")
+        attack = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
         nice_class = "org.test.NiceClass"
         safe_winner = next(
             str(binding.winner)
@@ -114,8 +113,8 @@ def test_criterion_3_declaration_order_sensitivity():
 
 def test_criterion_4_database_driver_takeover():
     with criterion(4, "flattened parent takeover of the database driver"):
-        pipeline = run_pipeline("cwa-server", "app.coronawarn:cwa-parent:3.2.0")
-        findings = detect_shadowing(pipeline.class_map, pipeline.resolution.tree)
+        run = Run(FIXTURES / "cwa-server", "app.coronawarn:cwa-parent:3.2.0")
+        findings = detect_shadowing(run.class_map, run.resolution.tree)
         assert len(findings) == 1
         finding = findings[0]
         assert str(finding.class_name) == "org.postgresql.Driver"
@@ -125,7 +124,7 @@ def test_criterion_4_database_driver_takeover():
         ]
         # the winner's path must run through the compromised validator
         validator = next(
-            node for node in pipeline.resolution.tree.nodes
+            node for node in run.resolution.tree.nodes
             if node.coordinate.artifact_id == "everit-json-schema"
         )
         assert finding.winner_path[: len(validator.path)] == validator.path
@@ -194,7 +193,7 @@ def test_criterion_7_effective_map_oracle_equivalence():
 
 def test_criterion_8_mitigation_behavior():
     with criterion(8, "mitigation verdicts on the bundled scenarios"):
-        attack = run_pipeline("poc-attack-order", "org.example:victim:1.0")
+        attack = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
 
         duplicate = check_ban_duplicate_classes(attack.class_map)
         assert not duplicate.passed
@@ -210,12 +209,12 @@ def test_criterion_8_mitigation_behavior():
             for violation in modules.violations
         )
 
-        partial = run_pipeline("sealed-partial", "org.example:app:1.0")
+        partial = Run(FIXTURES / "sealed-partial", "org.example:app:1.0")
         partial_verdict = check_sealed(partial.inventories, partial.class_map)
         assert not partial_verdict.passed
         assert [violation.package for violation in partial_verdict.violations] == ["org.nice"]
 
-        full = run_pipeline("sealed-full", "org.example:app:1.0")
+        full = Run(FIXTURES / "sealed-full", "org.example:app:1.0")
         assert check_sealed(full.inventories, full.class_map).passed
 
 

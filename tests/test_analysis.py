@@ -13,17 +13,18 @@ from shadowscan.analysis import (
     hijack_reach,
     hijack_surface,
 )
+from shadowscan.cli import Run
 from shadowscan.errors import UnknownArtifact
 from shadowscan.inventory import ClassInventory
 from shadowscan.model import check_class_name
 from shadowscan.ordering import Ecosystem, build_classpath
 from tests.helpers import (
+    FIXTURES,
     build_tree,
     coord,
     first_provider_scan,
     random_inventories,
     random_tree,
-    run_pipeline,
 )
 
 
@@ -36,14 +37,14 @@ NICE_CLASS = "org.test.NiceClass"
 
 class TestEffectiveClasses:
     def test_attack_order_binds_the_masquerading_copy(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        binding = pipeline.class_map.bindings[NICE_CLASS]
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        binding = run.class_map.bindings[NICE_CLASS]
         assert str(binding.winner) == "org.evil:fakelibrary:1.0"
         assert [str(c) for c in binding.shadowed] == ["org.test:nicelibrary:1.2"]
 
     def test_safe_order_binds_the_genuine_copy(self):
-        pipeline = run_pipeline("poc-safe-order", "org.example:victim:1.0")
-        binding = pipeline.class_map.bindings[NICE_CLASS]
+        run = Run(FIXTURES / "poc-safe-order", "org.example:victim:1.0")
+        binding = run.class_map.bindings[NICE_CLASS]
         assert str(binding.winner) == "org.test:nicelibrary:1.2"
         assert [str(c) for c in binding.shadowed] == ["org.evil:fakelibrary:1.0"]
 
@@ -70,8 +71,8 @@ class TestEffectiveClasses:
 
 class TestDetectShadowing:
     def test_attack_order_yields_a_deep_winner_finding(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        findings = detect_shadowing(pipeline.class_map, pipeline.resolution.tree)
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        findings = detect_shadowing(run.class_map, run.resolution.tree)
         assert len(findings) == 1
         finding = findings[0]
         assert finding.class_name == NICE_CLASS
@@ -81,15 +82,15 @@ class TestDetectShadowing:
         assert [str(v) for v in finding.shadowed_victims] == ["org.test:nicelibrary:1.2"]
 
     def test_safe_order_still_reports_the_collision_at_depth_one(self):
-        pipeline = run_pipeline("poc-safe-order", "org.example:victim:1.0")
-        findings = detect_shadowing(pipeline.class_map, pipeline.resolution.tree)
+        run = Run(FIXTURES / "poc-safe-order", "org.example:victim:1.0")
+        findings = detect_shadowing(run.class_map, run.resolution.tree)
         assert len(findings) == 1
         assert str(findings[0].winner) == "org.test:nicelibrary:1.2"
         assert findings[0].winner_depth == 1
 
     def test_clean_tree_has_no_findings(self):
-        pipeline = run_pipeline("sample-app", "com.example:Project:1.0")
-        assert detect_shadowing(pipeline.class_map, pipeline.resolution.tree) == []
+        run = Run(FIXTURES / "sample-app", "com.example:Project:1.0")
+        assert detect_shadowing(run.class_map, run.resolution.tree) == []
 
     def test_deepest_winner_sorts_first_then_by_name(self):
         tree = build_tree(
@@ -124,7 +125,7 @@ def surface_of(tree, ecosystem, target):
 
 class TestHijackGeometry:
     def attack_tree(self):
-        return run_pipeline("deep-hijack", "com.example:Project:1.0").resolution.tree
+        return Run(FIXTURES / "deep-hijack", "com.example:Project:1.0").resolution.tree
 
     def test_maven_reach_of_a_deep_transitive_includes_a_direct_dep(self):
         reach = reach_of(self.attack_tree(), Ecosystem.MAVEN, coord("com.example:D111:1.0"))
@@ -152,9 +153,9 @@ class TestHijackGeometry:
         assert surface_of(tree, Ecosystem.MAVEN, first) == ()
 
     def test_cwa_surface_of_the_database_sdk_contains_the_validator(self):
-        pipeline = run_pipeline("cwa-server", "app.coronawarn:cwa-parent:3.2.0")
+        run = Run(FIXTURES / "cwa-server", "app.coronawarn:cwa-parent:3.2.0")
         surface = surface_of(
-            pipeline.resolution.tree, Ecosystem.MAVEN, coord("org.postgresql:postgresql:42.6.0")
+            run.resolution.tree, Ecosystem.MAVEN, coord("org.postgresql:postgresql:42.6.0")
         )
         names = {c.artifact_id for c in surface}
         assert "everit-json-schema" in names
@@ -235,8 +236,8 @@ class TestOrderSensitivity:
 
 class TestCompareEcosystems:
     def test_attack_order_winner_differs_between_ecosystems(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        comparison = compare_ecosystems(pipeline.resolution.tree, pipeline.inventories)
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        comparison = compare_ecosystems(run.resolution.tree, run.inventories)
         assert len(comparison.entries) == 1
         entry = comparison.entries[0]
         assert entry.class_name == NICE_CLASS
@@ -245,8 +246,8 @@ class TestCompareEcosystems:
         assert comparison.flagged == (entry,)
 
     def test_clean_fixture_has_empty_comparison(self):
-        pipeline = run_pipeline("sample-app", "com.example:Project:1.0")
-        comparison = compare_ecosystems(pipeline.resolution.tree, pipeline.inventories)
+        run = Run(FIXTURES / "sample-app", "com.example:Project:1.0")
+        comparison = compare_ecosystems(run.resolution.tree, run.inventories)
         assert comparison.entries == ()
 
     def test_duplicate_between_two_direct_deps_is_not_flagged(self):

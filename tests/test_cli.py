@@ -23,6 +23,7 @@ from shadowscan.mitigations import MitigationRule, MitigationVerdict
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, load_spans, make_repo, write_pom
+from tests.test_tracer_bindings import COMMANDS
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
 ATTACK = ["--repo", str(FIXTURES / "poc-attack-order"), "--root", "org.example:victim:1.0"]
@@ -272,6 +273,26 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["check", *SAMPLE, "--rules", "dup,bogus"])
         assert excinfo.value.code == 1
+
+    def test_empty_allowlist_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", *SAMPLE, "--allowlist", ""])
+        assert excinfo.value.code == 1
+        assert "argument --allowlist: must name a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rules", ["dup", "sealed", "modules"])
+    def test_a_missing_artifact_is_reported_before_a_malformed_allowlist(
+        self, capsys, tmp_path, rules
+    ):
+        make_repo(tmp_path / "repo", {"g:root:1": ["g:a:1"], "g:a:1": []}, {"g:root:1": ["g.R"]})
+        allowlist = tmp_path / "allow.txt"
+        allowlist.write_text("org.x*y\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "check", "--repo", str(tmp_path / "repo"), "--root", "g:root:1",
+            "--rules", rules, "--allowlist", str(allowlist),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: g:a:1 has no artifact.jar or classes.txt")
 
     @pytest.mark.parametrize("rules", ["dup", "sealed", "modules"])
     def test_malformed_allowlist_pattern_is_an_input_error(self, capsys, tmp_path, rules):
@@ -889,20 +910,29 @@ def test_a_traced_scan_runs_and_counts_content_bytes():
     assert tracer.counts["inventory.content_bytes"] > 0
 
 
-def test_a_traced_compare_shares_the_stage_chain_of_scan_and_check():
-    # compare reads the inventory list that inventory_all returns, and builds
-    # the Maven and the Gradle classpath once each
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_a_traced_command_computes_each_stage_once(argv):
+    # every command reads its stages from one cli.Run; compare reads the
+    # inventory list that inventory_all returns, and builds the Maven and the
+    # Gradle classpath once each
     spans = load_spans()
     tracer = spans.Tracer()
     with tracer.installed():
-        code, out, err = tracer.run(main, ["compare", *ATTACK, "--format", "json"])
-    assert (code, err) == (0, b"")
-    assert json.loads(out)["command"] == "compare"
-    assert tracer.counts["inventory.content_bytes"] > 0
+        code, out, err = tracer.run(main, [*argv, *CWA, "--format", "json"])
+    assert err == b""
+    assert json.loads(out)["command"] == argv[0]
     names = [span[spans.NAME] for span in tracer.spans]
-    assert names.count("ordering.build_classpath") == 2
-    assert names.count("inventory.inventory_all") == 1
+    for stage in ("pom.load_repository", "resolver.resolve", "inventory.inventory_all",
+                  "analysis.effective_classes"):
+        assert names.count(stage) <= 1, stage
     assert "inventory.load_inventory" not in names
+    if argv[0] == "compare":
+        assert code == 0
+        assert tracer.counts["inventory.content_bytes"] > 0
+        assert names.count("ordering.build_classpath") == 2
+        assert names.count("inventory.inventory_all") == 1
+    else:
+        assert names.count("ordering.build_classpath") <= 1
 
 
 def test_the_traced_benchmark_counts_every_resolved_node(tmp_path):

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from shadowscan.analysis import detect_shadowing, effective_classes
+from shadowscan.cli import Run
 from shadowscan.errors import InvalidPattern, IoFailure
 from shadowscan.inventory import ClassInventory, inspect_classlist
 from shadowscan.mitigations import (
@@ -19,7 +20,7 @@ from shadowscan.mitigations import (
     load_allowlist,
 )
 from shadowscan.model import check_class_name
-from tests.helpers import coord, random_inventories, run_pipeline
+from tests.helpers import FIXTURES, coord, random_inventories
 
 
 def inventory(text, *classes, sealed=()):
@@ -101,8 +102,8 @@ class TestPatterns:
 
 class TestBanDuplicateClasses:
     def test_attack_fixture_fails_with_one_violation(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        verdict = check_ban_duplicate_classes(pipeline.class_map)
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        verdict = check_ban_duplicate_classes(run.class_map)
         assert verdict.rule is MitigationRule.BAN_DUPLICATE_CLASSES
         assert not verdict.passed
         assert len(verdict.violations) == 1
@@ -111,13 +112,13 @@ class TestBanDuplicateClasses:
         assert str(violation.winner) == "org.evil:fakelibrary:1.0"
 
     def test_allowlist_silences_the_expected_collision(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        verdict = check_ban_duplicate_classes(pipeline.class_map, {"org.test.*"})
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        verdict = check_ban_duplicate_classes(run.class_map, {"org.test.*"})
         assert verdict.passed
 
     def test_clean_map_passes(self):
-        pipeline = run_pipeline("sample-app", "com.example:Project:1.0")
-        assert check_ban_duplicate_classes(pipeline.class_map).passed
+        run = Run(FIXTURES / "sample-app", "com.example:Project:1.0")
+        assert check_ban_duplicate_classes(run.class_map).passed
 
     @pytest.mark.parametrize("seed", range(40))
     def test_fails_exactly_when_shadowing_is_detected(self, seed):
@@ -130,8 +131,8 @@ class TestBanDuplicateClasses:
 
 class TestSealed:
     def test_partial_replacement_of_a_sealed_package_is_flagged(self):
-        pipeline = run_pipeline("sealed-partial", "org.example:app:1.0")
-        verdict = check_sealed(pipeline.inventories, pipeline.class_map)
+        run = Run(FIXTURES / "sealed-partial", "org.example:app:1.0")
+        verdict = check_sealed(run.inventories, run.class_map)
         assert not verdict.passed
         assert len(verdict.violations) == 1
         violation = verdict.violations[0]
@@ -143,13 +144,13 @@ class TestSealed:
         }
 
     def test_full_package_replacement_is_not_flagged(self):
-        pipeline = run_pipeline("sealed-full", "org.example:app:1.0")
-        verdict = check_sealed(pipeline.inventories, pipeline.class_map)
+        run = Run(FIXTURES / "sealed-full", "org.example:app:1.0")
+        verdict = check_sealed(run.inventories, run.class_map)
         assert verdict.passed
 
     def test_no_sealed_packages_passes(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        assert check_sealed(pipeline.inventories, pipeline.class_map).passed
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        assert check_sealed(run.inventories, run.class_map).passed
 
     def test_extra_class_smuggled_into_a_sealed_package_is_flagged(self):
         inventories = [
@@ -162,8 +163,8 @@ class TestSealed:
 
 class TestModules:
     def test_split_package_fails_when_root_is_modular(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        verdict = check_modules(pipeline.inventories, root_is_module=True)
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        verdict = check_modules(run.inventories, root_is_module=True)
         assert not verdict.passed
         split = {violation.package: violation for violation in verdict.violations}
         assert "org.test" in split
@@ -173,14 +174,14 @@ class TestModules:
         }
 
     def test_inactive_without_a_modular_root(self):
-        pipeline = run_pipeline("poc-attack-order", "org.example:victim:1.0")
-        verdict = check_modules(pipeline.inventories, root_is_module=False)
+        run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
+        verdict = check_modules(run.inventories, root_is_module=False)
         assert verdict.passed
         assert verdict.diagnostic is not None and "inactive" in verdict.diagnostic
 
     def test_disjoint_packages_pass(self):
-        pipeline = run_pipeline("sample-app", "com.example:Project:1.0")
-        assert check_modules(pipeline.inventories, root_is_module=True).passed
+        run = Run(FIXTURES / "sample-app", "com.example:Project:1.0")
+        assert check_modules(run.inventories, root_is_module=True).passed
 
     def test_named_modules_participate_like_automatic_ones(self, tmp_path):
         # a class list that declares @module splits a package like one that does not
