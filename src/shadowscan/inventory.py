@@ -138,17 +138,12 @@ def _validated_dotted(value: str, path: Path, line_number: int) -> str:
         raise InvalidClassName(f"{path}:{line_number}: {exc}") from exc
 
 
-def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventory:
-    """Parse the one-class-per-line text format.
+def _read_lines(path: Path, text: str) -> tuple[dict[str, None], set[str]]:
+    """The classes (an insertion-ordered set) and sealed packages of ``text``, line by line.
 
-    Blank lines and ``#`` comments are skipped. ``@sealed <package>`` seals a
-    package. ``@module <name>`` is accepted and its name validated, but it has
-    no effect: ``check_modules`` counts every dependency once the root is a
-    module.
+    This loop raises every error a class list can hold, naming its ``path:line``.
     """
-    path = Path(file)
-    text = read_text_file(path, CLASSLIST_LIMIT)
-    classes: dict[str, None] = {}  # an insertion-ordered set
+    classes: dict[str, None] = {}
     sealed: set[str] = set()
     is_class_name = CLASS_NAME.fullmatch
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -170,6 +165,44 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
         if line in classes:
             raise DuplicateClassName(f"{path}:{line_number}: {line} listed twice")
         classes[line] = None
+    return classes, sealed
+
+
+# An ASCII body of "\n"-ended lines holding none of these is bare class names:
+# no whitespace or "/", no empty segment, and no empty, comment or directive line.
+_NOT_IN_BARE_BODY = (
+    " ", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "/",
+    "..", "\n\n", "\n#", "\n@", "\n.", ".\n",
+)
+
+
+def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventory:
+    """Parse the one-class-per-line text format.
+
+    Blank lines and ``#`` comments are skipped. ``@sealed <package>`` seals a
+    package. ``@module <name>`` is accepted and its name validated, but it has
+    no effect: ``check_modules`` counts every dependency once the root is a
+    module.
+
+    A header of ``#`` and ``@`` lines goes through the per-line loop. When
+    the rest is bare, distinct class names, it is split in one step;
+    anything else is read line by line, which names the first bad line.
+    """
+    path = Path(file)
+    text = read_text_file(path, CLASSLIST_LIMIT)
+    start = 0  # where the body starts, past the leading "#" and "@" lines
+    while text.startswith(("#", "@"), start) and (end := text.find("\n", start)) >= 0:
+        start = end + 1
+    classes, sealed = _read_lines(path, text[:start])
+    body = text[start:]
+    if (not classes and body.endswith("\n") and body.isascii()
+            and not body.startswith((".", "\n"))
+            and not any(part in body for part in _NOT_IN_BARE_BODY)):
+        names = body[:-1].split("\n")
+        classes = dict.fromkeys(names)
+        if len(classes) == len(names):
+            return ClassInventory(coordinate, tuple(classes), frozenset(sealed))
+    classes, sealed = _read_lines(path, text)
     return ClassInventory(coordinate, tuple(classes), frozenset(sealed))
 
 

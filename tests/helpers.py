@@ -421,9 +421,10 @@ def reference_inspect_classlist(path: Path, coordinate: Coordinate) -> ClassInve
     """The class-list reader that built and checked one name object per line.
 
     Each stripped line is classified in turn; a class line is checked with
-    the per-segment rule and then looked up in a ``seen`` set.
+    the per-segment rule and then looked up in a ``seen`` set. A leading
+    byte-order mark is dropped, as ``pom.read_text_file`` documents.
     """
-    text = path.read_bytes().decode("utf-8")
+    text = path.read_bytes().decode("utf-8-sig")
     classes: list[str] = []
     seen: set[str] = set()
     sealed: set[str] = set()
@@ -455,6 +456,14 @@ def reference_inspect_classlist(path: Path, coordinate: Coordinate) -> ClassInve
         seen.add(name)
         classes.append(name)
     return ClassInventory(coordinate, tuple(classes), frozenset(sealed))
+
+
+def read_or_error(reader, path: Path) -> Any:
+    """``reader``'s inventory of the list at ``path``, or the type and message of its error."""
+    try:
+        return reader(path, Coordinate.of("g", "a", "1"))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def reference_is_sealed(manifest_text: str, package: str) -> bool:

@@ -48,6 +48,7 @@ from tests.helpers import (
     random_conflict_repo,
     random_inventories,
     random_tree,
+    read_or_error,
     reference_allowed,
     reference_check_modules,
     reference_check_sealed,
@@ -130,19 +131,61 @@ def classlist_path(tmp_path_factory):
     return tmp_path_factory.mktemp("classlist") / "classes.txt"
 
 
-def read_or_error(reader, path):
-    try:
-        return reader(path, Coordinate.of("g", "a", "1"))
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 @settings(max_examples=300)
 @given(CLASS_LISTS, st.booleans())
 def test_class_list_reader_matches_the_per_line_reference(classlist_path, lines, last_ended):
     text = "".join(lines)
     if lines and not last_ended:
         text = text[:-1]
+    classlist_path.write_bytes(text.encode("utf-8"))
+    expected = read_or_error(reference_inspect_classlist, classlist_path)
+    assert read_or_error(inspect_classlist, classlist_path) == expected
+
+
+# class lists shaped for the bulk read: a header of comments and directives,
+# then distinct pool names, each ended by "\n", and an optional leading BOM,
+# which reading drops. About half get one mutation, to line ``i`` of the body
+# or to the body as a whole; most mutations send the list back to the
+# per-line loop, and the rest must be read as that loop reads them.
+HEADER_LINES = st.sampled_from(
+    ["# a comment", "#", "#\t@sealed x", "@sealed org.a", "@sealed org.b", "@module org.mod"]
+)
+LINE_MUTATIONS = {
+    "padded line": lambda line: " " + line,
+    "tab-padded line": lambda line: line[:-1] + "\t\n",
+    "CRLF": lambda line: line[:-1] + "\r\n",
+    "NEL": lambda line: line[:-1] + "\x85",
+    "leading dot": lambda line: "." + line,
+    "trailing dot": lambda line: line[:-1] + ".\n",
+    "led by #": lambda line: "#" + line,
+    "led by @": lambda line: "@" + line,
+    "non-ASCII name": lambda line: "é" + line,
+    "BOM": lambda line: "\ufeff" + line,
+}
+BODY_MUTATIONS = {
+    "repeat": lambda body, i: body + [body[i]],
+    "no final newline": lambda body, i: body[:-1] + [body[-1][:-1]],
+    "empty body": lambda body, i: [],
+}
+
+
+@st.composite
+def bulk_class_lists(draw):
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    header = "".join(line + "\n" for line in draw(st.lists(HEADER_LINES, max_size=4)))
+    body = [name + "\n" for name in draw(st.lists(st.sampled_from(POOL), min_size=1, unique=True))]
+    mutation = draw(st.none() | st.sampled_from([*LINE_MUTATIONS, *BODY_MUTATIONS]))
+    i = draw(st.integers(0, len(body) - 1))
+    if mutation in LINE_MUTATIONS:
+        body[i] = LINE_MUTATIONS[mutation](body[i])
+    elif mutation:
+        body = BODY_MUTATIONS[mutation](body, i)
+    return bom + header + "".join(body)
+
+
+@settings(max_examples=300)
+@given(bulk_class_lists())
+def test_bulk_shaped_class_lists_match_the_per_line_reference(classlist_path, text):
     classlist_path.write_bytes(text.encode("utf-8"))
     expected = read_or_error(reference_inspect_classlist, classlist_path)
     assert read_or_error(inspect_classlist, classlist_path) == expected

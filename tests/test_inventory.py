@@ -7,6 +7,7 @@ import errno
 import re
 import zipfile
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -19,6 +20,7 @@ from shadowscan.errors import (
     MissingContent,
     NotAZip,
 )
+from shadowscan import inventory as inventory_module
 from shadowscan.inventory import (
     _MANIFEST_LIMIT,
     ClassInventory,
@@ -30,7 +32,8 @@ from shadowscan.model import package_of
 from shadowscan.ordering import Ecosystem, build_classpath
 from shadowscan.pom import CLASSLIST_LIMIT, fetch_pom, load_repository
 from shadowscan.resolver import resolve
-from tests.helpers import FIXTURES, coord, make_repo
+from tests.helpers import FIXTURES, coord, make_repo, read_or_error, reference_inspect_classlist
+from tests.test_readme import fenced_blocks
 
 COORD = coord("org.test:sample:1.0")
 
@@ -267,6 +270,84 @@ class TestInspectClasslist:
     def test_directive_without_argument(self, tmp_path):
         with pytest.raises(InvalidClassName):
             inspect_classlist(self.write(tmp_path, "@sealed\n"), COORD)
+
+
+def per_line_reads(path) -> int:
+    """How often ``inspect_classlist`` runs its per-line loop on ``path``.
+
+    Once, on the header alone, when the body is read in bulk; a second time,
+    on the whole list, when it falls back.
+    """
+    with mock.patch.object(
+        inventory_module, "_read_lines", wraps=inventory_module._read_lines
+    ) as read_lines:
+        read_or_error(inspect_classlist, path)
+    return read_lines.call_count
+
+
+class TestBulkRead:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("# h\n org.a.A\n", id="padded line"),
+            pytest.param("org.a.A \n", id="trailing space"),
+            pytest.param("org.a.A\t\n", id="tab"),
+            pytest.param("org.a.A\r\norg.a.B\r\n", id="CRLF"),
+            pytest.param("org.a.A\rorg.a.B\n", id="CR"),
+            pytest.param("org.a.A\x0borg.a.B\n", id="vertical tab"),
+            pytest.param("org.a.A\x0corg.a.B\n", id="form feed"),
+            pytest.param("org.a.A\x1corg.a.B\n", id="file separator"),
+            pytest.param("org.a.A\x1f\n", id="unit separator"),
+            pytest.param("org.a.A\x85org.a.B\n", id="NEL"),
+            pytest.param("org/a/A\n", id="slash"),
+            pytest.param("org..A\n", id="empty segment"),
+            pytest.param(".org.A\n", id="leading dot"),
+            pytest.param("org.a.A\n.org.B\n", id="leading dot after a line"),
+            pytest.param("org.A.\n", id="trailing dot"),
+            pytest.param("org.a.A\n.\n", id="dot line"),
+            pytest.param("# h\n\norg.a.A\n", id="blank first body line"),
+            pytest.param("org.a.A\n\norg.a.B\n", id="blank line"),
+            pytest.param("org.a.A\n# c\norg.a.B\n", id="comment in the body"),
+            pytest.param("org.a.A\n@sealed org.a\n", id="directive in the body"),
+            pytest.param("org.a.A\norg.a.B\norg.a.A\n", id="repeated name"),
+            pytest.param("# c\x85org.a.A\norg.a.B\n", id="class line in the header"),
+            pytest.param("# c\rorg.a.A\norg.a.A\n", id="header class repeated in the body"),
+            pytest.param("org.a.É\n", id="non-ASCII name"),
+            pytest.param("org.a.A\n\ufefforg.a.B\n", id="BOM inside"),
+            pytest.param("org.a.A\norg.a.B", id="no final newline"),
+            pytest.param("@sealed org.a\n", id="empty body"),
+            pytest.param("@sealed org.a", id="header without final newline"),
+            pytest.param("", id="empty file"),
+        ],
+    )
+    def test_each_trigger_falls_back_to_the_per_line_reference(self, tmp_path, text):
+        path = tmp_path / "classes.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert per_line_reads(path) == 2
+        expected = read_or_error(reference_inspect_classlist, path)
+        assert read_or_error(inspect_classlist, path) == expected
+
+    def test_a_header_error_is_raised_before_the_body_is_looked_at(self, tmp_path):
+        path = tmp_path / "classes.txt"
+        path.write_text("# h\n@sealed org/a\norg.a.A\n", encoding="utf-8")
+        with pytest.raises(InvalidClassName, match=f"^{re.escape(str(path))}:2: "):
+            inspect_classlist(path, COORD)
+        assert per_line_reads(path) == 1
+
+    @pytest.mark.parametrize(
+        "path", sorted(FIXTURES.rglob("classes.txt")), ids=lambda path: str(path.relative_to(FIXTURES))
+    )
+    def test_every_fixture_list_is_read_in_bulk(self, path):
+        assert per_line_reads(path) == 1
+        assert inspect_classlist(path, COORD) == reference_inspect_classlist(path, COORD)
+
+    def test_the_readme_example_and_a_leading_bom_are_read_in_bulk(self, tmp_path):
+        (listing,) = [body for _, body in fenced_blocks("Repository layout") if "@module" in body]
+        path = tmp_path / "classes.txt"
+        for text in (listing, "\ufeff" + listing):
+            path.write_text(text, encoding="utf-8")
+            assert per_line_reads(path) == 1
+            assert inspect_classlist(path, COORD) == reference_inspect_classlist(path, COORD)
 
 
 def classlist_text(inventory: ClassInventory, module: str | None = None) -> str:
