@@ -47,6 +47,8 @@ class ShadowFinding(NamedTuple):
     shadowed_victims: tuple[Coordinate, ...]
     winner_path: TreePath
 
+    _derived = ("winner_depth",)
+
     @property
     def winner_depth(self) -> int:
         return len(self.winner_path)
@@ -107,6 +109,8 @@ class WinnerComparison(NamedTuple):
     class_name: str
     maven_winner: Coordinate
     gradle_winner: Coordinate
+
+    _derived = ("differs",)
 
     @property
     def differs(self) -> bool:

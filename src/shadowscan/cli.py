@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from shadowscan.analysis import (
     EffectiveClassMap,
@@ -46,7 +45,6 @@ from shadowscan.mitigations import (
 )
 from shadowscan.model import (
     Coordinate,
-    Included,
     OmittedConflict,
     OmittedDuplicate,
     ResolvedNode,
@@ -76,55 +74,44 @@ _RULE_TOKENS = {
 # A resolve report nests two levels per tree level; text output has no limit.
 _MAX_NESTING = 1000
 
-# Report members that are not fields: name -> value of the object. All other keys
-# are field names, so renaming a field of a reported record changes schema v1;
-# tests/test_equivalence.py and tests/test_golden.py pin the keys.
-_DERIVED_MEMBERS: dict[type, dict[str, Callable[[Any], Any]]] = {
-    Included: {"kind": lambda status: "included"},
-    OmittedConflict: {"kind": lambda status: "omitted-conflict"},
-    OmittedDuplicate: {"kind": lambda status: "omitted-duplicate"},
-    ResolvedNode: {"depth": attrgetter("depth")},
-    ShadowFinding: {"winner_depth": attrgetter("winner_depth")},
-    MitigationVerdict: {"passed": attrgetter("passed")},
-    WinnerComparison: {"differs": attrgetter("differs")},
-}
-
 
 @cache
 def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
-    """Quoted member names and getters of a record's JSON object, in key order."""
+    """Quoted names and getters of a record's ``_fields`` and ``_derived`` properties, sorted.
+
+    Renaming one changes schema v1; tests/test_equivalence.py and tests/test_golden.py pin them.
+    """
     names = getattr(cls, "_fields", None)
     if names is None:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    getters = {name: attrgetter(name) for name in names}
-    getters.update(_DERIVED_MEMBERS.get(cls, {}))
-    return [(encode_basestring_ascii(name) + ": ", getters[name]) for name in sorted(getters)]
+    names = sorted((*names, *getattr(cls, "_derived", ())))
+    return [(encode_basestring_ascii(name) + ": ", attrgetter(name)) for name in names]
 
 
-# Scalar type -> the JSON texts of a list of values of exactly that type, with
-# no Python-level call per value; a str subclass (a Coordinate, a str-valued
-# enum) is written as its str.
-_SCALAR_TEXTS: dict[type, Callable[[list[Any]], Iterable[str]]] = {
-    str: partial(map, encode_basestring_ascii),
-    int: partial(map, int.__repr__),
-    bool: partial(map, {True: "true", False: "false"}.__getitem__),
-    type(None): lambda values: ["null"] * len(values),
-}
+class _ScalarTable(dict):
+    """Type -> encoder of one value's JSON text; None for a type that is no scalar.
+
+    A new type is mapped once: a str subclass (a Coordinate, a str enum) to str's encoder."""
+
+    def __missing__(self, kind: type) -> Callable[[Any], str] | None:
+        encode = self[kind] = self[str] if issubclass(kind, str) else None
+        return encode
 
 
-@cache
-def _scalar_encoder(kind: type) -> Callable[[list[Any]], Iterable[str]] | None:
-    if kind in _SCALAR_TEXTS:
-        return _SCALAR_TEXTS[kind]
-    return _SCALAR_TEXTS[str] if issubclass(kind, str) else None
+_SCALARS = _ScalarTable({
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+})
 
 
 def _scalar_texts(values: list[Any], kinds: set[type]) -> list[str] | None:
     """The JSON texts of ``values``, whose types are ``kinds``; None unless one scalar type."""
     if not kinds:
         return []
-    encode = _scalar_encoder(kinds.pop()) if len(kinds) == 1 else None
-    return None if encode is None else list(encode(values))
+    encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else None
+    return None if encode is None else list(map(encode, values))
 
 
 @cache
@@ -139,14 +126,14 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
     """The JSON text of an array of records of one class, written column by column.
 
     ``level`` is the array's own nesting level. Each member is read over all
-    records at once and encoded by ``_SCALAR_TEXTS``, and each record is
+    records at once and encoded by ``_SCALARS``, and each record is
     joined through one template. None, for ``_json_text`` to write the array
     value by value, unless each member holds scalars of one type, or arrays
     of scalars of one type, in every record, and the deepest of them stays
     within ``_MAX_NESTING``.
     """
     cls = records[0].__class__
-    if _scalar_encoder(cls) is not None or level + 3 > _MAX_NESTING:
+    if _SCALARS[cls] is not None or level + 3 > _MAX_NESTING:
         return None
     try:
         members = _members(cls)
@@ -157,7 +144,7 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
     first = records[0]
     for _, get in members:
         kind = get(first).__class__
-        if kind is not list and kind is not tuple and _scalar_encoder(kind) is None:
+        if kind is not list and kind is not tuple and _SCALARS[kind] is None:
             return None
     if not members or len(set(map(type, records))) > 1:
         return None
@@ -192,7 +179,7 @@ def _json_text(document: Any) -> str:
     """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
 
     A record (a NamedTuple or another class with ``_fields``) is written as
-    the object of its fields plus its ``_DERIVED_MEMBERS``, never as an
+    the object of its ``_fields`` and ``_derived`` members, never as an
     array; a ``str`` subclass such as a ``Coordinate`` as its string. An
     array of records of one class with only scalar or scalar-array members
     is written column by column by ``_record_array_text``, to the same text.
@@ -213,14 +200,9 @@ def _json_text(document: Any) -> str:
             if key:
                 emit(key)
             cls = value.__class__
-            if isinstance(value, str):
-                emit(encode_basestring_ascii(value))
-            elif cls is int:
-                emit(int.__repr__(value))
-            elif cls is bool:
-                emit("true" if value else "false")
-            elif value is None:
-                emit("null")
+            encode = _SCALARS[cls]
+            if encode is not None:
+                emit(encode(value))
             else:
                 if cls is dict:
                     opening, close = "{", "}"
@@ -230,7 +212,7 @@ def _json_text(document: Any) -> str:
                     ]
                 elif cls is list or cls is tuple:
                     # most arrays hold scalars (paths above all): skip those without a call
-                    if len(value) > 1 and value[0].__class__ not in _SCALAR_TEXTS:
+                    if len(value) > 1 and _SCALARS[value[0].__class__] is None:
                         text = _record_array_text(value, level)
                         if text is not None:
                             emit(text)
@@ -393,6 +375,21 @@ _TEXT_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], list[str]]] = 
     ],
     "compare": lambda payload, inputs: _comparison_lines(payload["classes"]),
 }
+
+
+def _inert(line: str) -> str:
+    """``line`` with ``\\`` doubled and each character that ``str.isprintable`` rejects escaped.
+
+    An attacker names the classes of a transitive artifact; text output shows
+    their terminal controls and bidi overrides as escapes, never acts on them.
+    """
+    if line.isprintable() and "\\" not in line:
+        return line
+    return "".join(
+        "\\\\" if char == "\\" else char if char.isprintable()
+        else f"\\x{ord(char):02x}" if char <= "\xff" else ascii(char)[1:-1]
+        for char in line
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -587,18 +584,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.format == "json":
             output = _json_report(args.command, inputs, payload)
         else:
-            output = "\n".join(_TEXT_VIEWS[args.command](payload, inputs)) + "\n"
+            output = "\n".join(map(_inert, _TEXT_VIEWS[args.command](payload, inputs))) + "\n"
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_inert(str(exc))}", file=sys.stderr)
         return EXIT_RESOLUTION_ERROR
     except ShadowscanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_inert(str(exc))}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         _write_stdout(output)
     except OSError as exc:  # a full disk, a closed pipe
-        _discard_stdout()
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        print(f"error: cannot write the report: {_inert(str(exc))}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return code
 
@@ -618,34 +614,20 @@ def run() -> NoReturn:
 
 
 def _write_stdout(text: str) -> None:
-    """Write all of ``text`` to stdout and flush it, or raise ``OSError``.
+    """Write all of ``text`` to stdout, or raise ``OSError``.
 
-    Under ``python -u`` (``PYTHONUNBUFFERED``) the byte layer of stdout is a
-    raw file, whose write may take only part of the data, and the text layer
-    drops the rest; so the bytes are written here until none are left.
+    The encoded text goes to stdout's descriptor until no byte is left (a
+    character the encoding lacks as its backslash escape), so no byte stays
+    buffered, and a short write under ``python -u`` is not lost. A stream
+    with no descriptor, such as ``io.StringIO``, takes it through ``write``.
     """
     stream = sys.stdout
-    binary = getattr(stream, "buffer", None)
-    if binary is None:  # a text-only stream, such as io.StringIO
+    stream.flush()
+    try:
+        fileno = stream.fileno()
+    except OSError:  # io.UnsupportedOperation: no descriptor behind the stream
         stream.write(text)
         return
-    stream.flush()
-    data = memoryview(text.encode(stream.encoding, stream.errors))
+    data = memoryview(text.encode(stream.encoding, "backslashreplace"))
     while data:
-        written = binary.write(data)
-        if not written:  # a raw non-blocking descriptor that is full
-            raise BlockingIOError(errno.EAGAIN, "stdout would block")
-        data = data[written:]
-    binary.flush()
-
-
-def _discard_stdout() -> None:
-    # the interpreter flushes stdout at exit, which would fail again on the
-    # unwritten bytes and print "Exception ignored"; send them to the null device
-    try:
-        fileno = sys.stdout.fileno()
-        null = os.open(os.devnull, os.O_WRONLY)
-    except (OSError, ValueError):  # no descriptor behind stdout
-        return
-    os.dup2(null, fileno)
-    os.close(null)
+        data = data[os.write(fileno, data):]

@@ -47,6 +47,8 @@ class MitigationVerdict(NamedTuple):
     violations: tuple = ()
     diagnostic: str | None = None
 
+    _derived = ("passed",)
+
     @property
     def passed(self) -> bool:
         return not self.violations

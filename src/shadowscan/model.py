@@ -78,17 +78,26 @@ class PomDocument(NamedTuple):
 class Included(NamedTuple):
     """The node survived conflict resolution and contributes to the classpath."""
 
+    _derived = ("kind",)
+    kind = "included"
+
 
 class OmittedConflict(NamedTuple):
     """Dropped because another version of the same group:artifact won."""
 
     winner: Coordinate
 
+    _derived = ("kind",)
+    kind = "omitted-conflict"
+
 
 class OmittedDuplicate(NamedTuple):
     """Dropped because the identical coordinate occurs at an earlier position."""
 
     first_occurrence_path: TreePath
+
+    _derived = ("kind",)
+    kind = "omitted-duplicate"
 
 
 NodeStatus = Included | OmittedConflict | OmittedDuplicate
@@ -149,6 +158,8 @@ class ResolvedNode:
             f"ResolvedNode(coordinate={self.coordinate!r}, path={self.path!r}, "
             f"bfs_index={self.bfs_index!r}, status={self.status!r})"
         )
+
+    _derived = ("depth",)
 
     @property
     def depth(self) -> int:

@@ -20,6 +20,7 @@ from shadowscan.analysis import ShadowFinding
 from shadowscan.cli import _MAX_NESTING, _json_report, main
 from shadowscan.errors import ReportTooDeep
 from shadowscan.mitigations import MitigationRule, MitigationVerdict
+from shadowscan.model import OmittedConflict, ResolvedNode
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
 from tests.helpers import FIXTURES, coord, load_spans, make_repo, write_pom
@@ -652,6 +653,47 @@ def test_a_large_report_reaches_stdout_whole(large_scan):
     assert len(json.loads(result.stdout)["payload"]["findings"]) == 6000
 
 
+def shadowed_name_repo(root, name, twice=False):
+    """``--repo``/``--root`` of two dependencies that both list ``name``; ``twice`` in the first."""
+    repo = make_repo(
+        root,
+        {"g:root:1": ["g:a:1", "g:b:1"], "g:a:1": [], "g:b:1": []},
+        {"g:a:1": [name] * (2 if twice else 1), "g:b:1": [name]},
+    )
+    return ["--repo", str(repo), "--root", "g:root:1"]
+
+
+@pytest.mark.parametrize(
+    ("name", "shown"),
+    [
+        ("org.test.X\x1b[2KY", "org.test.X\\x1b[2KY"),
+        ("org.test.\u202egnp.Evil", "org.test.\\u202egnp.Evil"),
+        ("org.test.X\\x1bY", "org.test.X\\\\x1bY"),
+    ],
+    ids=["escape-sequence", "bidi-override", "backslash"],
+)
+def test_a_class_name_is_written_inert_in_text_output(capsys, tmp_path, name, shown):
+    # the attacker names the classes of a transitive artifact; a terminal must
+    # show them, not act on them, and an escape must not be forged with "\\"
+    code, out, err = run(capsys, "scan", *shadowed_name_repo(tmp_path / "scan", name))
+    assert (code, err) == (0, "")
+    assert f"  {shown}\n" in out.splitlines(keepends=True)
+    assert out.replace("\n", "").isprintable()
+    code, out, err = run(capsys, "scan", *shadowed_name_repo(tmp_path / "dup", name, twice=True))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(f": {shown} listed twice\n")
+    assert err[:-1].isprintable()
+
+
+def test_a_name_that_stdout_cannot_encode_is_written_as_its_escape(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "shadowscan", "scan", *shadowed_name_repo(tmp_path, "org.test.Café")],
+        capture_output=True, env=dict(stdout_child_env(False), PYTHONIOENCODING="ascii"), timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert b"  org.test.Caf\\xe9\n" in result.stdout.splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("output_format", ["text", "json"])
 @pytest.mark.parametrize(
     "argv",
@@ -881,7 +923,9 @@ class TestJsonReport:
     def test_a_named_tuple_record_is_an_object_of_its_fields_and_derived_members(self):
         verdict = MitigationVerdict(MitigationRule.SEALED_JARS)
         finding = ShadowFinding("org.x.A", coord("g:a:1"), (coord("g:b:1"),), (0, 1))
-        report = json.loads(_json_report("check", {}, {"verdict": verdict, "finding": finding}))
+        node = ResolvedNode(coord("g:x:2"), (1, 0), 4, OmittedConflict(coord("g:x:1")))
+        payload = {"verdict": verdict, "finding": finding, "node": node}
+        report = json.loads(_json_report("check", {}, payload))
         assert report["payload"] == {
             "verdict": {
                 "rule": "sealed-jars", "violations": [], "diagnostic": None, "passed": True,
@@ -889,6 +933,10 @@ class TestJsonReport:
             "finding": {
                 "class_name": "org.x.A", "winner": "g:a:1", "shadowed_victims": ["g:b:1"],
                 "winner_path": [0, 1], "winner_depth": 2,
+            },
+            "node": {
+                "coordinate": "g:x:2", "path": [1, 0], "bfs_index": 4, "children": [],
+                "status": {"winner": "g:x:1", "kind": "omitted-conflict"}, "depth": 2,
             },
         }
 

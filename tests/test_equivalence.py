@@ -457,9 +457,28 @@ class Blank(NamedTuple):
     """A record with no members."""
 
 
+class Tagged(NamedTuple):
+    """A record that names derived members, whose keys sort among its fields'."""
+
+    tag: Any
+    items: Any
+
+    _derived = ("echo", "empty")
+
+    @property
+    def echo(self):
+        return self.tag
+
+    @property
+    def empty(self):
+        return not self.items
+
+
 # members that are properties, by name: the report's contract, read back here
 # with getattr rather than through the writer's getters
-DERIVED = {ShadowFinding: ("winner_depth",), WinnerComparison: ("differs",)}
+DERIVED = {
+    ShadowFinding: ("winner_depth",), WinnerComparison: ("differs",), Tagged: ("echo", "empty"),
+}
 
 
 def expanded(value):
@@ -520,6 +539,7 @@ def record_arrays(draw):
         st.just(Blank()),
         st.builds(ShadowFinding, a, b, c, paths),
         st.builds(WinnerComparison, a, b, c),
+        st.builds(Tagged, a, b),
     ]
     if draw(st.integers(0, 4)):
         strategy = draw(st.sampled_from(strategies))
