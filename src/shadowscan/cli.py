@@ -29,6 +29,7 @@ from shadowscan.errors import (
     ShadowscanError,
     UnknownArtifact,
     UnresolvableDependency,
+    inert,
 )
 # load_inventory is unused here but stays bound: shadowbench/spans.py wraps cli.load_inventory
 from shadowscan.inventory import ClassInventory, inventory_all, load_inventory
@@ -377,21 +378,6 @@ _TEXT_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], list[str]]] = 
 }
 
 
-def _inert(line: str) -> str:
-    """``line`` with ``\\`` doubled and each character that ``str.isprintable`` rejects escaped.
-
-    An attacker names the classes of a transitive artifact; text output shows
-    their terminal controls and bidi overrides as escapes, never acts on them.
-    """
-    if line.isprintable() and "\\" not in line:
-        return line
-    return "".join(
-        "\\\\" if char == "\\" else char if char.isprintable()
-        else f"\\x{ord(char):02x}" if char <= "\xff" else ascii(char)[1:-1]
-        for char in line
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -584,17 +570,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.format == "json":
             output = _json_report(args.command, inputs, payload)
         else:
-            output = "\n".join(map(_inert, _TEXT_VIEWS[args.command](payload, inputs))) + "\n"
+            output = "\n".join(map(inert, _TEXT_VIEWS[args.command](payload, inputs))) + "\n"
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
-        print(f"error: {_inert(str(exc))}", file=sys.stderr)
+        print(f"error: {inert(str(exc))}", file=sys.stderr)
         return EXIT_RESOLUTION_ERROR
     except ShadowscanError as exc:
-        print(f"error: {_inert(str(exc))}", file=sys.stderr)
+        print(f"error: {inert(str(exc))}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         _write_stdout(output)
     except OSError as exc:  # a full disk, a closed pipe
-        print(f"error: cannot write the report: {_inert(str(exc))}", file=sys.stderr)
+        print(f"error: cannot write the report: {inert(str(exc))}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return code
 

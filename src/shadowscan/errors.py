@@ -1,6 +1,22 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the escaping of attacker-chosen text."""
 
 from __future__ import annotations
+
+
+def inert(line: str) -> str:
+    """``line`` with ``\\`` doubled and each character that ``str.isprintable`` rejects escaped.
+
+    An attacker names the classes and coordinates of a transitive artifact;
+    text output, warnings and errors show their terminal controls and bidi
+    overrides as escapes, never act on them.
+    """
+    if line.isprintable() and "\\" not in line:
+        return line
+    return "".join(
+        "\\\\" if char == "\\" else char if char.isprintable()
+        else f"\\x{ord(char):02x}" if char <= "\xff" else ascii(char)[1:-1]
+        for char in line
+    )
 
 
 class ShadowscanError(Exception):
@@ -43,12 +59,15 @@ class UnresolvableDependency(ShadowscanError):
     """A declared dependency cannot be fetched; resolution aborts."""
 
     def __init__(self, coordinate, requester_path) -> None:
-        super().__init__(
-            f"cannot resolve {coordinate}, requested by the node at path "
-            f"{list(requester_path)}"
+        # both values are the args, so a pickle or copy rebuilds the error
+        super().__init__(coordinate, tuple(requester_path))
+        self.coordinate, self.requester_path = self.args
+
+    def __str__(self) -> str:
+        return (
+            f"cannot resolve {self.coordinate}, requested by the node at path "
+            f"{list(self.requester_path)}"
         )
-        self.coordinate = coordinate
-        self.requester_path = tuple(requester_path)
 
 
 class DepthLimitExceeded(ShadowscanError):

@@ -105,53 +105,28 @@ NodeStatus = Included | OmittedConflict | OmittedDuplicate
 INCLUDED = Included()
 
 
-class ResolvedNode:
+class ResolvedNode(NamedTuple):
     """A position in the resolved dependency tree.
 
-    A node is immutable: assigning to a field raises ``AttributeError``.
     Equality, hashing and ``repr`` leave ``children`` out, so they never
     recurse down a deep tree; two trees are equal when their ``nodes`` are.
-    ``_fields`` names the fields, as a NamedTuple's does.
+    A node never equals a plain tuple.
     """
 
-    __slots__ = _fields = ("coordinate", "path", "bfs_index", "status", "children")
     coordinate: Coordinate
     path: TreePath
     bfs_index: int
     status: NodeStatus
-    children: tuple[ResolvedNode, ...]
-
-    def __init__(
-        self,
-        coordinate: Coordinate,
-        path: TreePath,
-        bfs_index: int,
-        status: NodeStatus,
-        children: tuple[ResolvedNode, ...] = (),
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "coordinate", coordinate)
-        _set(self, "path", path)
-        _set(self, "bfs_index", bfs_index)
-        _set(self, "status", status)
-        _set(self, "children", children)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: a ResolvedNode is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a ResolvedNode is immutable")
-
-    def _key(self) -> tuple[Coordinate, TreePath, int, NodeStatus]:
-        return (self.coordinate, self.path, self.bfs_index, self.status)
+    children: tuple[ResolvedNode, ...] = ()
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResolvedNode):
-            return NotImplemented
-        return self._key() == other._key()
+        return isinstance(other, ResolvedNode) and self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self[:4])
 
     def __repr__(self) -> str:
         return (

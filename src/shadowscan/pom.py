@@ -19,6 +19,7 @@ from shadowscan.errors import (
     MissingCoordinate,
     PomNotFound,
     ShadowscanError,
+    inert,
 )
 from shadowscan.model import Coordinate, PomDocument
 
@@ -69,9 +70,10 @@ def read_text_file(path: Path, limit: int) -> str:
 
 def _warn(message: str, *args: object) -> None:
     # logging loads on the first warning, not with every command; with no handler
-    # configured, its last-resort handler writes the bare message to stderr
+    # configured, its last-resort handler writes the bare message to stderr, escaped
+    # as text output is: a POM names coordinates that may hold terminal controls
     import logging
-    logging.getLogger(__name__).warning(message, *args)
+    logging.getLogger(__name__).warning(inert(message % args))
 
 
 def _local_name(tag: str) -> str:

@@ -50,6 +50,16 @@ from shadowscan.pom import Repository, RepositoryEntry
 from shadowscan.resolver import ResolutionReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the root project of each bundled fixture
+FIXTURE_ROOTS = {
+    "cwa-server": "app.coronawarn:cwa-parent:3.2.0",
+    "deep-hijack": "com.example:Project:1.0",
+    "poc-attack-order": "org.example:victim:1.0",
+    "poc-safe-order": "org.example:victim:1.0",
+    "sample-app": "com.example:Project:1.0",
+    "sealed-full": "org.example:app:1.0",
+    "sealed-partial": "org.example:app:1.0",
+}
 SPANS = Path(__file__).resolve().parent.parent / "shadowbench" / "spans.py"
 
 

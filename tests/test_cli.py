@@ -789,6 +789,21 @@ def test_parse_warnings_reach_stderr_as_bare_lines(tmp_path):
     )
 
 
+def test_parse_warnings_escape_terminal_controls(tmp_path):
+    make_repo(tmp_path, {"g:root:1": ["g:a:1"]})
+    pom = tmp_path / "g" / "root" / "1" / "pom.xml"
+    text = pom.read_text(encoding="utf-8").replace(
+        "<artifactId>a</artifactId>", "<artifactId>b&#x9b;2J</artifactId><exclusions/>"
+    )
+    pom.write_text(text, encoding="utf-8")
+    result = run_child("-m", "shadowscan", "resolve", "--repo", str(tmp_path), "--root", "g:root:1")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"{pom} (g:root:1): dependency g:b\\x9b2J:1: ignoring <exclusions>\n"
+        "error: cannot resolve g:b\\x9b2J:1, requested by the node at path []\n"
+    )
+
+
 class TestDeepChain:
     """A chain far deeper than the interpreter's recursion limit, allowed by --max-depth."""
 

@@ -444,7 +444,10 @@ class Row(NamedTuple):
 
 
 class Cell:
-    """A record that is no tuple: a ``__slots__`` class that names ``_fields``, as ``ResolvedNode`` is."""
+    """A record that is no tuple: a ``__slots__`` class that names ``_fields``.
+
+    ``_members`` writes any class that names ``_fields`` as a record, not only a NamedTuple.
+    """
 
     __slots__ = _fields = ("label", "count")
 

@@ -15,19 +15,10 @@ from pathlib import Path
 import pytest
 
 from shadowscan import cli
-from tests.helpers import FIXTURES
+from tests.helpers import FIXTURE_ROOTS, FIXTURES
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_reports.json").read_text(encoding="utf-8"))
 
-ROOTS = {
-    "cwa-server": "app.coronawarn:cwa-parent:3.2.0",
-    "deep-hijack": "com.example:Project:1.0",
-    "poc-attack-order": "org.example:victim:1.0",
-    "poc-safe-order": "org.example:victim:1.0",
-    "sample-app": "com.example:Project:1.0",
-    "sealed-full": "org.example:app:1.0",
-    "sealed-partial": "org.example:app:1.0",
-}
 # (attacker, target) of the hijack commands, chosen so both answers are nonempty
 HIJACK = {
     "cwa-server": ("org.evil:json-schema-commons:1.0", "org.postgresql:postgresql:42.6.0"),
@@ -61,7 +52,7 @@ JSON_RENDERERS = ["_json_report", "_json_text"]
 def run(capsys, fixture: str, command: str, output_format: str) -> tuple[int, str]:
     attacker, target = HIJACK[fixture]
     argv = [arg.format(attacker=attacker, target=target) for arg in COMMANDS[command]]
-    argv += ["--repo", f"fixtures/{fixture}", "--root", ROOTS[fixture]]
+    argv += ["--repo", f"fixtures/{fixture}", "--root", FIXTURE_ROOTS[fixture]]
     code = cli.main([*argv, "--format", output_format])
     return code, capsys.readouterr().out
 
@@ -69,9 +60,9 @@ def run(capsys, fixture: str, command: str, output_format: str) -> tuple[int, st
 def test_every_fixture_command_and_format_is_recorded():
     assert sorted(GOLDEN) == sorted(
         f"{fixture} {command} {output_format}"
-        for fixture in ROOTS for command in COMMANDS for output_format in ("text", "json")
+        for fixture in FIXTURE_ROOTS for command in COMMANDS for output_format in ("text", "json")
     )
-    assert sorted(path.name for path in FIXTURES.iterdir()) == sorted(ROOTS)
+    assert sorted(path.name for path in FIXTURES.iterdir()) == sorted(FIXTURE_ROOTS)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))

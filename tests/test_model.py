@@ -167,6 +167,7 @@ class TestResolvedNode:
         ]
         assert all(other != bare for other in others)
         assert bare != (coord("g:a:1"), (), 0, INCLUDED)
+        assert tuple(bare) != bare
 
 
 class TestFullyQualifiedClassName:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from random import Random
 
 import pytest
 
+from shadowscan import errors
+from shadowscan.cli import Run, _json_text
 from shadowscan.errors import DepthLimitExceeded, UnresolvableDependency
 from shadowscan.model import OmittedConflict, OmittedDuplicate, check_invariants
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
 from tests.helpers import (
+    FIXTURE_ROOTS,
     FIXTURES,
     coord,
     full_expansion_winners,
@@ -198,6 +203,20 @@ class TestErrors:
         assert excinfo.value.coordinate == coord("g:ghost:1")
         assert excinfo.value.requester_path == (0,)
 
+    @pytest.mark.parametrize("cls", [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, Exception)
+    ], ids=lambda cls: cls.__name__)
+    def test_an_error_survives_a_pickle_round_trip(self, cls):
+        if cls is UnresolvableDependency:
+            error = cls(coord("g:ghost:1"), [0, 2])
+            assert str(error) == "cannot resolve g:ghost:1, requested by the node at path [0, 2]"
+        else:
+            error = cls("boom")
+        copied = pickle.loads(pickle.dumps(error))
+        assert (type(copied), str(copied)) == (cls, str(error))
+        assert vars(copied) == vars(error)
+
     def test_depth_limit(self, tmp_path):
         chain = {f"g:a{i}:1": [f"g:a{i + 1}:1"] for i in range(70)}
         chain["g:a70:1"] = []
@@ -270,3 +289,20 @@ class TestResolutionProperties:
         assert report == checked_resolve(repo, texts[0], max_depth=2000)
         assert len({hash(node) for node in report.tree.nodes}) == 2001
         assert repr(report.tree.root).startswith("ResolvedNode(coordinate=")
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_ROOTS))
+@pytest.mark.parametrize(
+    "duplicate", [lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_a_resolved_tree_crosses_a_process_boundary(name, duplicate):
+    resolution = Run(FIXTURES / name, FIXTURE_ROOTS[name]).resolution
+    copied = duplicate(resolution)
+    assert copied is not resolution and copied == resolution
+    # equality leaves children out; the report walks them
+    assert _json_text(copied) == _json_text(resolution)
+    check_invariants(copied.tree)
+    assert [node.coordinate for node in copied.tree.nodes] == [
+        node.coordinate for node in resolution.tree.nodes
+    ]
