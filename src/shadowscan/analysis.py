@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from shadowscan.errors import UnknownArtifact
@@ -24,18 +25,23 @@ class EffectiveClassMap(NamedTuple):
 
 
 def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMap:
-    """Bind every provided class to the earliest inventory that carries it."""
-    winners: dict[str, Coordinate] = {}
-    shadowed: dict[str, list[Coordinate]] = {}
+    """Bind every provided class to the earliest inventory that carries it.
+
+    The bindings keep the order in which the classes are first seen.
+    """
+    providers: dict[str, list[Coordinate]] = {}  # class name -> its providers, in order
+    get = providers.get
     for inventory in inventories:
+        coordinate = inventory.coordinate
         for cls in inventory.classes:
-            if cls in winners:
-                shadowed[cls].append(inventory.coordinate)
+            found = get(cls)
+            if found is None:
+                providers[cls] = [coordinate]
             else:
-                winners[cls] = inventory.coordinate
-                shadowed[cls] = []
+                found.append(coordinate)
+    make = ClassBinding._make
     return EffectiveClassMap(
-        {cls: ClassBinding(winner, tuple(shadowed[cls])) for cls, winner in winners.items()}
+        {cls: make((found[0], tuple(found[1:]))) for cls, found in providers.items()}
     )
 
 
@@ -65,16 +71,20 @@ def detect_shadowing(class_map: EffectiveClassMap, tree: ResolvedTree) -> list[S
     A deep winner is the stealthy configuration: the masking class sits far
     from the declarations a reviewer actually reads.
     """
-    nodes = included_nodes(tree)
+    by_depth: dict[int, list[ShadowFinding]] = {}  # winner depth -> its findings
+    # each included coordinate -> its path and the findings at its depth
+    targets = {coordinate: (node.path, by_depth.setdefault(len(node.path), []))
+               for coordinate, node in included_nodes(tree).items()}
+    for class_name, (winner, shadowed) in class_map.bindings.items():
+        if shadowed:
+            target = targets.get(winner)
+            if target is None:
+                raise UnknownArtifact(f"{winner} is not an included node of the tree")
+            path, found = target
+            found.append(ShadowFinding(class_name, winner, shadowed, path))
     findings: list[ShadowFinding] = []
-    for class_name, binding in class_map.bindings.items():
-        if not binding.shadowed:
-            continue
-        node = nodes.get(binding.winner)
-        if node is None:
-            raise UnknownArtifact(f"{binding.winner} is not an included node of the tree")
-        findings.append(ShadowFinding(class_name, binding.winner, binding.shadowed, node.path))
-    findings.sort(key=lambda finding: (-finding.winner_depth, finding.class_name))
+    for depth in sorted(by_depth, reverse=True):
+        findings += sorted(by_depth[depth], key=itemgetter(0))  # by class name
     return findings
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Any, Callable, NoReturn, Sequence
@@ -107,12 +108,13 @@ _SCALARS = _ScalarTable({
 })
 
 
-def _scalar_texts(values: list[Any], kinds: set[type]) -> list[str] | None:
-    """The JSON texts of ``values``, whose types are ``kinds``; None unless one scalar type."""
+def _encoder(kinds: set[type]) -> Callable[[Any], str] | None:
+    """The encoder of values whose types are ``kinds``; None unless one scalar type.
+
+    Without values there are no kinds, and ``str``'s encoder, never called, stands in."""
     if not kinds:
-        return []
-    encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else None
-    return None if encode is None else list(map(encode, values))
+        return _SCALARS[str]
+    return _SCALARS[kinds.pop()] if len(kinds) == 1 else None
 
 
 @cache
@@ -127,8 +129,8 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
     """The JSON text of an array of records of one class, written column by column.
 
     ``level`` is the array's own nesting level. Each member is read over all
-    records at once and encoded by ``_SCALARS``, and each record is
-    joined through one template. None, for ``_json_text`` to write the array
+    records at once and encoded by ``_SCALARS``, an array member once per
+    distinct tuple, and each record is joined through one template. None, for ``_json_text`` to write the array
     value by value, unless each member holds scalars of one type, or arrays
     of scalars of one type, in every record, and the deepest of them stays
     within ``_MAX_NESTING``.
@@ -157,19 +159,25 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
         values = list(map(get, records))
         kinds = set(map(type, values))
         if kinds <= {list, tuple}:
-            items = list(chain.from_iterable(values))
-            texts = _scalar_texts(items, set(map(type, items)))
-            if texts is not None:
-                remaining = iter(texts)
-                texts = [
-                    opening + separator.join(islice(remaining, len(value))) + closing
-                    if value else "[]"
-                    for value in values
-                ]
+            # the item type is taken over all items before equal arrays share
+            # one text: (1,) == (True,), and the two hash alike
+            encode = _encoder(set(map(type, chain.from_iterable(values))))
+            if encode is None:
+                return None
+
+            def array_text(value: Sequence[Any]) -> str:
+                return opening + separator.join(map(encode, value)) + closing if value else "[]"
+
+            if list in kinds:  # unhashable: one text per value
+                texts = list(map(array_text, values))
+            else:  # one text per distinct array
+                text_of = {value: array_text(value) for value in set(values)}
+                texts = list(map(text_of.__getitem__, values))
         else:
-            texts = _scalar_texts(values, kinds)
-        if texts is None:
-            return None
+            encode = _encoder(kinds)
+            if encode is None:
+                return None
+            texts = list(map(encode, values))
         columns.append(texts)
     indent = "\n" + "  " * (level + 1)
     rows = map(_record_template(cls, level + 2).__mod__, zip(*columns))
@@ -588,11 +596,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> NoReturn:
     """The command-line entry point: ``main`` on ``sys.argv``, then end the process.
 
-    Once the report is written and both streams are flushed, the process
-    ends with ``os._exit``, which skips the interpreter's teardown of every
-    object that a run made. argparse's ``SystemExit`` and an uncaught
-    exception still take the normal exit path.
+    The cyclic garbage collector is off for the whole run: a command makes
+    few reference cycles and the process ends right after its report, so
+    collecting them would only cost time. Once the report is written and
+    both streams are flushed, the process ends with ``os._exit``, which
+    skips the interpreter's teardown of every object that a run made.
+    argparse's ``SystemExit`` and an uncaught exception still take the
+    normal exit path.
     """
+    gc.disable()
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -168,12 +168,9 @@ def _read_lines(path: Path, text: str) -> tuple[dict[str, None], set[str]]:
     return classes, sealed
 
 
-# An ASCII body of "\n"-ended lines holding none of these is bare class names:
-# no whitespace or "/", no empty segment, and no empty, comment or directive line.
-_NOT_IN_BARE_BODY = (
-    " ", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "/",
-    "..", "\n\n", "\n#", "\n@", "\n.", ".\n",
-)
+# An ASCII body holding none of these has no whitespace or "/" in a name and no
+# comment or directive line.
+_NOT_IN_BARE_BODY = (" ", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "/", "#", "@")
 
 
 def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventory:
@@ -185,8 +182,9 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
     module.
 
     A header of ``#`` and ``@`` lines goes through the per-line loop. When
-    the rest is bare, distinct class names, it is split in one step;
-    anything else is read line by line, which names the first bad line.
+    the rest is bare, distinct ASCII class names with no ``#`` or ``@``, it
+    is split in one step; anything else is read line by line, which names
+    the first bad line.
     """
     path = Path(file)
     text = read_text_file(path, CLASSLIST_LIMIT)
@@ -195,9 +193,11 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
         start = end + 1
     classes, sealed = _read_lines(path, text[:start])
     body = text[start:]
+    # with "\n" read as ".", ".." marks an empty line or an empty name segment
     if (not classes and body.endswith("\n") and body.isascii()
             and not body.startswith((".", "\n"))
-            and not any(part in body for part in _NOT_IN_BARE_BODY)):
+            and not any(part in body for part in _NOT_IN_BARE_BODY)
+            and ".." not in body.replace("\n", ".")):
         names = body[:-1].split("\n")
         classes = dict.fromkeys(names)
         if len(classes) == len(names):

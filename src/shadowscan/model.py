@@ -159,6 +159,16 @@ class ResolvedTree(NamedTuple):
     def root(self) -> ResolvedNode:
         return self.nodes[0]
 
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        # pickle and deepcopy take the nodes leaves first: each child is then
+        # done before its parent, which only refers to it, so no node
+        # recurses into its subtree however deep the tree is
+        return _tree_of_reversed_nodes, (self.nodes[::-1],)
+
+
+def _tree_of_reversed_nodes(nodes: tuple[ResolvedNode, ...]) -> ResolvedTree:
+    return ResolvedTree(nodes[::-1])
+
 
 def check_invariants(tree: ResolvedTree) -> None:
     """Raise ``ValueError`` unless the tree has the shape ``resolve`` builds.

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from shadowscan.analysis import (
+    ShadowFinding,
     compare_ecosystems,
     detect_shadowing,
     effective_classes,
@@ -67,6 +68,8 @@ class TestEffectiveClasses:
             for name, binding in class_map.bindings.items()
         }
         assert actual == expected
+        # first-seen order: check_sealed lists each package's winners in it
+        assert list(class_map.bindings) == list(expected)
 
 
 class TestDetectShadowing:
@@ -113,6 +116,49 @@ class TestDetectShadowing:
             "org.x.Alpha",       # winner depth 1, alphabetically first
             "org.x.Shallow",
         ]
+
+    def test_findings_tied_on_depth_sort_by_name_across_winners(self):
+        tree = build_tree(
+            ("g:root:1", [
+                ("g:a:1", [("g:a2:1", [])]),
+                ("g:b:1", [("g:b2:1", [])]),
+                ("g:c:1", []),
+            ])
+        )
+        # maven order: a, a2, b, b2, c; classes first seen out of name order
+        inventories = [
+            inventory("g:a:1", "org.x.Zeta", "org.x.Mid"),
+            inventory("g:a2:1", "org.x.Omega", "org.x.Beta"),
+            inventory("g:b:1", "org.x.Alpha", "org.x.Zeta"),
+            inventory("g:b2:1", "org.x.Gamma", "org.x.Omega"),
+            inventory("g:c:1", "org.x.Gamma", "org.x.Alpha", "org.x.Beta", "org.x.Mid"),
+        ]
+        findings = detect_shadowing(effective_classes(inventories), tree)
+        assert [(f.class_name, f.winner_depth) for f in findings] == [
+            ("org.x.Beta", 2), ("org.x.Gamma", 2), ("org.x.Omega", 2),
+            ("org.x.Alpha", 1), ("org.x.Mid", 1), ("org.x.Zeta", 1),
+        ]
+
+    def test_matches_the_sort_by_depth_then_name_reference(self):
+        ties = 0
+        for seed in range(60):
+            rng = Random(seed)
+            tree = random_tree(rng, max_depth=4, max_children=3)
+            paths = {node.coordinate: node.path for node in tree.nodes}
+            classpath = build_classpath(tree, Ecosystem.MAVEN).entries
+            inventories = random_inventories(rng, max_classes=30, coordinates=classpath)
+            expected = sorted(
+                (
+                    ShadowFinding(name, winner, shadowed, paths[winner])
+                    for name, (winner, shadowed) in first_provider_scan(inventories).items()
+                    if shadowed
+                ),
+                key=lambda finding: (-finding.winner_depth, finding.class_name),
+            )
+            assert detect_shadowing(effective_classes(inventories), tree) == expected
+            depths = [finding.winner_depth for finding in expected]
+            ties += len(depths) - len(set(depths))
+        assert ties > 100  # most findings share their depth with another
 
 
 def reach_of(tree, ecosystem, attacker):

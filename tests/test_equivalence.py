@@ -568,6 +568,32 @@ def test_record_arrays_match_json_dumps_of_their_expansion(payload):
         assert _json_report("records", {}, payload) == expected
 
 
+# Arrays that are equal and hash alike but are written differently, such as
+# (1,) and (True,), or that are written alike but are unequal: [] and ().
+LOOKALIKE_ARRAYS = [
+    (1,), (True,), (0,), (False,), (1, 0), (True, False), [], (), [1],
+    (Coordinate("g:a:1"),), ("g:a:1",),
+]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_records_sharing_a_few_arrays_match_json_dumps_of_their_expansion(data):
+    pool = data.draw(st.lists(st.sampled_from(LOOKALIKE_ARRAYS), min_size=1, max_size=4))
+    column = st.sampled_from(pool)
+    records = data.draw(st.lists(
+        st.builds(Row, st.sampled_from(["a", "b"]), column, column), min_size=2, max_size=30,
+    ))
+    assert _json_report("records", {}, records) == dumped("records", {}, expanded(records))
+
+
+def test_an_int_and_a_bool_array_that_compare_equal_keep_their_own_text():
+    records = [Row("a", (1,)), Row("b", (True,)), Row("c", (1,))]
+    text = _json_report("records", {}, records)
+    assert text == dumped("records", {}, expanded(records))
+    assert text.count("true") == 1
+
+
 @given(st.randoms(use_true_random=False))
 def test_tree_report_matches_the_node_payload_reference(rng):
     root = random_tree(rng, max_depth=4, max_children=3).root
