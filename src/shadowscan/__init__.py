@@ -3,51 +3,21 @@ Java class lookup to detect and explain classpath shadowing and class
 hijacking, including the build-time and runtime mitigations.
 """
 
-from shadowscan.analysis import (
-    ClassBinding,
-    EcosystemComparison,
-    EffectiveClassMap,
-    ShadowFinding,
-    WinnerComparison,
-    compare_ecosystems,
-    detect_shadowing,
-    effective_classes,
-    hijack_reach,
-    hijack_surface,
-)
-from shadowscan.errors import ShadowscanError
-from shadowscan.inventory import (
-    ClassInventory,
-    inspect_classlist,
-    inspect_jar,
-    inventory_all,
-)
-from shadowscan.mitigations import (
-    MitigationRule,
-    MitigationVerdict,
-    check_ban_duplicate_classes,
-    check_modules,
-    check_sealed,
-)
-from shadowscan.model import (
-    Coordinate,
-    PomDocument,
-    ResolvedNode,
-    ResolvedTree,
-    check_class_name,
-    check_invariants,
-    package_of,
-)
-from shadowscan.ordering import (
-    Classpath,
-    Ecosystem,
-    LayoutMode,
-    PackagingLayout,
-    build_classpath,
-    emit_layout,
-)
-from shadowscan.pom import Repository, fetch_pom, load_repository, parse_pom
-from shadowscan.resolver import ResolutionReport, resolve
+from importlib import import_module
+
+# each exported name -> the module that defines it, imported on first access (PEP 562)
+_EXPORTS = {name: module for module, names in {
+    "analysis": "ClassBinding EcosystemComparison EffectiveClassMap ShadowFinding WinnerComparison"
+                " compare_ecosystems detect_shadowing effective_classes hijack_reach hijack_surface",
+    "errors": "ShadowscanError",
+    "inventory": "ClassInventory inspect_classlist inspect_jar inventory_all",
+    "mitigations": "MitigationVerdict check_ban_duplicate_classes check_modules check_sealed",
+    "model": "Coordinate MitigationRule PomDocument ResolvedNode ResolvedTree check_class_name"
+             " check_invariants package_of",
+    "ordering": "Classpath Ecosystem LayoutMode PackagingLayout build_classpath emit_layout",
+    "pom": "Repository fetch_pom load_repository parse_pom",
+    "resolver": "ResolutionReport resolve",
+}.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
@@ -92,3 +62,15 @@ __all__ = [
     "parse_pom",
     "resolve",
 ]
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from shadowscan.errors import UnknownArtifact
-from shadowscan.inventory import ClassInventory
 from shadowscan.model import Coordinate, ResolvedNode, ResolvedTree, TreePath
 from shadowscan.ordering import Classpath, Ecosystem, build_classpath
+
+if TYPE_CHECKING:
+    from shadowscan.inventory import ClassInventory
 
 
 class ClassBinding(NamedTuple):

@@ -6,23 +6,13 @@ import argparse
 import gc
 import os
 import sys
+from _json import encode_basestring_ascii  # json.encoder's accelerator, without json's decoder
 from functools import cache, cached_property
+from importlib import import_module
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
-from shadowscan.analysis import (
-    EffectiveClassMap,
-    ShadowFinding,
-    WinnerComparison,
-    compare_ecosystems,
-    detect_shadowing,
-    effective_classes,
-    hijack_reach,
-    hijack_surface,
-    included_nodes,
-)
 from shadowscan.errors import (
     DepthLimitExceeded,
     PomNotFound,
@@ -32,28 +22,43 @@ from shadowscan.errors import (
     UnresolvableDependency,
     inert,
 )
-# load_inventory is unused here but stays bound: shadowbench/spans.py wraps cli.load_inventory
-from shadowscan.inventory import ClassInventory, inventory_all, load_inventory
-from shadowscan.mitigations import (
-    DuplicateClassViolation,
-    MitigationRule,
-    MitigationVerdict,
-    SealedPackageViolation,
-    SplitPackageViolation,
-    check_ban_duplicate_classes,
-    check_modules,
-    check_sealed,
-    load_allowlist,
-)
-from shadowscan.model import (
-    Coordinate,
-    OmittedConflict,
-    OmittedDuplicate,
-    ResolvedNode,
-)
+from shadowscan.model import Coordinate, MitigationRule
 from shadowscan.ordering import Classpath, Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import Repository, fetch_pom, load_repository
-from shadowscan.resolver import DEFAULT_MAX_DEPTH, Conflict, Occurrence, ResolutionReport, resolve
+from shadowscan.resolver import DEFAULT_MAX_DEPTH, Occurrence, ResolutionReport, resolve
+
+if TYPE_CHECKING:
+    from shadowscan.analysis import EffectiveClassMap
+    from shadowscan.inventory import ClassInventory
+    from shadowscan.mitigations import MitigationVerdict
+
+
+def _on_first_call(module: str, name: str) -> Callable[..., Any]:
+    """A stand-in for ``shadowscan.<module>.<name>`` that imports the module when first called.
+
+    A command thus loads only the stages it runs. The stand-ins stay bound
+    here, so a tracer that rebinds this module's names sees every call.
+    """
+    def forward(*args: Any, **kwargs: Any) -> Any:
+        return getattr(import_module("shadowscan." + module), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+inventory_all = _on_first_call("inventory", "inventory_all")
+# unused here but bound: shadowbench/spans.py wraps cli.load_inventory
+load_inventory = _on_first_call("inventory", "load_inventory")
+compare_ecosystems = _on_first_call("analysis", "compare_ecosystems")
+detect_shadowing = _on_first_call("analysis", "detect_shadowing")
+effective_classes = _on_first_call("analysis", "effective_classes")
+hijack_reach = _on_first_call("analysis", "hijack_reach")
+hijack_surface = _on_first_call("analysis", "hijack_surface")
+included_nodes = _on_first_call("analysis", "included_nodes")
+check_ban_duplicate_classes = _on_first_call("mitigations", "check_ban_duplicate_classes")
+check_modules = _on_first_call("mitigations", "check_modules")
+check_sealed = _on_first_call("mitigations", "check_sealed")
+load_allowlist = _on_first_call("mitigations", "load_allowlist")
 
 SCHEMA_VERSION = 1
 REPO_ENV_VAR = "SHADOWSCAN_REPO"
@@ -266,127 +271,6 @@ def _json_report(command: str, inputs: dict[str, Any], payload: dict[str, Any]) 
 
 
 # ---------------------------------------------------------------------------
-# text rendering
-
-def _status_suffix(node: ResolvedNode) -> str:
-    if isinstance(node.status, OmittedConflict):
-        return f" (omitted: conflict, winner {node.status.winner})"
-    if isinstance(node.status, OmittedDuplicate):
-        return f" (omitted: duplicate of path {list(node.status.first_occurrence_path)})"
-    return ""
-
-
-def _tree_lines(root: ResolvedNode) -> list[str]:
-    lines: list[str] = []
-    # pre-order walk; each entry holds a node, its line and its children's prefix
-    stack = [(root, str(root.coordinate), "")]
-    while stack:
-        node, line, prefix = stack.pop()
-        lines.append(line)
-        last = len(node.children) - 1
-        for index in range(last, -1, -1):
-            child = node.children[index]
-            stack.append((
-                child,
-                f"{prefix}+-{child.coordinate}{_status_suffix(child)}",
-                prefix + ("   " if index == last else "|  "),
-            ))
-    return lines
-
-
-def _conflict_lines(conflicts: tuple[Conflict, ...]) -> list[str]:
-    if not conflicts:
-        return ["no conflicts"]
-    lines = ["conflicts:"]
-    for conflict in conflicts:
-        losers = ", ".join(
-            f"{loser.coordinate} at {list(loser.path)}" for loser in conflict.losers
-        )
-        lines.append(
-            f"  {conflict.group_artifact}: winner {conflict.winner.coordinate} "
-            f"at {list(conflict.winner.path)}; losers: {losers}"
-        )
-    return lines
-
-
-def _finding_lines(findings: list[ShadowFinding]) -> list[str]:
-    if not findings:
-        return ["no class collisions"]
-    lines = [f"{len(findings)} class collision(s):"]
-    for finding in findings:
-        lines.append(f"  {finding.class_name}")
-        lines.append(
-            f"    winner: {finding.winner} "
-            f"(depth {finding.winner_depth}, path {list(finding.winner_path)})"
-        )
-        lines.append("    shadowed: " + ", ".join(finding.shadowed_victims))
-    return lines
-
-
-def _verdict_lines(verdict: MitigationVerdict) -> list[str]:
-    note = f" ({verdict.diagnostic})" if verdict.diagnostic else ""
-    if verdict.passed:
-        return [f"{verdict.rule.value}: PASS{note}"]
-    lines = [f"{verdict.rule.value}: FAIL ({len(verdict.violations)} violation(s)){note}"]
-    for violation in verdict.violations:
-        if isinstance(violation, DuplicateClassViolation):
-            shadowed = ", ".join(violation.shadowed)
-            lines.append(f"  {violation.class_name}: winner {violation.winner} shadows {shadowed}")
-        elif isinstance(violation, SealedPackageViolation):
-            winners = ", ".join(violation.winners)
-            lines.append(
-                f"  package {violation.package} sealed by {violation.sealed_by} "
-                f"splits across {winners}"
-            )
-        elif isinstance(violation, SplitPackageViolation):
-            providers = ", ".join(violation.providers)
-            lines.append(f"  package {violation.package} provided by {providers}")
-    return lines
-
-
-def _comparison_lines(entries: tuple[WinnerComparison, ...]) -> list[str]:
-    if not entries:
-        return ["no duplicated classes"]
-    lines = []
-    for entry in entries:
-        marker = " DIFFERS" if entry.differs else ""
-        lines.append(
-            f"{entry.class_name}: maven={entry.maven_winner} "
-            f"gradle={entry.gradle_winner}{marker}"
-        )
-    return lines
-
-
-def _classpath_lines(payload: dict[str, Any], inputs: dict[str, Any]) -> list[str]:
-    lines = list(payload["entries"]) or ["(empty classpath)"]
-    if payload["layout"] is not None:
-        lines += [""] + list(payload["layout"].lines)
-    return lines
-
-
-def _hijack_lines(payload: dict[str, Any], inputs: dict[str, Any]) -> list[str]:
-    heading = f"{payload['mode']} of {payload['subject']} ({inputs['ecosystem']}):"
-    artifacts = [f"  {entry} (path {list(path)})" for entry, path in payload["artifacts"]]
-    return [heading] + (artifacts or ["  (empty)"])
-
-
-# The text view of each command's payload, given the report's inputs. The
-# renderers are looked up when a view runs, so a test can replace them.
-_TEXT_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], list[str]]] = {
-    "resolve": lambda payload, inputs: (
-        _tree_lines(payload["tree"]) + [""] + _conflict_lines(payload["conflicts"])
-    ),
-    "classpath": lambda payload, inputs: _classpath_lines(payload, inputs),
-    "scan": lambda payload, inputs: _finding_lines(payload["findings"]),
-    "hijack": lambda payload, inputs: _hijack_lines(payload, inputs),
-    "check": lambda payload, inputs: [
-        line for verdict in payload["verdicts"] for line in _verdict_lines(verdict)
-    ],
-    "compare": lambda payload, inputs: _comparison_lines(payload["classes"]),
-}
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 class Run:
@@ -578,7 +462,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.format == "json":
             output = _json_report(args.command, inputs, payload)
         else:
-            output = "\n".join(map(inert, _TEXT_VIEWS[args.command](payload, inputs))) + "\n"
+            from shadowscan import text
+
+            output = text.render(args.command, payload, inputs)
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
         print(f"error: {inert(str(exc))}", file=sys.stderr)
         return EXIT_RESOLUTION_ERROR

@@ -2,25 +2,20 @@
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from shadowscan.analysis import EffectiveClassMap
 from shadowscan.errors import InvalidClassName, InvalidPattern
-from shadowscan.inventory import ClassInventory
-from shadowscan.model import Coordinate, check_class_name, package_of
+from shadowscan.model import Coordinate, MitigationRule, check_class_name, package_of
 from shadowscan.pom import read_text_file
+
+if TYPE_CHECKING:
+    from shadowscan.analysis import EffectiveClassMap
+    from shadowscan.inventory import ClassInventory
 
 # A list of collision patterns larger than this is hostile input, as a POM is.
 ALLOWLIST_LIMIT = 16 * 2**20
-
-
-class MitigationRule(str, Enum):
-    BAN_DUPLICATE_CLASSES = "ban-duplicate-classes"
-    SEALED_JARS = "sealed-jars"
-    JAVA_MODULES = "java-modules"
 
 
 class DuplicateClassViolation(NamedTuple):

@@ -1,8 +1,9 @@
-"""Core domain types: coordinates, dependency trees, and class names."""
+"""Core domain types: coordinates, dependency trees, class names and mitigation rules."""
 
 from __future__ import annotations
 
 import re
+from enum import Enum
 from typing import NamedTuple
 
 from shadowscan.errors import InvalidClassName, InvalidCoordinate
@@ -209,3 +210,11 @@ def check_class_name(value: str) -> str:
 def package_of(class_name: str) -> str:
     """Dotted package prefix of a class name; empty for the default package."""
     return class_name.rpartition(".")[0]
+
+
+class MitigationRule(str, Enum):
+    """A build-time or runtime mitigation that ``check`` runs (see ``shadowscan.mitigations``)."""
+
+    BAN_DUPLICATE_CLASSES = "ban-duplicate-classes"
+    SEALED_JARS = "sealed-jars"
+    JAVA_MODULES = "java-modules"

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from shadowscan import cli
+import shadowscan
+from shadowscan import cli, text
 from tests.helpers import FIXTURE_ROOTS, FIXTURES
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_reports.json").read_text(encoding="utf-8"))
@@ -74,15 +76,21 @@ def test_stdout_matches_the_recorded_bytes(capsys, monkeypatch, key):
 
 
 @pytest.mark.parametrize(
-    ("output_format", "unused"), [("json", TEXT_RENDERERS), ("text", JSON_RENDERERS)]
+    ("output_format", "unused"),
+    [("json", (text, TEXT_RENDERERS)), ("text", (cli, JSON_RENDERERS))],
 )
 def test_only_the_requested_format_is_rendered(capsys, monkeypatch, output_format, unused):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{output_format} output rendered the other format")
 
-    for name in unused:
-        monkeypatch.setattr(cli, name, refuse)
+    module, names = unused
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
+    if output_format == "json":  # a JSON run does not even import the text views
+        monkeypatch.delitem(sys.modules, text.__name__)
+        monkeypatch.delattr(shadowscan, "text")
     monkeypatch.chdir(FIXTURES.parent)
     for command in COMMANDS:
         code, out = run(capsys, "poc-attack-order", command, output_format)
         assert code in (cli.EXIT_OK, cli.EXIT_MITIGATION_FAILED) and out
+    assert (text.__name__ in sys.modules) == (output_format == "text")
