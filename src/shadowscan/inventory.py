@@ -91,11 +91,11 @@ def inspect_jar(file: Path | str, coordinate: Coordinate) -> ClassInventory:
     a class.
     Sealing is read from the manifest when one is present; that single entry
     is the only one decompressed, and only up to ``_MANIFEST_LIMIT`` bytes.
-    A FIFO or a device is refused by ``pom.open_regular_file``, not waited on.
+    A FIFO, a directory or a device is refused by ``pom.open_regular_file``.
     """
-    path = Path(file)
+    path = file if isinstance(file, Path) else Path(file)
     try:
-        with open_regular_file(path) as handle:
+        with open(open_regular_file(path)[0], "rb") as handle:
             if not zipfile.is_zipfile(handle):
                 raise NotAZip(f"{path} is not a ZIP archive")
             with zipfile.ZipFile(handle) as archive:
@@ -186,7 +186,7 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
     is split in one step; anything else is read line by line, which names
     the first bad line.
     """
-    path = Path(file)
+    path = file if isinstance(file, Path) else Path(file)
     text = read_text_file(path, CLASSLIST_LIMIT)
     start = 0  # where the body starts, past the leading "#" and "@" lines
     while text.startswith(("#", "@"), start) and (end := text.find("\n", start)) >= 0:
@@ -209,11 +209,11 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
 def load_inventory(repo: Repository, coordinate: Coordinate) -> ClassInventory:
     """Load the content inventory for one artifact; a JAR beats a class list."""
     entry = repo.lookup(coordinate)
-    if entry is None or entry.content_path is None:
+    if entry is None or (path := entry.content_path) is None:
         raise MissingContent(f"{coordinate} has no {JAR_NAME} or {CLASSLIST_NAME}")
-    if entry.content_path.name == JAR_NAME:
-        return inspect_jar(entry.content_path, coordinate)
-    return inspect_classlist(entry.content_path, coordinate)
+    if path.name == JAR_NAME:
+        return inspect_jar(path, coordinate)
+    return inspect_classlist(path, coordinate)
 
 
 def inventory_all(repo: Repository, classpath: Classpath) -> list[ClassInventory]:

@@ -83,10 +83,11 @@ def _require_dotted(value: str, pattern: str) -> None:
 def load_allowlist(path: Path | str) -> tuple[str, ...]:
     """Read one pattern per line; blank lines and ``#`` comments are skipped.
 
-    The file is read as a POM is, by ``pom.read_text_file``: a FIFO, a device
-    or more than ``ALLOWLIST_LIMIT`` bytes raises ``IoFailure``. Each pattern
-    is checked by ``check_pattern`` as it is read; a malformed one raises its
-    ``InvalidPattern`` message behind ``<path>:<line>: ``, whichever rules run.
+    The file is read as a POM is, by ``pom.read_text_file``: a FIFO, a
+    directory, a device or more than ``ALLOWLIST_LIMIT`` bytes raises
+    ``IoFailure``. Each pattern is checked by ``check_pattern`` as it is
+    read; a malformed one raises its ``InvalidPattern`` message behind
+    ``<path>:<line>: ``, whichever rules run.
     """
     path = Path(path)
     text = read_text_file(path, ALLOWLIST_LIMIT)

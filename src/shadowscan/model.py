@@ -13,6 +13,7 @@ TreePath = tuple[int, ...]
 
 # In str patterns ``\s`` matches exactly the characters for which str.isspace() holds.
 _TOKEN_FORBIDDEN = re.compile(r"[:\s]")
+_COORDINATE_TEXT = re.compile(r"[^:\s]+:[^:\s]+:[^:\s]+")
 # A class name is a plain str this pattern fullmatches: dot-separated segments,
 # each nonempty and free of "/" and whitespace; "$" inner-class markers stay.
 CLASS_NAME = re.compile(r"[^./\s]+(?:\.[^./\s]+)*")
@@ -43,10 +44,17 @@ class Coordinate(str):
 
     @classmethod
     def of(cls, group_id: str, artifact_id: str, version: str) -> Coordinate:
-        _coordinate_token(group_id, "group id")
-        _coordinate_token(artifact_id, "artifact id")
-        _coordinate_token(version, "version")
-        return str.__new__(cls, f"{group_id}:{artifact_id}:{version}")
+        """The coordinate of three tokens, else ``InvalidCoordinate`` naming the first bad one.
+
+        The joined text is checked in one match; only a failed one is checked
+        token by token, to name the token.
+        """
+        text = ":".join((group_id, artifact_id, version))
+        if not _COORDINATE_TEXT.fullmatch(text):
+            _coordinate_token(group_id, "group id")
+            _coordinate_token(artifact_id, "artifact id")
+            _coordinate_token(version, "version")
+        return str.__new__(cls, text)
 
     @property
     def group_id(self) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import errno
 import os
 import re
@@ -9,7 +10,7 @@ import stat
 import xml.etree.ElementTree as ET
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 from shadowscan.errors import (
     CoordinateMismatch,
@@ -34,36 +35,46 @@ CLASSLIST_LIMIT = 64 * 2**20
 _IGNORED_PROJECT_ELEMENTS = ("dependencyManagement", "profiles", "properties")
 
 
-def open_regular_file(path: Path) -> BinaryIO:
-    """``path`` opened for binary reading if it is a regular file, else ``IoFailure``.
+def open_regular_file(path: Path | str) -> tuple[int, int]:
+    """A raw descriptor of ``path`` opened for reading, and its size; ``IoFailure`` unless regular.
 
     It is opened without blocking, so a FIFO is refused instead of waited on,
-    and checked on the open descriptor, so a symlink to a device is refused
-    too. A failed open raises ``OSError``.
+    and ``fstat`` refuses a directory, a device or a symlink to one before
+    any file object is built. A failed open raises ``OSError``.
     """
-    file = open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
-    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-        file.close()
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode):
+            return fd, info.st_size
         raise IoFailure(f"cannot read {path}: not a regular file")
-    return file
+    except BaseException:
+        os.close(fd)
+        raise
 
 
-def read_text_file(path: Path, limit: int) -> str:
+def read_text_file(path: Path | str, limit: int) -> str:
     """The UTF-8 text of a regular file of at most ``limit`` bytes, else ``IoFailure``.
 
-    A leading byte-order mark is dropped, so that it cannot hide the first
-    line's name. The file is opened by ``open_regular_file``, and the first
-    read is sized by ``fstat``, so a small file never gets a cap-sized buffer.
+    One raw descriptor from ``open_regular_file`` is read, first for the size
+    ``fstat`` reports, so a small file never gets a cap-sized buffer, then
+    8 KiB at a time to end of file or past ``limit`` (procfs reports size 0).
+    A leading byte-order mark, which would hide the first line's name, is dropped.
     """
     try:
-        with open_regular_file(path) as file:
-            size = min(os.fstat(file.fileno()).st_size, limit)
-            data = file.read(size + 1)
-            if len(data) > size:  # the file holds more than fstat reported
-                data += file.read(limit - size)
-        if len(data) > limit:
+        fd, reported = open_regular_file(path)
+        try:
+            chunks = [os.read(fd, min(reported, limit) + 1)]
+            size = len(chunks[0])
+            while size <= limit and (chunk := os.read(fd, min(limit + 1 - size, 2**13))):
+                chunks.append(chunk)
+                size += len(chunk)
+        finally:
+            os.close(fd)
+        if size > limit:
             raise IoFailure(f"cannot read {path}: larger than {limit} bytes")
-        return data.decode("utf-8-sig")
+        data = b"".join(chunks)
+        return (data[3:] if data.startswith(codecs.BOM_UTF8) else data).decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
@@ -74,23 +85,6 @@ def _warn(message: str, *args: object) -> None:
     # as text output is: a POM names coordinates that may hold terminal controls
     import logging
     logging.getLogger(__name__).warning(inert(message % args))
-
-
-def _local_name(tag: str) -> str:
-    # ElementTree encodes namespaces as "{uri}local"; match the local part only.
-    return tag.rpartition("}")[2]
-
-
-def _children(element: ET.Element) -> tuple[list[str], dict[str, ET.Element]]:
-    """The local names of an element's children in order, and the first child of each name."""
-    names: list[str] = []
-    first: dict[str, ET.Element] = {}
-    for child in element:
-        name = _local_name(child.tag)
-        names.append(name)
-        if name not in first:
-            first[name] = child
-    return names, first
 
 
 def _read_coordinate(children: dict[str, ET.Element], where: str, prefix: str) -> Coordinate:
@@ -123,25 +117,41 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         raise MalformedXml(f"not well-formed XML: {exc}") from exc
-    if _local_name(root.tag) != "project":
-        raise MalformedXml(f"root element must be <project>, got <{_local_name(root.tag)}>")
-    names, children = _children(root)
-    coordinate = _read_coordinate(children, "project", prefix)
-    for name in names:
+    # ElementTree spells a namespaced tag "{uri}local"; only the local part counts
+    tag = root.tag
+    name = tag[tag.rfind("}") + 1:]
+    if name != "project":
+        raise MalformedXml(f"root element must be <project>, got <{name}>")
+    children: dict[str, ET.Element] = {}  # the first child of each local name
+    ignored: list[str] = []
+    for child in root:
+        tag = child.tag
+        name = tag[tag.rfind("}") + 1:]
+        children.setdefault(name, child)
         if name in _IGNORED_PROJECT_ELEMENTS:
-            _warn("%sproject %s: ignoring <%s>", prefix, coordinate, name)
+            ignored.append(name)
+    coordinate = _read_coordinate(children, "project", prefix)
+    for name in ignored:
+        _warn("%sproject %s: ignoring <%s>", prefix, coordinate, name)
 
     dependencies: list[Coordinate] = []
     section = children.get("dependencies")
-    if section is not None:
-        elements = [child for child in section if _local_name(child.tag) == "dependency"]
-        for index, element in enumerate(elements):
-            names, children = _children(element)
-            where = f"dependency #{index} of {coordinate}"
-            dep_coordinate = _read_coordinate(children, where, prefix)
-            for _ in range(names.count("exclusions")):
-                _warn("%sdependency %s: ignoring <exclusions>", prefix, dep_coordinate)
-            dependencies.append(dep_coordinate)
+    for element in () if section is None else section:
+        tag = element.tag
+        if tag[tag.rfind("}") + 1:] != "dependency":
+            continue
+        fields: dict[str, ET.Element] = {}
+        exclusions = 0
+        for child in element:
+            tag = child.tag
+            name = tag[tag.rfind("}") + 1:]
+            fields.setdefault(name, child)
+            exclusions += name == "exclusions"
+        where = f"dependency #{len(dependencies)} of {coordinate}"
+        dependency = _read_coordinate(fields, where, prefix)
+        for _ in range(exclusions):
+            _warn("%sdependency %s: ignoring <exclusions>", prefix, dependency)
+        dependencies.append(dependency)
     seen: set[str] = set()
     for dependency in dependencies:
         ga = dependency.ga
@@ -159,14 +169,14 @@ class RepositoryEntry:
     """One artifact version on disk, found at its coordinate's path.
 
     ``pom_path`` is ``<root>/<group>/<artifact>/<version>/pom.xml`` for
-    ``coordinate``. The POM is read, parsed and checked against the
-    coordinate on the first read of ``document`` (every parse warning and
-    error names the file and the coordinate), and the content source is
-    looked up on the first read of ``content_path``; each result is then
-    kept on the entry.
+    ``coordinate``, a ``str`` spelled as ``pathlib`` would spell it. The POM
+    is read, parsed and checked against the coordinate on the first read of
+    ``document`` (every parse warning and error names the file and the
+    coordinate), and the content source is looked up on the first read of
+    ``content_path``; each result is then kept on the entry.
     """
 
-    def __init__(self, coordinate: Coordinate, pom_path: Path) -> None:
+    def __init__(self, coordinate: Coordinate, pom_path: str) -> None:
         self.coordinate = coordinate
         self.pom_path = pom_path
 
@@ -189,24 +199,26 @@ class RepositoryEntry:
     def content_path(self) -> Path | None:
         """A sibling ``artifact.jar`` (preferred) or ``classes.txt``, if present.
 
+        Each is checked as a ``str``, and the one found returned as a ``Path``.
         A name is present if ``lstat`` finds it, whatever it is: reading a
         present ``artifact.jar`` that is not a regular file then fails with
         ``IoFailure``, rather than the class list being read in its place.
         """
+        directory = os.path.dirname(self.pom_path)
         for name in (JAR_NAME, CLASSLIST_NAME):
-            candidate = self.pom_path.parent / name
+            candidate = f"{directory}/{name}"
             try:
                 os.lstat(candidate)
             except OSError as exc:
                 if exc.errno in _ABSENT:
                     continue
                 raise IoFailure(f"cannot read {candidate}: {exc}") from exc
-            return candidate
+            return Path(candidate)
         return None
 
 
-# A token that would leave its level of the layout, or that no path can hold.
-_NOT_A_NAME = re.compile(r"\A\.\.?\Z|[/\0]")
+# A coordinate token that would leave its level of the layout, or that no path can hold.
+_NOT_A_NAME = re.compile(r"(?:\A|:)\.\.?(?::|\Z)|[/\0]")
 
 
 class Repository(NamedTuple):
@@ -223,9 +235,10 @@ class Repository(NamedTuple):
     def lookup(self, coordinate: Coordinate) -> RepositoryEntry | None:
         """The entry at the coordinate's path, found on first use and then kept.
 
-        The path is ``<root>/<group>/<artifact>/<version>/pom.xml``. A token
-        that is ``.`` or ``..`` or holds ``/`` or NUL names no entry, so a
-        lookup never leaves the root's three-level layout. Any existing
+        The path is ``<root>/<group>/<artifact>/<version>/pom.xml``, a ``str``
+        spelled as ``Path.joinpath`` would, and one ``os.stat`` checks it. A
+        token that is ``.`` or ``..`` or holds ``/`` or NUL names no entry,
+        so a lookup never leaves the root's three-level layout. Any existing
         ``pom.xml``, even a directory, is an entry; reading it decides the
         rest. A failure to check the path other than its absence raises
         ``IoFailure``.
@@ -233,12 +246,12 @@ class Repository(NamedTuple):
         entry = self.entries.get(coordinate)
         if entry is not None:
             return entry
-        tokens = coordinate.split(":")
-        if any(_NOT_A_NAME.search(token) for token in tokens):
+        if _NOT_A_NAME.search(coordinate):
             return None
-        pom_path = self.root_directory.joinpath(*tokens, "pom.xml")
+        root = os.fspath(self.root_directory)  # pathlib spells a root of "." as no prefix
+        pom_path = os.path.join("" if root == "." else root, *coordinate.split(":"), "pom.xml")
         try:
-            pom_path.stat()
+            os.stat(pom_path)
         except OSError as exc:
             if exc.errno in _ABSENT:
                 return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import count, repeat
 from typing import NamedTuple
 
 from shadowscan.errors import DepthLimitExceeded, PomNotFound, UnresolvableDependency
@@ -20,6 +21,7 @@ from shadowscan.model import (
 from shadowscan.pom import Repository, fetch_pom
 
 DEFAULT_MAX_DEPTH = 64
+_new = tuple.__new__  # builds a record in one C call, without its class's Python __new__
 
 
 class Occurrence(NamedTuple):
@@ -66,9 +68,7 @@ def resolve(
     }
     losers: dict[str, list[Occurrence]] = {}
     # nodes still to place: parent's row, declaration index, coordinate
-    queue: deque[tuple[int, int, Coordinate]] = deque(
-        (0, position, child) for position, child in enumerate(root.dependencies)
-    )
+    queue: deque[tuple[int, int, Coordinate]] = deque(zip(repeat(0), count(), root.dependencies))
     while queue:
         parent, position, coordinate = queue.popleft()
         parent_path = rows[parent][1]
@@ -77,36 +77,33 @@ def resolve(
             raise DepthLimitExceeded(
                 f"{coordinate} at depth {len(path)} exceeds the limit of {max_depth}"
             )
-        ga = coordinate.ga
+        ga = coordinate.rpartition(":")[0]
         winner = winners.get(ga)
         status: NodeStatus
         if winner is None:
             status = INCLUDED
         elif winner.coordinate == coordinate:
-            status = OmittedDuplicate(first_occurrence_path=winner.path)
+            status = _new(OmittedDuplicate, (winner.path,))
         else:
-            status = OmittedConflict(winner=winner.coordinate)
-            losers.setdefault(ga, []).append(Occurrence(coordinate, path))
+            status = _new(OmittedConflict, (winner.coordinate,))
+            losers.setdefault(ga, []).append(_new(Occurrence, (coordinate, path)))
         index = len(rows)
         rows.append((coordinate, path, status, parent))
         if winner is None:
-            winners[ga] = Occurrence(coordinate, path)
+            winners[ga] = _new(Occurrence, (coordinate, path))
             try:
                 document = fetch_pom(repo, coordinate)
             except PomNotFound as exc:
                 raise UnresolvableDependency(coordinate, parent_path) from exc
-            queue.extend(
-                (index, position, child) for position, child in enumerate(document.dependencies)
-            )
+            queue.extend(zip(repeat(index), count(), document.dependencies))
 
     # From the last row up, every node's children are built before the node.
     nodes: list[ResolvedNode] = []
     children: dict[int, list[ResolvedNode]] = {}
     for index in range(len(rows) - 1, -1, -1):
         coordinate, path, status, parent = rows[index]
-        node = ResolvedNode(
-            coordinate, path, index, status, tuple(reversed(children.pop(index, ())))
-        )
+        below = tuple(reversed(children.pop(index, ())))
+        node = _new(ResolvedNode, (coordinate, path, index, status, below))
         children.setdefault(parent, []).append(node)
         nodes.append(node)
     nodes.reverse()

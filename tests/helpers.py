@@ -209,7 +209,7 @@ def memory_repo(poms: dict[str, list[str]]) -> Repository:
     for text, dependency_texts in poms.items():
         coordinate = Coordinate(text)
         document = PomDocument(coordinate, tuple(map(Coordinate, dependency_texts)))
-        entry = RepositoryEntry(coordinate, Path("<memory>/pom.xml"))
+        entry = RepositoryEntry(coordinate, "<memory>/pom.xml")
         # Fill the entry's memoized fields so that nothing is read from disk.
         vars(entry).update(document=document, content_path=None)
         entries[coordinate] = entry

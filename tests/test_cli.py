@@ -6,6 +6,7 @@ import codecs
 import errno
 import importlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -585,6 +586,102 @@ def test_a_fifo_archive_is_an_io_failure_not_a_hang(tmp_path):
     result = run_child("-c", script, str(jar))
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == f"cannot read {jar}: not a regular file\n"
+
+
+def test_a_reached_directory_pom_is_not_a_regular_file(capsys, tmp_path):
+    repo = tmp_path / "repo"
+    shutil.copytree(FIXTURES / "poc-attack-order", repo)
+    pom = repo / "org.test" / "nicelibrary" / "1.2" / "pom.xml"
+    pom.unlink()
+    pom.mkdir()
+    code, out, err = run(capsys, "resolve", "--repo", str(repo), "--root", "org.example:victim:1.0")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {pom}: not a regular file\n"
+
+
+@pytest.mark.parametrize("rules", ["dup,sealed,modules", "sealed"])
+def test_a_directory_allowlist_is_not_a_regular_file(capsys, tmp_path, rules):
+    code, out, err = run(capsys, "check", *ATTACK, "--rules", rules, "--allowlist", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {tmp_path}: not a regular file\n"
+
+
+@pytest.mark.parametrize("beside_a_class_list", [True, False])
+def test_a_reached_directory_archive_is_not_a_regular_file(capsys, tmp_path, beside_a_class_list):
+    repo = tmp_path / "repo"
+    shutil.copytree(FIXTURES / "poc-attack-order", repo)
+    directory = repo / "org.test" / "nicelibrary" / "1.2"
+    if not beside_a_class_list:
+        (directory / "classes.txt").unlink()
+    jar = directory / "artifact.jar"
+    jar.mkdir()
+    code, out, err = run(capsys, "scan", "--repo", str(repo), "--root", "org.example:victim:1.0")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {jar}: not a regular file\n"
+
+
+class TestPathSpelling:
+    """Messages name a reached file as ``pathlib`` spells it, however ``--repo`` is spelled.
+
+    Each case gives ``--repo`` from a working directory (both relative to
+    the test's directory, where the repository is ``x``) and the prefix of
+    every path a message names.
+    """
+
+    CASES = {
+        "dot": (".", "x", ""),
+        "dot-slash": ("./x/", ".", "x/"),
+        "double-slash": ("x//", ".", "x/"),
+        "absolute": ("{tmp}//x/", ".", "{tmp}/x/"),
+    }
+
+    @pytest.fixture(params=CASES)
+    def spelled(self, request, tmp_path, monkeypatch):
+        """The ``--repo`` argument, the repository and the prefix, with the working directory set."""
+        repo_arg, cwd, prefix = (
+            value.format(tmp=tmp_path) for value in self.CASES[request.param]
+        )
+        repo = make_repo(
+            tmp_path / "x", {"g:root:1": ["g:b:1"], "g:b:1": []}, {"g:b:1": ["org.b.B"]}
+        )
+        monkeypatch.chdir(tmp_path / cwd)
+        return ["--repo", repo_arg, "--root", "g:root:1"], repo, prefix
+
+    def test_an_unreadable_pom(self, capsys, spelled):
+        args, repo, prefix = spelled
+        (repo / "g" / "b" / "1" / "pom.xml").write_bytes(b"\xff")
+        assert run(capsys, "resolve", *args) == (1, "", (
+            f"error: cannot read {prefix}g/b/1/pom.xml: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        ))
+
+    def test_a_mismatched_pom(self, capsys, spelled):
+        args, repo, prefix = spelled
+        write_pom(repo / "g" / "b" / "1", coord("g:b:2"), [])
+        assert run(capsys, "resolve", *args) == (1, "", (
+            f"error: {prefix}g/b/1/pom.xml declares g:b:2 but its directory implies g:b:1\n"
+        ))
+
+    def test_an_unreadable_class_list(self, capsys, spelled):
+        args, repo, prefix = spelled
+        (repo / "g" / "b" / "1" / "classes.txt").write_bytes(b"\xff")
+        assert run(capsys, "scan", *args) == (1, "", (
+            f"error: cannot read {prefix}g/b/1/classes.txt: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        ))
+
+    def test_a_parse_warning(self, capsys, caplog, spelled):
+        args, repo, prefix = spelled
+        pom = repo / "g" / "root" / "1" / "pom.xml"
+        pom.write_text(
+            pom.read_text(encoding="utf-8").replace("</project>", "<properties/></project>"),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="shadowscan.pom"):
+            assert run(capsys, "resolve", *args)[0] == 0
+        assert [record.getMessage() for record in caplog.records] == [
+            f"{prefix}g/root/1/pom.xml (g:root:1): project g:root:1: ignoring <properties>"
+        ]
 
 
 @pytest.fixture(scope="module")

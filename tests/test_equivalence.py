@@ -258,6 +258,26 @@ def test_coordinate_token_rule_matches_the_per_character_reference(value):
         assert accepts(build, InvalidCoordinate, value) == reference_token_ok(value)
 
 
+def reference_coordinate_error(tokens: tuple[str, str, str]) -> str | None:
+    """The message for the first bad token, checked one token at a time, or None."""
+    for label, token in zip(("group id", "artifact id", "version"), tokens):
+        if not token:
+            return f"{label} must be a nonempty string"
+        if not reference_token_ok(token):
+            return f"{label} {token!r} must not contain ':' or whitespace"
+    return None
+
+
+@given(st.tuples(NAMES, NAMES, NAMES))
+def test_coordinate_of_names_the_first_bad_token_as_the_per_token_reference(tokens):
+    try:
+        Coordinate.of(*tokens)
+    except InvalidCoordinate as exc:
+        assert str(exc) == reference_coordinate_error(tokens)
+    else:
+        assert reference_coordinate_error(tokens) is None
+
+
 # POMs: the coordinate elements shuffled, repeated or missing, with padded,
 # placeholder and now and then empty, invalid or element-only values;
 # repeated dependencies sections and coordinates from small pools, so that
@@ -265,7 +285,9 @@ def test_coordinate_token_rule_matches_the_per_character_reference(value):
 # a prefixed namespace; a wrong root now and then, and truncated text
 COORDINATE_NAMES = ["groupId", "artifactId", "version"]
 POM_VALUES = {
-    name: st.sampled_from(valid * 6 + ["", "a b", "a:b", "<x/>g"])
+    name: st.sampled_from(
+        valid * 6 + ["", "a b", "a:b", "<x/>g", "a\x1cb", "a\u00a0b", "a\u2028b", "a::b"]
+    )
     for name, valid in [
         ("groupId", ["g", "h", "  g\n", "${group}"]),
         ("artifactId", ["a", "b", "c", "${artifact}"]),

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import builtins
 import errno
+import os
 import re
 import zipfile
 from random import Random
@@ -109,14 +109,14 @@ class TestInspectJar:
     def test_unreadable_archive_is_an_io_failure(self, tmp_path, monkeypatch):
         # file modes do not stop root, so the refusal to open is simulated
         jar = make_jar(tmp_path / "artifact.jar", ["org/test/A.class"])
-        real_open = builtins.open
+        real_open = os.open
 
         def refusing_open(file, *args, **kwargs):
             if file == jar or file == str(jar):
                 raise PermissionError(errno.EACCES, "Permission denied", str(jar))
             return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(builtins, "open", refusing_open)
+        monkeypatch.setattr(os, "open", refusing_open)
         with pytest.raises(IoFailure, match=f"cannot read {jar}: .*Permission denied"):
             inspect_jar(jar, COORD)
 

@@ -5,20 +5,24 @@ from __future__ import annotations
 import errno
 import logging
 import os
-from pathlib import Path
+import zipfile
 
 import pytest
 
+from shadowscan import inventory
 from shadowscan.cli import main
 from shadowscan.errors import (
     CoordinateMismatch,
+    CorruptArchive,
     DuplicateDeclaration,
     InvalidCoordinate,
     IoFailure,
     MalformedXml,
     MissingCoordinate,
+    NotAZip,
     PomNotFound,
 )
+from shadowscan.inventory import inspect_jar
 from shadowscan.model import Coordinate
 from shadowscan.pom import POM_LIMIT, fetch_pom, load_repository, parse_pom, read_text_file
 from shadowscan.resolver import resolve
@@ -319,12 +323,18 @@ class TestFetchPom:
         make_repo(tmp_path, {"g:a:1": []})
         repo = load_repository(tmp_path)
 
-        def failing_stat(path, **kwargs):
-            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        pom = tmp_path / "g" / "a" / "1" / "pom.xml"
+        real_stat = os.stat
 
-        monkeypatch.setattr(Path, "stat", failing_stat)
-        with pytest.raises(IoFailure, match="pom.xml"):
+        def failing_stat(path, *args, **kwargs):
+            if path == str(pom):
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", failing_stat)
+        with pytest.raises(IoFailure) as excinfo:
             fetch_pom(repo, coord("g:a:1"))
+        assert str(excinfo.value) == f"cannot read {pom}: [Errno 13] Permission denied: '{pom}'"
 
     def test_parses_each_reached_pom_once_and_no_other(self, tmp_path, monkeypatch):
         poms = {
@@ -392,6 +402,97 @@ class TestBoundedPomRead:
         assert read_text_file(path, 10) == "0123456789"
         with pytest.raises(IoFailure, match="larger than 9 bytes"):
             read_text_file(path, 9)
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestNoDescriptorLeak:
+    """Every refusal of a read closes the descriptor it opened."""
+
+    @staticmethod
+    def refuses(read, path, error, match):
+        before = open_descriptors()
+        with pytest.raises(error, match=match):
+            read(path)
+        assert open_descriptors() == before
+
+    @pytest.fixture
+    def fifo(self, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        return path
+
+    @staticmethod
+    def read_text(path):
+        return read_text_file(path, 16)
+
+    @staticmethod
+    def read_jar(path):
+        return inspect_jar(path, coord("g:a:1"))
+
+    def test_text_of_a_directory(self, tmp_path):
+        self.refuses(self.read_text, tmp_path, IoFailure, "not a regular file")
+
+    def test_text_of_a_fifo(self, fifo):
+        self.refuses(self.read_text, fifo, IoFailure, "not a regular file")
+
+    def test_text_over_the_cap(self, tmp_path):
+        path = tmp_path / "pom.xml"
+        path.write_bytes(b"x" * 17)
+        self.refuses(self.read_text, path, IoFailure, "larger than 16 bytes")
+
+    def test_undecodable_text(self, tmp_path):
+        path = tmp_path / "pom.xml"
+        path.write_bytes(b"\xef\xbb\xbfok\xff")
+        self.refuses(self.read_text, path, IoFailure, "can't decode byte 0xff in position 2")
+
+    def test_text_whose_read_fails(self, tmp_path, monkeypatch):
+        path = tmp_path / "pom.xml"
+        path.write_bytes(b"<project/>")
+
+        def failing_read(fd, size):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "read", failing_read)
+        self.refuses(self.read_text, path, IoFailure, "Input/output error")
+
+    def test_archive_that_is_a_directory(self, tmp_path):
+        self.refuses(self.read_jar, tmp_path, IoFailure, "not a regular file")
+
+    def test_archive_that_is_a_fifo(self, fifo):
+        self.refuses(self.read_jar, fifo, IoFailure, "not a regular file")
+
+    def test_archive_that_is_not_a_zip(self, tmp_path):
+        path = tmp_path / "artifact.jar"
+        path.write_bytes(b"not an archive")
+        self.refuses(self.read_jar, path, NotAZip, "is not a ZIP archive")
+
+    def test_archive_whose_manifest_inflates_past_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(inventory, "_MANIFEST_LIMIT", 16)
+        path = tmp_path / "artifact.jar"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("META-INF/MANIFEST.MF", "Manifest-Version: 1.0\n")
+        self.refuses(self.read_jar, path, CorruptArchive, "inflates past 16 bytes")
+
+    def test_archive_with_an_undecodable_entry_name(self, tmp_path):
+        path = tmp_path / "artifact.jar"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("A\u00e9.class", b"")  # a non-ASCII name sets the UTF-8 flag
+        path.write_bytes(path.read_bytes().replace("A\u00e9".encode(), b"A\xff\xff"))
+        self.refuses(self.read_jar, path, CorruptArchive, "can't decode byte 0xff")
+
+    def test_archive_whose_fstat_fails(self, tmp_path, monkeypatch):
+        path = tmp_path / "artifact.jar"
+        path.write_bytes(b"")
+
+        def failing_fstat(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fstat", failing_fstat)
+        self.refuses(self.read_jar, path, IoFailure, "Input/output error")
 
 
 class TestParseWarnings:
