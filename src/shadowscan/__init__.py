@@ -7,8 +7,9 @@ from importlib import import_module
 
 # each exported name -> the module that defines it, imported on first access (PEP 562)
 _EXPORTS = {name: module for module, names in {
-    "analysis": "ClassBinding EcosystemComparison EffectiveClassMap ShadowFinding WinnerComparison"
-                " compare_ecosystems detect_shadowing effective_classes hijack_reach hijack_surface",
+    "analysis": "EcosystemComparison EffectiveClassMap ShadowFinding WinnerComparison"
+                " compare_ecosystems detect_shadowing effective_classes hijack_reach"
+                " hijack_surface",
     "errors": "ShadowscanError",
     "inventory": "ClassInventory inspect_classlist inspect_jar inventory_all",
     "mitigations": "MitigationVerdict check_ban_duplicate_classes check_modules check_sealed",
@@ -21,47 +22,7 @@ _EXPORTS = {name: module for module, names in {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassBinding",
-    "ClassInventory",
-    "Classpath",
-    "Coordinate",
-    "Ecosystem",
-    "EcosystemComparison",
-    "EffectiveClassMap",
-    "LayoutMode",
-    "MitigationRule",
-    "MitigationVerdict",
-    "PackagingLayout",
-    "PomDocument",
-    "Repository",
-    "ResolutionReport",
-    "ResolvedNode",
-    "ResolvedTree",
-    "ShadowFinding",
-    "ShadowscanError",
-    "WinnerComparison",
-    "build_classpath",
-    "check_ban_duplicate_classes",
-    "check_class_name",
-    "check_invariants",
-    "check_modules",
-    "check_sealed",
-    "compare_ecosystems",
-    "detect_shadowing",
-    "effective_classes",
-    "emit_layout",
-    "fetch_pom",
-    "hijack_reach",
-    "hijack_surface",
-    "inspect_classlist",
-    "inspect_jar",
-    "inventory_all",
-    "load_repository",
-    "package_of",
-    "parse_pom",
-    "resolve",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> object:

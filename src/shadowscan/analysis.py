@@ -13,21 +13,18 @@ if TYPE_CHECKING:
     from shadowscan.inventory import ClassInventory
 
 
-class ClassBinding(NamedTuple):
-    """Winning provider of one class plus the providers it shadows."""
-
-    winner: Coordinate
-    shadowed: tuple[Coordinate, ...] = ()
-
-
 class EffectiveClassMap(NamedTuple):
-    """What actually loads: each class name bound to its first provider."""
+    """What actually loads: each class name bound to its providers in classpath order.
 
-    bindings: Mapping[str, ClassBinding]
+    The first provider is the one the class loader returns; a class with
+    more than one provider is shadowed.
+    """
+
+    bindings: Mapping[str, tuple[Coordinate, ...]]
 
 
 def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMap:
-    """Bind every provided class to the earliest inventory that carries it.
+    """Bind every provided class to the inventories that carry it, earliest first.
 
     The bindings keep the order in which the classes are first seen.
     """
@@ -41,10 +38,7 @@ def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMa
                 providers[cls] = [coordinate]
             else:
                 found.append(coordinate)
-    make = ClassBinding._make
-    return EffectiveClassMap(
-        {cls: make((found[0], tuple(found[1:]))) for cls, found in providers.items()}
-    )
+    return EffectiveClassMap({cls: tuple(found) for cls, found in providers.items()})
 
 
 class ShadowFinding(NamedTuple):
@@ -77,13 +71,14 @@ def detect_shadowing(class_map: EffectiveClassMap, tree: ResolvedTree) -> list[S
     # each included coordinate -> its path and the findings at its depth
     targets = {coordinate: (node.path, by_depth.setdefault(len(node.path), []))
                for coordinate, node in included_nodes(tree).items()}
-    for class_name, (winner, shadowed) in class_map.bindings.items():
-        if shadowed:
+    for class_name, providers in class_map.bindings.items():
+        if len(providers) > 1:
+            winner = providers[0]
             target = targets.get(winner)
             if target is None:
                 raise UnknownArtifact(f"{winner} is not an included node of the tree")
             path, found = target
-            found.append(ShadowFinding(class_name, winner, shadowed, path))
+            found.append(ShadowFinding(class_name, winner, providers[1:], path))
     findings: list[ShadowFinding] = []
     for depth in sorted(by_depth, reverse=True):
         findings += sorted(by_depth[depth], key=itemgetter(0))  # by class name

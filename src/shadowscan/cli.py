@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
 from _json import encode_basestring_ascii  # json.encoder's accelerator, without json's decoder
+from contextlib import suppress
 from functools import cache, cached_property
 from importlib import import_module
 from itertools import chain
@@ -366,11 +368,18 @@ def cmd_compare(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _print_error(message: str) -> None:
+    """Write ``error: <message>`` to stderr; nothing if stderr is closed or fails."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are input errors: keep exit code 1, not argparse's 2
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(message)
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
@@ -452,7 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.repo:
-        print(f"error: no repository given (--repo or ${REPO_ENV_VAR})", file=sys.stderr)
+        _print_error(f"no repository given (--repo or ${REPO_ENV_VAR})")
         return EXIT_INPUT_ERROR
     # check and compare have no --ecosystem: they read the Maven classpath
     run = Run(args.repo, args.root, args.max_depth, Ecosystem(getattr(args, "ecosystem", "maven")))
@@ -466,15 +475,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             output = text.render(args.command, payload, inputs)
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
-        print(f"error: {inert(str(exc))}", file=sys.stderr)
+        _print_error(inert(str(exc)))
         return EXIT_RESOLUTION_ERROR
     except ShadowscanError as exc:
-        print(f"error: {inert(str(exc))}", file=sys.stderr)
+        _print_error(inert(str(exc)))
         return EXIT_INPUT_ERROR
     try:
         _write_stdout(output)
-    except OSError as exc:  # a full disk, a closed pipe
-        print(f"error: cannot write the report: {inert(str(exc))}", file=sys.stderr)
+    except OSError as exc:  # a full disk, a closed pipe, a closed stdout
+        _print_error(f"cannot write the report: {inert(str(exc))}")
         return EXIT_INPUT_ERROR
     return code
 
@@ -485,15 +494,17 @@ def run() -> NoReturn:
     The cyclic garbage collector is off for the whole run: a command makes
     few reference cycles and the process ends right after its report, so
     collecting them would only cost time. Once the report is written and
-    both streams are flushed, the process ends with ``os._exit``, which
+    the open streams are flushed, the process ends with ``os._exit``, which
     skips the interpreter's teardown of every object that a run made.
     argparse's ``SystemExit`` and an uncaught exception still take the
     normal exit path.
     """
     gc.disable()
     code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # a stream closed before start-up is None
+            with suppress(OSError):
+                stream.flush()
     os._exit(code)
 
 
@@ -504,8 +515,11 @@ def _write_stdout(text: str) -> None:
     character the encoding lacks as its backslash escape), so no byte stays
     buffered, and a short write under ``python -u`` is not lost. A stream
     with no descriptor, such as ``io.StringIO``, takes it through ``write``.
+    A closed stdout, which Python sets to None, raises ``EBADF``.
     """
     stream = sys.stdout
+    if stream is None:
+        raise OSError(errno.EBADF, "stdout is closed")
     stream.flush()
     try:
         fileno = stream.fileno()

@@ -115,9 +115,9 @@ def check_ban_duplicate_classes(
     exact = {pattern for pattern in patterns if not pattern.endswith("*")}
     prefixes = tuple(pattern[:-1] for pattern in patterns if pattern.endswith("*"))
     violations = [
-        DuplicateClassViolation(class_name, binding.winner, binding.shadowed)
-        for class_name, binding in class_map.bindings.items()
-        if binding.shadowed and class_name not in exact and not class_name.startswith(prefixes)
+        DuplicateClassViolation(class_name, providers[0], providers[1:])
+        for class_name, providers in class_map.bindings.items()
+        if len(providers) > 1 and class_name not in exact and not class_name.startswith(prefixes)
     ]
     violations.sort(key=attrgetter("class_name"))
     return MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, tuple(violations))
@@ -135,8 +135,8 @@ def check_sealed(
     """
     # dict keys double as an insertion-ordered set of each package's winners
     winners_by_package: dict[str, dict[Coordinate, None]] = {}
-    for class_name, binding in class_map.bindings.items():
-        winners_by_package.setdefault(package_of(class_name), {})[binding.winner] = None
+    for class_name, providers in class_map.bindings.items():
+        winners_by_package.setdefault(package_of(class_name), {})[providers[0]] = None
     violations: list[SealedPackageViolation] = []
     for inventory in inventories:
         for package in sorted(inventory.sealed_packages):

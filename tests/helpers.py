@@ -320,10 +320,8 @@ def random_inventories(
     return inventories
 
 
-def first_provider_scan(
-    inventories: list[ClassInventory],
-) -> dict[str, tuple[Coordinate, tuple[Coordinate, ...]]]:
-    """Per class name, walk the classpath front to back and stop at the first provider."""
+def first_provider_scan(inventories: list[ClassInventory]) -> dict[str, tuple[Coordinate, ...]]:
+    """Per class name, walk the whole classpath front to back and collect its providers."""
     names: list[str] = []
     seen: set[str] = set()
     for inventory in inventories:
@@ -333,8 +331,7 @@ def first_provider_scan(
                 names.append(cls)
     result = {}
     for name in names:
-        providers = [inv.coordinate for inv in inventories if name in inv.classes]
-        result[name] = (providers[0], tuple(providers[1:]))
+        result[name] = tuple(inv.coordinate for inv in inventories if name in inv.classes)
     return result
 
 
@@ -522,10 +519,10 @@ def reference_check_sealed(
 ) -> MitigationVerdict:
     """Sealed-package check with list buckets and list-membership dedup."""
     winners_by_package: dict[str, list[Coordinate]] = {}
-    for class_name, binding in class_map.bindings.items():
+    for class_name, providers in class_map.bindings.items():
         bucket = winners_by_package.setdefault(package_of(class_name), [])
-        if binding.winner not in bucket:
-            bucket.append(binding.winner)
+        if providers[0] not in bucket:
+            bucket.append(providers[0])
     violations: list[SealedPackageViolation] = []
     for inventory in inventories:
         for package in sorted(inventory.sealed_packages):
@@ -575,9 +572,9 @@ def reference_compare_ecosystems(
         maps[ecosystem] = effective_classes(ordered)
     gradle_bindings = maps[Ecosystem.GRADLE].bindings
     return EcosystemComparison(tuple(
-        WinnerComparison(class_name, binding.winner, gradle_bindings[class_name].winner)
-        for class_name, binding in sorted(maps[Ecosystem.MAVEN].bindings.items())
-        if binding.shadowed
+        WinnerComparison(class_name, providers[0], gradle_bindings[class_name][0])
+        for class_name, providers in sorted(maps[Ecosystem.MAVEN].bindings.items())
+        if len(providers) > 1
     ))
 
 

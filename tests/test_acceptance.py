@@ -98,13 +98,13 @@ def test_criterion_3_declaration_order_sensitivity():
         attack = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
         nice_class = "org.test.NiceClass"
         safe_winner = next(
-            str(binding.winner)
-            for name, binding in safe.class_map.bindings.items()
+            str(providers[0])
+            for name, providers in safe.class_map.bindings.items()
             if name == nice_class
         )
         attack_winner = next(
-            str(binding.winner)
-            for name, binding in attack.class_map.bindings.items()
+            str(providers[0])
+            for name, providers in attack.class_map.bindings.items()
             if name == nice_class
         )
         assert safe_winner == "org.test:nicelibrary:1.2"
@@ -182,11 +182,7 @@ def test_criterion_7_effective_map_oracle_equivalence():
         for seed in range(1000):
             inventories = random_inventories(Random(seed), max_artifacts=50, max_classes=200)
             class_map = effective_classes(inventories)
-            actual = {
-                name: (binding.winner, binding.shadowed)
-                for name, binding in class_map.bindings.items()
-            }
-            if actual != first_provider_scan(inventories):
+            if class_map.bindings != first_provider_scan(inventories):
                 mismatches += 1
         assert mismatches == 0
 

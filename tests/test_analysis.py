@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import shadowscan
 from shadowscan.analysis import (
     ShadowFinding,
     compare_ecosystems,
@@ -17,7 +18,7 @@ from shadowscan.analysis import (
 from shadowscan.cli import Run
 from shadowscan.errors import UnknownArtifact
 from shadowscan.inventory import ClassInventory
-from shadowscan.model import check_class_name
+from shadowscan.model import Coordinate, check_class_name
 from shadowscan.ordering import Ecosystem, build_classpath
 from tests.helpers import (
     FIXTURES,
@@ -39,21 +40,19 @@ NICE_CLASS = "org.test.NiceClass"
 class TestEffectiveClasses:
     def test_attack_order_binds_the_masquerading_copy(self):
         run = Run(FIXTURES / "poc-attack-order", "org.example:victim:1.0")
-        binding = run.class_map.bindings[NICE_CLASS]
-        assert str(binding.winner) == "org.evil:fakelibrary:1.0"
-        assert [str(c) for c in binding.shadowed] == ["org.test:nicelibrary:1.2"]
+        providers = run.class_map.bindings[NICE_CLASS]
+        assert providers == ("org.evil:fakelibrary:1.0", "org.test:nicelibrary:1.2")
 
     def test_safe_order_binds_the_genuine_copy(self):
         run = Run(FIXTURES / "poc-safe-order", "org.example:victim:1.0")
-        binding = run.class_map.bindings[NICE_CLASS]
-        assert str(binding.winner) == "org.test:nicelibrary:1.2"
-        assert [str(c) for c in binding.shadowed] == ["org.evil:fakelibrary:1.0"]
+        providers = run.class_map.bindings[NICE_CLASS]
+        assert providers == ("org.test:nicelibrary:1.2", "org.evil:fakelibrary:1.0")
 
     def test_single_inventory_all_unshadowed(self):
         inventories = [inventory("g:a:1", "org.x.A", "org.x.B", "org.x.C")]
         class_map = effective_classes(inventories)
         assert len(class_map.bindings) == 3
-        assert all(not binding.shadowed for binding in class_map.bindings.values())
+        assert all(len(providers) == 1 for providers in class_map.bindings.values())
 
     def test_empty_input(self):
         assert effective_classes([]).bindings == {}
@@ -63,13 +62,20 @@ class TestEffectiveClasses:
         inventories = random_inventories(Random(seed), max_artifacts=12, max_classes=40)
         class_map = effective_classes(inventories)
         expected = first_provider_scan(inventories)
-        actual = {
-            name: (binding.winner, binding.shadowed)
-            for name, binding in class_map.bindings.items()
-        }
-        assert actual == expected
+        assert class_map.bindings == expected
         # first-seen order: check_sealed lists each package's winners in it
         assert list(class_map.bindings) == list(expected)
+
+    def test_a_binding_is_a_plain_tuple_of_its_providers(self):
+        # the order is pinned by the scan oracle above; tuple equality ignores the type
+        inventories = random_inventories(Random(7), max_artifacts=12, max_classes=40)
+        bindings = effective_classes(inventories).bindings
+        assert any(len(providers) > 1 for providers in bindings.values())
+        for providers in bindings.values():
+            assert type(providers) is tuple
+            assert all(type(provider) is Coordinate for provider in providers)
+        with pytest.raises(AttributeError):
+            shadowscan.ClassBinding
 
 
 class TestDetectShadowing:
@@ -149,9 +155,9 @@ class TestDetectShadowing:
             inventories = random_inventories(rng, max_classes=30, coordinates=classpath)
             expected = sorted(
                 (
-                    ShadowFinding(name, winner, shadowed, paths[winner])
-                    for name, (winner, shadowed) in first_provider_scan(inventories).items()
-                    if shadowed
+                    ShadowFinding(name, providers[0], providers[1:], paths[providers[0]])
+                    for name, providers in first_provider_scan(inventories).items()
+                    if len(providers) > 1
                 ),
                 key=lambda finding: (-finding.winner_depth, finding.class_name),
             )
@@ -274,7 +280,7 @@ class TestOrderSensitivity:
                     classes.append(shared)
                 inventories.append(inventory(str(entry), *classes))
             class_map = effective_classes(inventories)
-            return str(class_map.bindings[shared].winner)
+            return str(class_map.bindings[shared][0])
 
         assert winner(shape_a, shape_b) == provider_a
         assert winner(shape_b, shape_a) == provider_b

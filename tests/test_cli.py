@@ -741,6 +741,37 @@ def test_a_reader_that_stops_early_is_an_input_error(large_scan, unbuffered):
     assert (process.returncode, err) == (1, write_error(errno.EPIPE))
 
 
+def run_with_closed(stream, root):
+    """``python -m shadowscan resolve`` of CWA from a shell that closed ``stream`` (1 or 2)."""
+    script = f'exec "$0" -m shadowscan resolve "$@" {stream}>&-'
+    argv = ["sh", "-c", script, sys.executable, "--repo", CWA[1], "--root", root]
+    return subprocess.run(argv, capture_output=True, env=stdout_child_env(False), timeout=60)
+
+
+def test_a_closed_stdout_is_an_input_error():
+    result = run_with_closed(1, CWA[3])
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == b"error: cannot write the report: [Errno 9] stdout is closed\n"
+
+
+def test_a_closed_stdout_keeps_a_resolution_error():
+    result = run_with_closed(1, "g:missing:1")
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"error: g:missing:1 ")
+    assert result.stderr.count(b"\n") == 1
+
+
+def test_a_closed_stderr_still_writes_the_report():
+    result = run_with_closed(2, CWA[3])
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.startswith(b"app.coronawarn:cwa-parent:3.2.0\n")
+
+
+def test_a_closed_stderr_drops_the_error_line():
+    result = run_with_closed(2, "g:missing:1")
+    assert (result.returncode, result.stdout, result.stderr) == (2, b"", b"")
+
+
 def test_a_large_report_reaches_stdout_whole(large_scan):
     result = subprocess.run(
         [sys.executable, *large_scan], capture_output=True,

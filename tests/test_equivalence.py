@@ -411,9 +411,9 @@ def test_allowlist_matching_matches_the_per_pattern_reference(provided, patterns
     ]
     class_map = effective_classes(inventories)
     expected = tuple(
-        DuplicateClassViolation(name, binding.winner, binding.shadowed)
-        for name, binding in sorted(class_map.bindings.items())
-        if binding.shadowed and not reference_allowed(name, patterns)
+        DuplicateClassViolation(name, providers[0], providers[1:])
+        for name, providers in sorted(class_map.bindings.items())
+        if len(providers) > 1 and not reference_allowed(name, patterns)
     )
     verdict = check_ban_duplicate_classes(class_map, patterns)
     assert typed(verdict.violations) == typed(expected)

@@ -125,7 +125,7 @@ class TestBanDuplicateClasses:
         inventories = random_inventories(Random(seed), max_artifacts=10, max_classes=30)
         class_map = effective_classes(inventories)
         verdict = check_ban_duplicate_classes(class_map)
-        has_shadow = any(binding.shadowed for binding in class_map.bindings.values())
+        has_shadow = any(len(providers) > 1 for providers in class_map.bindings.values())
         assert verdict.passed == (not has_shadow)
 
 
