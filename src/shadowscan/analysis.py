@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 from shadowscan.errors import UnknownArtifact
 from shadowscan.model import Coordinate, ResolvedNode, ResolvedTree, TreePath
@@ -28,7 +28,7 @@ def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMa
 
     The bindings keep the order in which the classes are first seen.
     """
-    providers: dict[str, list[Coordinate]] = {}  # class name -> its providers, in order
+    providers: dict[str, Any] = {}  # class name -> its providers in order: a list, then its tuple
     get = providers.get
     for inventory in inventories:
         coordinate = inventory.coordinate
@@ -38,7 +38,9 @@ def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMa
                 providers[cls] = [coordinate]
             else:
                 found.append(coordinate)
-    return EffectiveClassMap({cls: tuple(found) for cls, found in providers.items()})
+    for cls, found in providers.items():  # in place: the keys and their order stay
+        providers[cls] = tuple(found)
+    return EffectiveClassMap(providers)
 
 
 class ShadowFinding(NamedTuple):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import errno
 import gc
 import os
@@ -11,7 +12,7 @@ from _json import encode_basestring_ascii  # json.encoder's accelerator, without
 from contextlib import suppress
 from functools import cache, cached_property
 from importlib import import_module
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
@@ -82,6 +83,7 @@ _RULE_TOKENS = {
 # allow 1000 levels; Python's json stops at its recursion limit, 1000 by default).
 # A resolve report nests two levels per tree level; text output has no limit.
 _MAX_NESTING = 1000
+_BATCH = 2048  # report pieces joined, encoded and written to stdout at a time
 
 
 @cache
@@ -124,43 +126,33 @@ def _encoder(kinds: set[type]) -> Callable[[Any], str] | None:
     return _SCALARS[kinds.pop()] if len(kinds) == 1 else None
 
 
-@cache
-def _record_template(cls: type, level: int) -> str:
-    """``%``-template of a record's JSON object whose members sit at nesting ``level``."""
-    indent = "\n" + "  " * level
-    members = ("," + indent).join(key.replace("%", "%%") + "%s" for key, _ in _members(cls))
-    return "{" + indent + members + "\n" + "  " * (level - 1) + "}"
-
-
-def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str | None:
-    """The JSON text of an array of records of one class, written column by column.
+def _record_array_text(records: list[Any] | tuple[Any, ...], level: int, parts: list[str]) -> bool:
+    """Append to ``parts`` the JSON text of an array of records of one class, column by column.
 
     ``level`` is the array's own nesting level. Each member is read over all
     records at once and encoded by ``_SCALARS``, an array member once per
-    distinct tuple, and each record is joined through one template. None, for ``_json_text`` to write the array
-    value by value, unless each member holds scalars of one type, or arrays
-    of scalars of one type, in every record, and the deepest of them stays
-    within ``_MAX_NESTING``.
+    distinct tuple, and its texts are appended between constant member texts.
+    False, with nothing appended, for ``_json_pieces`` to write the array
+    value by value, unless each member holds scalars of one type, or arrays of
+    scalars of one type, in every record, nested within ``_MAX_NESTING``.
     """
     cls = records[0].__class__
     if _SCALARS[cls] is not None or level + 3 > _MAX_NESTING:
-        return None
+        return False
     try:
         members = _members(cls)
     except TypeError:  # not a record
-        return None
+        return False
     # the first record's member kinds rule out most arrays (a tree's children,
     # whose status is a record) before any column is read
-    first = records[0]
     for _, get in members:
-        kind = get(first).__class__
+        kind = get(records[0]).__class__
         if kind is not list and kind is not tuple and _SCALARS[kind] is None:
-            return None
+            return False
     if not members or len(set(map(type, records))) > 1:
-        return None
+        return False
     item_indent = "\n" + "  " * (level + 3)
-    opening, separator = "[" + item_indent, "," + item_indent
-    closing = "\n" + "  " * (level + 2) + "]"
+    opening, separator, closing = "[" + item_indent, "," + item_indent, "\n" + "  " * (level + 2) + "]"
     columns = []
     for _, get in members:
         values = list(map(get, records))
@@ -170,7 +162,7 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
             # one text: (1,) == (True,), and the two hash alike
             encode = _encoder(set(map(type, chain.from_iterable(values))))
             if encode is None:
-                return None
+                return False
 
             def array_text(value: Sequence[Any]) -> str:
                 return opening + separator.join(map(encode, value)) + closing if value else "[]"
@@ -183,16 +175,21 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int) -> str 
         else:
             encode = _encoder(kinds)
             if encode is None:
-                return None
+                return False
             texts = list(map(encode, values))
         columns.append(texts)
-    indent = "\n" + "  " * (level + 1)
-    rows = map(_record_template(cls, level + 2).__mod__, zip(*columns))
-    return "[" + indent + ("," + indent).join(rows) + "\n" + "  " * level + "]"
+    row, member = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    opens = "{" + member + members[0][0]  # a record up to its first member's value
+    # the text after each member's value: after the last one, the next record opens
+    after = [*("," + member + key for key, _ in members[1:]), row + "}," + row + opens]
+    parts.append("[" + row + opens)
+    parts += chain.from_iterable(zip(*chain.from_iterable(zip(columns, map(repeat, after)))))
+    parts[-1] = row + "}\n" + "  " * level + "]"
+    return True
 
 
-def _json_text(document: Any) -> str:
-    """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, without recursion.
+def _json_pieces(document: Any) -> list[str]:
+    """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, as pieces, without recursion.
 
     A record (a NamedTuple or another class with ``_fields``) is written as
     the object of its ``_fields`` and ``_derived`` members, never as an
@@ -228,11 +225,9 @@ def _json_text(document: Any) -> str:
                     ]
                 elif cls is list or cls is tuple:
                     # most arrays hold scalars (paths above all): skip those without a call
-                    if len(value) > 1 and _SCALARS[value[0].__class__] is None:
-                        text = _record_array_text(value, level)
-                        if text is not None:
-                            emit(text)
-                            continue
+                    if (len(value) > 1 and _SCALARS[value[0].__class__] is None
+                            and _record_array_text(value, level, parts)):
+                        continue
                     opening, close = "[", "]"
                     items = [("", item) for item in value]
                 else:
@@ -259,17 +254,21 @@ def _json_text(document: Any) -> str:
                 emit(breaks[level - 1])
                 emit(closing)
     emit("\n")
-    return "".join(parts)
+    return parts
+
+
+def _json_text(document: Any) -> str:
+    return "".join(_json_pieces(document))
+
+
+def _json_report_pieces(command: str, inputs: dict[str, Any], payload: dict[str, Any]) -> list[str]:
+    """The pieces of the versioned JSON document of one command invocation."""
+    return _json_pieces({"schema_version": SCHEMA_VERSION, "command": command,
+                         "inputs": inputs, "payload": payload})
 
 
 def _json_report(command: str, inputs: dict[str, Any], payload: dict[str, Any]) -> str:
-    """The versioned JSON document of one command invocation."""
-    return _json_text({
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "payload": payload,
-    })
+    return "".join(_json_report_pieces(command, inputs, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +378,7 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are input errors: keep exit code 1, not argparse's 2
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
-        _print_error(message)
+        _print_error(inert(message))
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
@@ -414,11 +413,8 @@ def _allowlist_argument(value: str) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument(
-        "--repo",
-        default=os.environ.get(REPO_ENV_VAR),
-        help=f"repository root directory (default: ${REPO_ENV_VAR})",
-    )
+    common.add_argument("--repo", default=os.environ.get(REPO_ENV_VAR),
+                        help=f"repository root directory (default: ${REPO_ENV_VAR})")
     common.add_argument("--root", required=True, help="root project coordinate group:artifact:version")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--max-depth", type=_depth_argument, default=DEFAULT_MAX_DEPTH)
@@ -469,11 +465,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, payload = args.handler(run, args)
         inputs = _inputs(args)
         if args.format == "json":
-            output = _json_report(args.command, inputs, payload)
+            pieces = _json_report_pieces(args.command, inputs, payload)
         else:
             from shadowscan import text
 
-            output = text.render(args.command, payload, inputs)
+            pieces = [text.render(args.command, payload, inputs)]
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
         _print_error(inert(str(exc)))
         return EXIT_RESOLUTION_ERROR
@@ -481,7 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _print_error(inert(str(exc)))
         return EXIT_INPUT_ERROR
     try:
-        _write_stdout(output)
+        _write_stdout(pieces)
     except OSError as exc:  # a full disk, a closed pipe, a closed stdout
         _print_error(f"cannot write the report: {inert(str(exc))}")
         return EXIT_INPUT_ERROR
@@ -508,14 +504,16 @@ def run() -> NoReturn:
     os._exit(code)
 
 
-def _write_stdout(text: str) -> None:
-    """Write all of ``text`` to stdout, or raise ``OSError``.
+def _write_stdout(pieces: list[str]) -> None:
+    """Write all of ``pieces``, in order, to stdout, or raise ``OSError``.
 
-    The encoded text goes to stdout's descriptor until no byte is left (a
-    character the encoding lacks as its backslash escape), so no byte stays
-    buffered, and a short write under ``python -u`` is not lost. A stream
-    with no descriptor, such as ``io.StringIO``, takes it through ``write``.
-    A closed stdout, which Python sets to None, raises ``EBADF``.
+    ``_BATCH`` pieces at a time are joined and encoded by one incremental
+    encoder (one BOM for UTF-16; a character the encoding lacks as its
+    backslash escape) and go to stdout's descriptor until no byte is left,
+    so no byte stays buffered and a short write under ``python -u`` is not
+    lost. A stream with no descriptor, such as ``io.StringIO``, takes the
+    joined pieces through one ``write``. A closed stdout, which Python sets
+    to None, raises ``EBADF``.
     """
     stream = sys.stdout
     if stream is None:
@@ -524,8 +522,10 @@ def _write_stdout(text: str) -> None:
     try:
         fileno = stream.fileno()
     except OSError:  # io.UnsupportedOperation: no descriptor behind the stream
-        stream.write(text)
+        stream.write("".join(pieces))
         return
-    data = memoryview(text.encode(stream.encoding, "backslashreplace"))
-    while data:
-        data = data[os.write(fileno, data):]
+    encode = codecs.getincrementalencoder(stream.encoding)("backslashreplace").encode
+    for start in range(0, len(pieces), _BATCH):
+        data = memoryview(encode("".join(pieces[start:start + _BATCH]), start + _BATCH >= len(pieces)))
+        while data:
+            data = data[os.write(fileno, data):]

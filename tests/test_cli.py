@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -386,6 +387,31 @@ def test_non_integer_max_depth_is_a_usage_error(capsys):
         main(["resolve", *ATTACK, "--max-depth", "abc"])
     assert excinfo.value.code == 1
     assert "--max-depth: must be a non-negative integer, got 'abc'" in capsys.readouterr().err
+
+
+def usage_error(capsys, argv):
+    """The usage text and the ``error:`` line that ``main(argv)`` writes to stderr on exit 1."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    usage, _, message = capsys.readouterr().err.partition("error: ")
+    return usage, "error: " + message
+
+
+@pytest.mark.parametrize(
+    ("options", "shown"),
+    [
+        ([], "unrecognized arguments: \\x1b[31mX\n"),
+        # argparse quotes this value with repr, whose "\" is doubled like any other
+        (["--format"], "argument --format: invalid choice: '\\\\x1b[31mX'"),
+    ],
+    ids=["argument", "repr-of-an-argument"],
+)
+def test_a_usage_error_is_written_inert(capsys, options, shown):
+    usage, line = usage_error(capsys, ["resolve", *SAMPLE, *options, "\x1b[31mX"])
+    assert usage == usage_error(capsys, ["resolve", *SAMPLE, *options, "X"])[0]
+    assert line.startswith("error: " + shown)
+    assert line.endswith("\n") and line[:-1].isprintable()
 
 
 def test_a_byte_order_mark_cannot_hide_a_shadowed_class(capsys, tmp_path):
@@ -822,6 +848,46 @@ def test_a_name_that_stdout_cannot_encode_is_written_as_its_escape(tmp_path):
     assert b"  org.test.Caf\\xe9\n" in result.stdout.splitlines(keepends=True)
 
 
+@pytest.mark.parametrize("large", [False, True], ids=["one-batch", "many-batches"])
+def test_a_stateful_encoding_starts_the_report_with_one_byte_order_mark(monkeypatch, large_scan, large):
+    # one incremental encoder spans the batches, so a UTF-16 report is its one-shot encoding
+    argv = large_scan[2:] if large else ["resolve", *SAMPLE, "--format", "json"]
+    pieces = []
+    monkeypatch.setattr(cli, "_write_stdout", pieces.extend)
+    assert main(argv) == 0
+    assert (len(pieces) > 10 * cli._BATCH) == large
+    result = subprocess.run(
+        [sys.executable, "-m", "shadowscan", *argv], capture_output=True,
+        env=dict(stdout_child_env(False), PYTHONIOENCODING="utf-16"), timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == "".join(pieces).encode("utf-16")
+    assert result.stdout.startswith(codecs.BOM_UTF16) and result.stdout.count(codecs.BOM_UTF16) == 1
+
+
+def test_a_record_array_report_is_written_without_a_second_copy(monkeypatch, tmp_path):
+    # the report's pieces and one joined batch at a time are held, never the whole report twice
+    findings = [
+        ShadowFinding(
+            f"org.big.p{number % 10}.Class{number:05d}", coord(f"org.big:winner{number % 50}:1.0"),
+            (coord(f"org.big:victim{number % 7}:1.0"), coord("org.big:victim:2.0")),
+            (number % 3, number % 5, 1),
+        )
+        for number in range(10_000)
+    ]
+    path = tmp_path / "report.json"
+    with path.open("w", encoding="utf-8") as stream, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stream)
+        tracemalloc.start()
+        try:
+            cli._write_stdout(cli._json_report_pieces("scan", {}, {"findings": findings}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == _json_report("scan", {}, {"findings": findings})
+    assert peak < 2 * path.stat().st_size
+
+
 @pytest.mark.parametrize("output_format", ["text", "json"])
 @pytest.mark.parametrize(
     "argv",
@@ -979,6 +1045,14 @@ class TestDeepChain:
             f"error: the JSON report would nest deeper than {_MAX_NESTING} levels, "
             "the most JSON readers accept; use --format text\n"
         )
+
+    def test_a_spawned_json_resolve_is_refused_before_its_first_byte(self, chain_args):
+        result = subprocess.run(
+            [sys.executable, "-m", "shadowscan", "resolve", *chain_args, "--format", "json"],
+            capture_output=True, env=stdout_child_env(False), timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.startswith(b"error: the JSON report would nest deeper than ")
 
 
 class Pair(tuple):

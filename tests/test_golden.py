@@ -48,7 +48,7 @@ TEXT_RENDERERS = [
     "_tree_lines", "_conflict_lines", "_finding_lines", "_verdict_lines", "_comparison_lines",
     "_classpath_lines", "_hijack_lines",
 ]
-JSON_RENDERERS = ["_json_report", "_json_text"]
+JSON_RENDERERS = ["_json_report_pieces", "_json_pieces"]
 
 
 def run(capsys, fixture: str, command: str, output_format: str) -> tuple[int, str]:
