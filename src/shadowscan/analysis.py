@@ -160,8 +160,11 @@ def compare_ecosystems(
     for index, inventory in enumerate(inventories):
         for cls in inventory.classes:
             providers.setdefault(cls, []).append(index)
+    # the names are unique: sorting them alone gives the order of sorting the pairs
+    duplicated = sorted(name for name, found in providers.items() if len(found) > 1)
+    new = tuple.__new__  # a record without NamedTuple's argument handling
     entries = tuple(
-        WinnerComparison(class_name, maven[found[0]], maven[min(found, key=rank.__getitem__)])
-        for class_name, found in sorted(item for item in providers.items() if len(item[1]) > 1)
+        new(WinnerComparison, (name, maven[found[0]], maven[min(found, key=rank.__getitem__)]))
+        for name, found in zip(duplicated, map(providers.__getitem__, duplicated))
     )
     return EcosystemComparison(entries)

@@ -12,9 +12,9 @@ from _json import encode_basestring_ascii  # json.encoder's accelerator, without
 from contextlib import suppress
 from functools import cache, cached_property
 from importlib import import_module
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
 
 from shadowscan.errors import (
     DepthLimitExceeded,
@@ -62,6 +62,8 @@ check_ban_duplicate_classes = _on_first_call("mitigations", "check_ban_duplicate
 check_modules = _on_first_call("mitigations", "check_modules")
 check_sealed = _on_first_call("mitigations", "check_sealed")
 load_allowlist = _on_first_call("mitigations", "load_allowlist")
+# the JSON writer's row pass: only reports that hold a record tree or conflicts compile it
+_record_rows = _on_first_call("rows", "record_rows")
 
 SCHEMA_VERSION = 1
 REPO_ENV_VAR = "SHADOWSCAN_REPO"
@@ -117,13 +119,41 @@ _SCALARS = _ScalarTable({
 })
 
 
+class _Lines(dict):
+    """Nesting level -> ``start`` and a line break indented to that level, made once per level."""
+
+    def __init__(self, start: str) -> None:
+        self.start = start
+
+    def __missing__(self, level: int) -> str:
+        text = self[level] = self.start + "\n" + "  " * level
+        return text
+
+
+_BREAKS, _COMMAS = _Lines(""), _Lines(",")
+_ARRAYS = {list, tuple}
+
+
 def _encoder(kinds: set[type]) -> Callable[[Any], str] | None:
     """The encoder of values whose types are ``kinds``; None unless one scalar type.
 
     Without values there are no kinds, and ``str``'s encoder, never called, stands in."""
     if not kinds:
         return _SCALARS[str]
-    return _SCALARS[kinds.pop()] if len(kinds) == 1 else None
+    return _SCALARS[next(iter(kinds))] if len(kinds) == 1 else None
+
+
+def _column(values: list[Any]) -> tuple[set[type], Callable[[Any], str] | None]:
+    """The types of one member's ``values`` over all records, and their encoder.
+
+    If every value is an array, the encoder is that of the items, whose
+    type is taken over all of them: ``(1,) == (True,)``, yet one is written
+    ``[1]`` and the other ``[true]``. None unless one scalar type.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _ARRAYS:
+        return kinds, _encoder(set(map(type, chain.from_iterable(values))))
+    return kinds, _encoder(kinds)
 
 
 def _record_array_text(records: list[Any] | tuple[Any, ...], level: int, parts: list[str]) -> bool:
@@ -143,48 +173,41 @@ def _record_array_text(records: list[Any] | tuple[Any, ...], level: int, parts: 
         members = _members(cls)
     except TypeError:  # not a record
         return False
-    # the first record's member kinds rule out most arrays (a tree's children,
-    # whose status is a record) before any column is read
+    # the first record's member kinds send arrays of records with a record
+    # member (conflicts, whose winner is one) to the row writer before any
+    # column is read
     for _, get in members:
         kind = get(records[0]).__class__
         if kind is not list and kind is not tuple and _SCALARS[kind] is None:
-            return False
+            return _record_rows(records, level + 2, parts)
     if not members or len(set(map(type, records))) > 1:
         return False
-    item_indent = "\n" + "  " * (level + 3)
-    opening, separator, closing = "[" + item_indent, "," + item_indent, "\n" + "  " * (level + 2) + "]"
+    opening, separator, closing = "[" + _BREAKS[level + 3], _COMMAS[level + 3], _BREAKS[level + 2] + "]"
     columns = []
     for _, get in members:
         values = list(map(get, records))
-        kinds = set(map(type, values))
-        if kinds <= {list, tuple}:
-            # the item type is taken over all items before equal arrays share
-            # one text: (1,) == (True,), and the two hash alike
-            encode = _encoder(set(map(type, chain.from_iterable(values))))
-            if encode is None:
-                return False
-
+        kinds, encode = _column(values)
+        if encode is None:
+            return False
+        if kinds <= _ARRAYS:
             def array_text(value: Sequence[Any]) -> str:
                 return opening + separator.join(map(encode, value)) + closing if value else "[]"
 
             if list in kinds:  # unhashable: one text per value
                 texts = list(map(array_text, values))
-            else:  # one text per distinct array
+            else:  # one text per distinct array, of one item type
                 text_of = {value: array_text(value) for value in set(values)}
                 texts = list(map(text_of.__getitem__, values))
         else:
-            encode = _encoder(kinds)
-            if encode is None:
-                return False
             texts = list(map(encode, values))
         columns.append(texts)
-    row, member = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    row, member = _BREAKS[level + 1], _BREAKS[level + 2]
     opens = "{" + member + members[0][0]  # a record up to its first member's value
     # the text after each member's value: after the last one, the next record opens
     after = [*("," + member + key for key, _ in members[1:]), row + "}," + row + opens]
     parts.append("[" + row + opens)
     parts += chain.from_iterable(zip(*chain.from_iterable(zip(columns, map(repeat, after)))))
-    parts[-1] = row + "}\n" + "  " * level + "]"
+    parts[-1] = row + "}" + _BREAKS[level] + "]"
     return True
 
 
@@ -194,14 +217,16 @@ def _json_pieces(document: Any) -> list[str]:
     A record (a NamedTuple or another class with ``_fields``) is written as
     the object of its ``_fields`` and ``_derived`` members, never as an
     array; a ``str`` subclass such as a ``Coordinate`` as its string. An
-    array of records of one class with only scalar or scalar-array members
-    is written column by column by ``_record_array_text``, to the same text.
+    array of records of one class is written column by column by
+    ``_record_array_text``, and a record tree (a record with one member
+    that holds records of its own class) and an array of records with a
+    record member by ``_record_rows``, to the same text, where they can.
     Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
     """
     parts: list[str] = []
     emit = parts.append
-    breaks = ["\n"]  # breaks[level]: a line break indented to that nesting level
-    commas = [",\n"]
+    breaks, commas = _BREAKS, _COMMAS
+    trees = True  # until a tree is refused: its subtrees would be tried and refused again
     # open containers: their remaining (index, (quoted key or "", value)), the
     # nesting level of those members and the closing bracket
     stack = [(enumerate([("", document)]), 0, "")]
@@ -233,17 +258,21 @@ def _json_pieces(document: Any) -> list[str]:
                 else:
                     opening, close = "{", "}"
                     items = [(name, get(value)) for name, get in _members(cls)]
+                    if trees:
+                        own = [at for at, (_, item) in enumerate(items)
+                               if item.__class__ in _ARRAYS and item and item[0].__class__ is cls]
+                        if len(own) == 1:
+                            if _record_rows(value, level + 1, parts, own[0]):
+                                continue
+                            trees = False
                 if not items:
                     emit(opening + close)
                     continue
-                if level + 1 == len(breaks):
-                    if level == _MAX_NESTING:
-                        raise ReportTooDeep(
-                            f"the JSON report would nest deeper than {_MAX_NESTING} levels, "
-                            "the most JSON readers accept; use --format text"
-                        )
-                    breaks.append(breaks[-1] + "  ")
-                    commas.append("," + breaks[-1])
+                if level == _MAX_NESTING:
+                    raise ReportTooDeep(
+                        f"the JSON report would nest deeper than {_MAX_NESTING} levels, "
+                        "the most JSON readers accept; use --format text"
+                    )
                 emit(opening)
                 emit(breaks[level + 1])
                 stack.append((enumerate(items), level + 1, close))
@@ -469,7 +498,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             from shadowscan import text
 
-            pieces = [text.render(args.command, payload, inputs)]
+            pieces = text.render(args.command, payload, inputs)
     except (PomNotFound, UnresolvableDependency, UnknownArtifact, DepthLimitExceeded) as exc:
         _print_error(inert(str(exc)))
         return EXIT_RESOLUTION_ERROR
@@ -504,7 +533,7 @@ def run() -> NoReturn:
     os._exit(code)
 
 
-def _write_stdout(pieces: list[str]) -> None:
+def _write_stdout(pieces: Iterable[str]) -> None:
     """Write all of ``pieces``, in order, to stdout, or raise ``OSError``.
 
     ``_BATCH`` pieces at a time are joined and encoded by one incremental
@@ -525,7 +554,11 @@ def _write_stdout(pieces: list[str]) -> None:
         stream.write("".join(pieces))
         return
     encode = codecs.getincrementalencoder(stream.encoding)("backslashreplace").encode
-    for start in range(0, len(pieces), _BATCH):
-        data = memoryview(encode("".join(pieces[start:start + _BATCH]), start + _BATCH >= len(pieces)))
+    pieces = iter(pieces)
+    while True:
+        batch = list(islice(pieces, _BATCH))
+        data = memoryview(encode("".join(batch), len(batch) < _BATCH))
         while data:
             data = data[os.write(fileno, data):]
+        if len(batch) < _BATCH:
+            return

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from shadowscan.errors import inert
 from shadowscan.model import OmittedConflict, OmittedDuplicate, ResolvedNode
@@ -21,13 +22,12 @@ def _status_suffix(node: ResolvedNode) -> str:
     return ""
 
 
-def _tree_lines(root: ResolvedNode) -> list[str]:
-    lines: list[str] = []
+def _tree_lines(root: ResolvedNode) -> Iterator[str]:
     # pre-order walk; each entry holds a node, its line and its children's prefix
     stack = [(root, str(root.coordinate), "")]
     while stack:
         node, line, prefix = stack.pop()
-        lines.append(line)
+        yield line
         last = len(node.children) - 1
         for index in range(last, -1, -1):
             child = node.children[index]
@@ -36,39 +36,38 @@ def _tree_lines(root: ResolvedNode) -> list[str]:
                 f"{prefix}+-{child.coordinate}{_status_suffix(child)}",
                 prefix + ("   " if index == last else "|  "),
             ))
-    return lines
 
 
-def _conflict_lines(conflicts: tuple[Conflict, ...]) -> list[str]:
+def _conflict_lines(conflicts: tuple[Conflict, ...]) -> Iterator[str]:
     if not conflicts:
-        return ["no conflicts"]
-    lines = ["conflicts:"]
+        yield "no conflicts"
+        return
+    yield "conflicts:"
     for conflict in conflicts:
         losers = ", ".join(
             f"{loser.coordinate} at {list(loser.path)}" for loser in conflict.losers
         )
-        lines.append(
+        yield (
             f"  {conflict.group_artifact}: winner {conflict.winner.coordinate} "
             f"at {list(conflict.winner.path)}; losers: {losers}"
         )
-    return lines
 
 
-def _finding_lines(findings: list[ShadowFinding]) -> list[str]:
+def _finding_lines(findings: list[ShadowFinding]) -> Iterator[str]:
     if not findings:
-        return ["no class collisions"]
-    lines = [f"{len(findings)} class collision(s):"]
+        yield "no class collisions"
+        return
+    yield f"{len(findings)} class collision(s):"
     for finding in findings:
-        lines.append(f"  {finding.class_name}")
-        lines.append(
+        yield f"  {finding.class_name}"
+        yield (
             f"    winner: {finding.winner} "
             f"(depth {finding.winner_depth}, path {list(finding.winner_path)})"
         )
-        lines.append("    shadowed: " + ", ".join(finding.shadowed_victims))
-    return lines
+        yield "    shadowed: " + ", ".join(finding.shadowed_victims)
 
 
-def _verdict_lines(verdict: MitigationVerdict) -> list[str]:
+def _verdict_lines(verdict: MitigationVerdict) -> Iterator[str]:
     # only check makes verdicts, and it has loaded mitigations already
     from shadowscan.mitigations import (
         DuplicateClassViolation,
@@ -78,35 +77,34 @@ def _verdict_lines(verdict: MitigationVerdict) -> list[str]:
 
     note = f" ({verdict.diagnostic})" if verdict.diagnostic else ""
     if verdict.passed:
-        return [f"{verdict.rule.value}: PASS{note}"]
-    lines = [f"{verdict.rule.value}: FAIL ({len(verdict.violations)} violation(s)){note}"]
+        yield f"{verdict.rule.value}: PASS{note}"
+        return
+    yield f"{verdict.rule.value}: FAIL ({len(verdict.violations)} violation(s)){note}"
     for violation in verdict.violations:
         if isinstance(violation, DuplicateClassViolation):
             shadowed = ", ".join(violation.shadowed)
-            lines.append(f"  {violation.class_name}: winner {violation.winner} shadows {shadowed}")
+            yield f"  {violation.class_name}: winner {violation.winner} shadows {shadowed}"
         elif isinstance(violation, SealedPackageViolation):
             winners = ", ".join(violation.winners)
-            lines.append(
+            yield (
                 f"  package {violation.package} sealed by {violation.sealed_by} "
                 f"splits across {winners}"
             )
         elif isinstance(violation, SplitPackageViolation):
             providers = ", ".join(violation.providers)
-            lines.append(f"  package {violation.package} provided by {providers}")
-    return lines
+            yield f"  package {violation.package} provided by {providers}"
 
 
-def _comparison_lines(entries: tuple[WinnerComparison, ...]) -> list[str]:
+def _comparison_lines(entries: tuple[WinnerComparison, ...]) -> Iterator[str]:
     if not entries:
-        return ["no duplicated classes"]
-    lines = []
+        yield "no duplicated classes"
+        return
     for entry in entries:
         marker = " DIFFERS" if entry.differs else ""
-        lines.append(
+        yield (
             f"{entry.class_name}: maven={entry.maven_winner} "
             f"gradle={entry.gradle_winner}{marker}"
         )
-    return lines
 
 
 def _classpath_lines(payload: dict[str, Any], inputs: dict[str, Any]) -> list[str]:
@@ -123,21 +121,24 @@ def _hijack_lines(payload: dict[str, Any], inputs: dict[str, Any]) -> list[str]:
 
 
 # The text view of each command's payload, given the report's inputs. The
-# renderers are looked up when a view runs, so a test can replace them.
-_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], list[str]]] = {
-    "resolve": lambda payload, inputs: (
-        _tree_lines(payload["tree"]) + [""] + _conflict_lines(payload["conflicts"])
+# renderers are looked up when a view runs, so a test can replace them; the
+# large ones make their lines as they are read.
+_VIEWS: dict[str, Callable[[dict[str, Any], dict[str, Any]], Iterable[str]]] = {
+    "resolve": lambda payload, inputs: chain(
+        _tree_lines(payload["tree"]), [""], _conflict_lines(payload["conflicts"])
     ),
     "classpath": lambda payload, inputs: _classpath_lines(payload, inputs),
     "scan": lambda payload, inputs: _finding_lines(payload["findings"]),
     "hijack": lambda payload, inputs: _hijack_lines(payload, inputs),
-    "check": lambda payload, inputs: [
-        line for verdict in payload["verdicts"] for line in _verdict_lines(verdict)
-    ],
+    "check": lambda payload, inputs: chain.from_iterable(map(_verdict_lines, payload["verdicts"])),
     "compare": lambda payload, inputs: _comparison_lines(payload["classes"]),
 }
 
 
-def render(command: str, payload: dict[str, Any], inputs: dict[str, Any]) -> str:
-    """The text report of one command: its view's lines, each made inert, and a newline."""
-    return "\n".join(map(inert, _VIEWS[command](payload, inputs))) + "\n"
+def render(command: str, payload: dict[str, Any], inputs: dict[str, Any]) -> Iterator[str]:
+    """The text report of one command as pieces: each line of its view, made inert, and a newline.
+
+    The pieces are made as they are read, so that stdout takes them in
+    batches and the whole report is never held.
+    """
+    return chain.from_iterable(zip(map(inert, _VIEWS[command](payload, inputs)), repeat("\n")))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from shadowscan import cli
+from shadowscan import cli, text
 from shadowscan.analysis import ShadowFinding
 from shadowscan.cli import _MAX_NESTING, _json_report, main
 from shadowscan.errors import ReportTooDeep
@@ -865,9 +865,9 @@ def test_a_stateful_encoding_starts_the_report_with_one_byte_order_mark(monkeypa
     assert result.stdout.startswith(codecs.BOM_UTF16) and result.stdout.count(codecs.BOM_UTF16) == 1
 
 
-def test_a_record_array_report_is_written_without_a_second_copy(monkeypatch, tmp_path):
-    # the report's pieces and one joined batch at a time are held, never the whole report twice
-    findings = [
+def many_findings():
+    """10 000 findings over a few winners and victims, the shape of a large scan report."""
+    return [
         ShadowFinding(
             f"org.big.p{number % 10}.Class{number:05d}", coord(f"org.big:winner{number % 50}:1.0"),
             (coord(f"org.big:victim{number % 7}:1.0"), coord("org.big:victim:2.0")),
@@ -875,16 +875,37 @@ def test_a_record_array_report_is_written_without_a_second_copy(monkeypatch, tmp
         )
         for number in range(10_000)
     ]
-    path = tmp_path / "report.json"
+
+
+def written_peak(monkeypatch, path, render):
+    """The tracemalloc peak of rendering a report and writing it to ``path`` through stdout."""
     with path.open("w", encoding="utf-8") as stream, monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", stream)
         tracemalloc.start()
         try:
-            cli._write_stdout(cli._json_report_pieces("scan", {}, {"findings": findings}))
-            peak = tracemalloc.get_traced_memory()[1]
+            cli._write_stdout(render())
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert path.read_text(encoding="utf-8") == _json_report("scan", {}, {"findings": findings})
+
+
+def test_a_record_array_report_is_written_without_a_second_copy(monkeypatch, tmp_path):
+    # the report's pieces and one joined batch at a time are held, never the whole report twice
+    payload = {"findings": many_findings()}
+    path = tmp_path / "report.json"
+    peak = written_peak(monkeypatch, path, lambda: cli._json_report_pieces("scan", {}, payload))
+    assert path.read_text(encoding="utf-8") == _json_report("scan", {}, payload)
+    assert peak < 2 * path.stat().st_size
+
+
+def test_a_text_report_is_written_without_a_second_copy(monkeypatch, tmp_path):
+    # the view's lines are made as stdout takes them, so the text is never held whole
+    payload = {"findings": many_findings()}
+    path = tmp_path / "report.txt"
+    peak = written_peak(monkeypatch, path, lambda: text.render("scan", payload, {}))
+    expected = "".join(text.render("scan", payload, {}))
+    assert expected.startswith("10000 class collision(s):\n  org.big.p0.Class00000\n")
+    assert path.read_text(encoding="utf-8") == expected
     assert peak < 2 * path.stat().st_size
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import zipfile
 from enum import Enum
 from random import Random
@@ -24,9 +25,9 @@ from shadowscan.analysis import (
     detect_shadowing,
     effective_classes,
 )
-from shadowscan.cli import _json_report
+from shadowscan.cli import _MAX_NESTING, _json_report
 from shadowscan.inventory import ClassInventory, inspect_classlist, inspect_jar
-from shadowscan.errors import InvalidClassName, InvalidCoordinate, ShadowscanError
+from shadowscan.errors import InvalidClassName, InvalidCoordinate, ReportTooDeep, ShadowscanError
 from shadowscan.mitigations import (
     DuplicateClassViolation,
     SealedPackageViolation,
@@ -35,13 +36,18 @@ from shadowscan.mitigations import (
     check_sealed,
 )
 from shadowscan.model import (
+    INCLUDED,
     Coordinate,
+    Included,
+    OmittedConflict,
+    OmittedDuplicate,
+    ResolvedNode,
     check_class_name,
     check_invariants,
 )
 from shadowscan.ordering import Ecosystem, LayoutMode, build_classpath, emit_layout
 from shadowscan.pom import fetch_pom, parse_pom
-from shadowscan.resolver import resolve
+from shadowscan.resolver import Conflict, Occurrence, resolve
 from tests.helpers import (
     full_expansion_winners,
     memory_repo,
@@ -503,6 +509,8 @@ class Tagged(NamedTuple):
 # with getattr rather than through the writer's getters
 DERIVED = {
     ShadowFinding: ("winner_depth",), WinnerComparison: ("differs",), Tagged: ("echo", "empty"),
+    ResolvedNode: ("depth",), Included: ("kind",), OmittedConflict: ("kind",),
+    OmittedDuplicate: ("kind",),
 }
 
 
@@ -614,6 +622,142 @@ def test_an_int_and_a_bool_array_that_compare_equal_keep_their_own_text():
     text = _json_report("records", {}, records)
     assert text == dumped("records", {}, expanded(records))
     assert text.count("true") == 1
+
+
+# Record trees: records with one member that holds records of their own class,
+# as a resolved tree's nodes hold their children. The writer takes a whole
+# tree at once and hands back to the value-by-value loop what it cannot take.
+
+TOO_DEEP = (
+    f"the JSON report would nest deeper than {_MAX_NESTING} levels, "
+    "the most JSON readers accept; use --format text"
+)
+
+
+def deep_dumped(command, payload):
+    """``dumped`` of ``payload``'s expansion; both recurse once or more per nesting level."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        return dumped(command, {}, expanded(payload))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def node_chain(length, leaf_status=INCLUDED):
+    """A chain of ``length`` nodes below its root, built from the leaf up.
+
+    Each path holds only its node's depth: the writer takes the paths as
+    they are, and full paths would make the report quadratic in ``length``.
+    """
+    node = ResolvedNode(Coordinate(f"g:c{length}:1"), (length,), length, leaf_status)
+    for depth in reversed(range(length)):
+        node = ResolvedNode(Coordinate(f"g:c{depth}:1"), (depth,) if depth else (), depth, INCLUDED, (node,))
+    return node
+
+
+# the root sits at nesting level 2 of a resolve report, and each tree level
+# adds two: the deepest node's path and status members reach _MAX_NESTING here
+AT_THE_LIMIT = (_MAX_NESTING - 4) // 2
+
+
+@pytest.mark.parametrize("leaf_status", [INCLUDED, OmittedConflict(Coordinate("g:x:1")), OmittedDuplicate(())])
+def test_a_chain_whose_deepest_array_sits_at_the_nesting_limit_is_written(leaf_status):
+    payload = {"tree": node_chain(AT_THE_LIMIT, leaf_status)}
+    report = _json_report("resolve", {}, payload)
+    assert report == deep_dumped("resolve", payload)
+    assert "\n" + "  " * _MAX_NESTING + f"{AT_THE_LIMIT}\n" in report
+    assert "  " * (_MAX_NESTING + 1) not in report
+
+
+@pytest.mark.parametrize(
+    ("length", "leaf_status"),
+    [(AT_THE_LIMIT + 1, INCLUDED), (AT_THE_LIMIT, OmittedDuplicate((0,)))],
+    ids=["a-level-deeper", "a-status-path-past-the-limit"],
+)
+def test_a_chain_one_level_past_the_nesting_limit_is_refused(length, leaf_status):
+    with pytest.raises(ReportTooDeep) as refused:
+        _json_report("resolve", {}, {"tree": node_chain(length, leaf_status)})
+    assert str(refused.value) == TOO_DEEP
+
+
+def test_a_450_level_chain_is_written_under_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    payload = {"tree": node_chain(450)}
+    report = _json_report("resolve", {}, payload)
+    assert report == deep_dumped("resolve", payload)
+
+
+def test_hand_built_trees_with_list_children_shared_subtrees_and_other_records():
+    leaf = ResolvedNode(Coordinate("g:leaf:1"), (0, 0), 3, OmittedDuplicate((True, 0)))
+    other = ResolvedNode(Coordinate("g:other:1"), (0, 1), 4, OmittedDuplicate((1, 0)))
+    shared = ResolvedNode(Coordinate("g:shared:1"), (0,), 1, INCLUDED, [leaf, other, leaf])
+    foreign = ResolvedNode(Coordinate("g:foreign:1"), (2,), 5, INCLUDED,
+                           (Occurrence(Coordinate("g:o:1"), (2, 0)), leaf))
+    trees = [
+        ResolvedNode(Coordinate("g:root:1"), (), 0, INCLUDED, [shared, shared]),
+        ResolvedNode(Coordinate("g:root:1"), (), 0, INCLUDED, (shared, foreign, leaf)),
+        ResolvedNode(Coordinate("g:root:1"), (), 0, INCLUDED, []),
+    ]
+    for tree in trees:
+        for payload in ({"tree": tree}, {"trees": [tree, tree]}, [[tree]]):
+            assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_a_cyclic_tree_is_refused_as_too_deep(copies):
+    # a list member can hold its own node: the tree never ends, and with two
+    # copies it doubles at every level, so it must be refused while going down
+    node = ResolvedNode(Coordinate("g:loop:1"), (), 0, INCLUDED, [])
+    node.children.extend([node] * copies)
+    with pytest.raises(ReportTooDeep) as refused:
+        _json_report("resolve", {}, {"tree": node})
+    assert str(refused.value) == TOO_DEEP
+
+
+def test_conflicts_with_a_single_loser_or_an_empty_path_match_json_dumps():
+    a, b, c = Coordinate("g:a:1"), Coordinate("g:a:2"), Coordinate("g:a:3")
+    conflicts = [
+        Conflict("g:a", Occurrence(a, ()), (Occurrence(b, (0,)),)),
+        Conflict("g:a", Occurrence(a, (1,)), (Occurrence(b, ()), Occurrence(c, (2, 0)))),
+        Conflict("g:a", Occurrence(a, (True,)), ()),
+        Conflict("g:a", Occurrence(a, (1,)), [Occurrence(c, [])]),
+    ]
+    for payload in ({"conflicts": conflicts}, {"conflicts": conflicts[:1] * 3}, [conflicts[2:]]):
+        assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
+
+
+PATH_ITEMS = st.integers(0, 3) | st.booleans()
+STATUSES = st.one_of(
+    st.just(INCLUDED),
+    st.builds(OmittedConflict, st.sampled_from([Coordinate("g:w:1"), Coordinate("g:w:2"), "g:w:1"])),
+    st.builds(OmittedDuplicate, arrays(PATH_ITEMS)),
+)
+
+
+@st.composite
+def node_trees(draw):
+    """A tree of hand-built nodes under up to two wrappers: nodes share subtrees,
+    children sit in lists or tuples, and now and then one is another record."""
+    nodes = []
+    for index in range(draw(st.integers(1, 12))):
+        children = draw(st.lists(st.sampled_from(nodes), max_size=3)) if nodes else []
+        if draw(st.integers(0, 9)) == 0:
+            children.append(Occurrence(Coordinate("g:o:1"), (index,)))
+        if draw(st.booleans()):
+            children = tuple(children)
+        path = tuple(draw(st.lists(PATH_ITEMS, max_size=3)))
+        nodes.append(ResolvedNode(Coordinate(f"g:n{index}:1"), path, index, draw(STATUSES), children))
+    document = nodes[-1]
+    for wrapper in draw(st.lists(st.sampled_from(["array", "object"]), max_size=2)):
+        document = [document, document] if wrapper == "array" else {"key": document}
+    return document
+
+
+@settings(max_examples=200)
+@given(node_trees())
+def test_hand_built_trees_match_json_dumps_of_their_expansion(payload):
+    assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
 
 
 @given(st.randoms(use_true_random=False))

@@ -30,7 +30,8 @@ RESOLUTION = {
 }
 CLASSES = RESOLUTION | {"shadowscan.inventory", "shadowscan.analysis"}
 LOADED_BY = {
-    "resolve": RESOLUTION,
+    # the tree and the conflicts take the JSON writer's row pass
+    "resolve": RESOLUTION | {"shadowscan.rows"},
     "classpath": RESOLUTION,
     "hijack": RESOLUTION | {"shadowscan.analysis"},
     "scan": CLASSES,
