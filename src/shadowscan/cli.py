@@ -8,18 +8,15 @@ import errno
 import gc
 import os
 import sys
-from _json import encode_basestring_ascii  # json.encoder's accelerator, without json's decoder
 from contextlib import suppress
-from functools import cache, cached_property
+from functools import cached_property
 from importlib import import_module
-from itertools import chain, islice, repeat
-from operator import attrgetter
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
 
 from shadowscan.errors import (
     DepthLimitExceeded,
     PomNotFound,
-    ReportTooDeep,
     ShadowscanError,
     UnknownArtifact,
     UnresolvableDependency,
@@ -62,10 +59,7 @@ check_ban_duplicate_classes = _on_first_call("mitigations", "check_ban_duplicate
 check_modules = _on_first_call("mitigations", "check_modules")
 check_sealed = _on_first_call("mitigations", "check_sealed")
 load_allowlist = _on_first_call("mitigations", "load_allowlist")
-# the JSON writer's row pass: only reports that hold a record tree or conflicts compile it
-_record_rows = _on_first_call("rows", "record_rows")
 
-SCHEMA_VERSION = 1
 REPO_ENV_VAR = "SHADOWSCAN_REPO"
 
 EXIT_OK = 0
@@ -80,224 +74,7 @@ _RULE_TOKENS = {
     "modules": MitigationRule.JAVA_MODULES,
 }
 
-
-# JSON readers commonly refuse deeper documents (Jackson's default read constraints
-# allow 1000 levels; Python's json stops at its recursion limit, 1000 by default).
-# A resolve report nests two levels per tree level; text output has no limit.
-_MAX_NESTING = 1000
 _BATCH = 2048  # report pieces joined, encoded and written to stdout at a time
-
-
-@cache
-def _members(cls: type) -> list[tuple[str, Callable[[Any], Any]]]:
-    """Quoted names and getters of a record's ``_fields`` and ``_derived`` properties, sorted.
-
-    Renaming one changes schema v1; tests/test_equivalence.py and tests/test_golden.py pin them.
-    """
-    names = getattr(cls, "_fields", None)
-    if names is None:
-        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    names = sorted((*names, *getattr(cls, "_derived", ())))
-    return [(encode_basestring_ascii(name) + ": ", attrgetter(name)) for name in names]
-
-
-class _ScalarTable(dict):
-    """Type -> encoder of one value's JSON text; None for a type that is no scalar.
-
-    A new type is mapped once: a str subclass (a Coordinate, a str enum) to str's encoder."""
-
-    def __missing__(self, kind: type) -> Callable[[Any], str] | None:
-        encode = self[kind] = self[str] if issubclass(kind, str) else None
-        return encode
-
-
-_SCALARS = _ScalarTable({
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-})
-
-
-class _Lines(dict):
-    """Nesting level -> ``start`` and a line break indented to that level, made once per level."""
-
-    def __init__(self, start: str) -> None:
-        self.start = start
-
-    def __missing__(self, level: int) -> str:
-        text = self[level] = self.start + "\n" + "  " * level
-        return text
-
-
-_BREAKS, _COMMAS = _Lines(""), _Lines(",")
-_ARRAYS = {list, tuple}
-
-
-def _encoder(kinds: set[type]) -> Callable[[Any], str] | None:
-    """The encoder of values whose types are ``kinds``; None unless one scalar type.
-
-    Without values there are no kinds, and ``str``'s encoder, never called, stands in."""
-    if not kinds:
-        return _SCALARS[str]
-    return _SCALARS[next(iter(kinds))] if len(kinds) == 1 else None
-
-
-def _column(values: list[Any]) -> tuple[set[type], Callable[[Any], str] | None]:
-    """The types of one member's ``values`` over all records, and their encoder.
-
-    If every value is an array, the encoder is that of the items, whose
-    type is taken over all of them: ``(1,) == (True,)``, yet one is written
-    ``[1]`` and the other ``[true]``. None unless one scalar type.
-    """
-    kinds = set(map(type, values))
-    if kinds <= _ARRAYS:
-        return kinds, _encoder(set(map(type, chain.from_iterable(values))))
-    return kinds, _encoder(kinds)
-
-
-def _record_array_text(records: list[Any] | tuple[Any, ...], level: int, parts: list[str]) -> bool:
-    """Append to ``parts`` the JSON text of an array of records of one class, column by column.
-
-    ``level`` is the array's own nesting level. Each member is read over all
-    records at once and encoded by ``_SCALARS``, an array member once per
-    distinct tuple, and its texts are appended between constant member texts.
-    False, with nothing appended, for ``_json_pieces`` to write the array
-    value by value, unless each member holds scalars of one type, or arrays of
-    scalars of one type, in every record, nested within ``_MAX_NESTING``.
-    """
-    cls = records[0].__class__
-    if _SCALARS[cls] is not None or level + 3 > _MAX_NESTING:
-        return False
-    try:
-        members = _members(cls)
-    except TypeError:  # not a record
-        return False
-    # the first record's member kinds send arrays of records with a record
-    # member (conflicts, whose winner is one) to the row writer before any
-    # column is read
-    for _, get in members:
-        kind = get(records[0]).__class__
-        if kind is not list and kind is not tuple and _SCALARS[kind] is None:
-            return _record_rows(records, level + 2, parts)
-    if not members or len(set(map(type, records))) > 1:
-        return False
-    opening, separator, closing = "[" + _BREAKS[level + 3], _COMMAS[level + 3], _BREAKS[level + 2] + "]"
-    columns = []
-    for _, get in members:
-        values = list(map(get, records))
-        kinds, encode = _column(values)
-        if encode is None:
-            return False
-        if kinds <= _ARRAYS:
-            def array_text(value: Sequence[Any]) -> str:
-                return opening + separator.join(map(encode, value)) + closing if value else "[]"
-
-            if list in kinds:  # unhashable: one text per value
-                texts = list(map(array_text, values))
-            else:  # one text per distinct array, of one item type
-                text_of = {value: array_text(value) for value in set(values)}
-                texts = list(map(text_of.__getitem__, values))
-        else:
-            texts = list(map(encode, values))
-        columns.append(texts)
-    row, member = _BREAKS[level + 1], _BREAKS[level + 2]
-    opens = "{" + member + members[0][0]  # a record up to its first member's value
-    # the text after each member's value: after the last one, the next record opens
-    after = [*("," + member + key for key, _ in members[1:]), row + "}," + row + opens]
-    parts.append("[" + row + opens)
-    parts += chain.from_iterable(zip(*chain.from_iterable(zip(columns, map(repeat, after)))))
-    parts[-1] = row + "}" + _BREAKS[level] + "]"
-    return True
-
-
-def _json_pieces(document: Any) -> list[str]:
-    """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, as pieces, without recursion.
-
-    A record (a NamedTuple or another class with ``_fields``) is written as
-    the object of its ``_fields`` and ``_derived`` members, never as an
-    array; a ``str`` subclass such as a ``Coordinate`` as its string. An
-    array of records of one class is written column by column by
-    ``_record_array_text``, and a record tree (a record with one member
-    that holds records of its own class) and an array of records with a
-    record member by ``_record_rows``, to the same text, where they can.
-    Raises ``ReportTooDeep`` rather than nest deeper than ``_MAX_NESTING``.
-    """
-    parts: list[str] = []
-    emit = parts.append
-    breaks, commas = _BREAKS, _COMMAS
-    trees = True  # until a tree is refused: its subtrees would be tried and refused again
-    # open containers: their remaining (index, (quoted key or "", value)), the
-    # nesting level of those members and the closing bracket
-    stack = [(enumerate([("", document)]), 0, "")]
-    while stack:
-        members, level, closing = stack[-1]
-        for index, (key, value) in members:
-            if index:
-                emit(commas[level])
-            if key:
-                emit(key)
-            cls = value.__class__
-            encode = _SCALARS[cls]
-            if encode is not None:
-                emit(encode(value))
-            else:
-                if cls is dict:
-                    opening, close = "{", "}"
-                    items = [
-                        (encode_basestring_ascii(name) + ": ", item)
-                        for name, item in sorted(value.items())
-                    ]
-                elif cls is list or cls is tuple:
-                    # most arrays hold scalars (paths above all): skip those without a call
-                    if (len(value) > 1 and _SCALARS[value[0].__class__] is None
-                            and _record_array_text(value, level, parts)):
-                        continue
-                    opening, close = "[", "]"
-                    items = [("", item) for item in value]
-                else:
-                    opening, close = "{", "}"
-                    items = [(name, get(value)) for name, get in _members(cls)]
-                    if trees:
-                        own = [at for at, (_, item) in enumerate(items)
-                               if item.__class__ in _ARRAYS and item and item[0].__class__ is cls]
-                        if len(own) == 1:
-                            if _record_rows(value, level + 1, parts, own[0]):
-                                continue
-                            trees = False
-                if not items:
-                    emit(opening + close)
-                    continue
-                if level == _MAX_NESTING:
-                    raise ReportTooDeep(
-                        f"the JSON report would nest deeper than {_MAX_NESTING} levels, "
-                        "the most JSON readers accept; use --format text"
-                    )
-                emit(opening)
-                emit(breaks[level + 1])
-                stack.append((enumerate(items), level + 1, close))
-                break
-        else:
-            stack.pop()
-            if stack:
-                emit(breaks[level - 1])
-                emit(closing)
-    emit("\n")
-    return parts
-
-
-def _json_text(document: Any) -> str:
-    return "".join(_json_pieces(document))
-
-
-def _json_report_pieces(command: str, inputs: dict[str, Any], payload: dict[str, Any]) -> list[str]:
-    """The pieces of the versioned JSON document of one command invocation."""
-    return _json_pieces({"schema_version": SCHEMA_VERSION, "command": command,
-                         "inputs": inputs, "payload": payload})
-
-
-def _json_report(command: str, inputs: dict[str, Any], payload: dict[str, Any]) -> str:
-    return "".join(_json_report_pieces(command, inputs, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, payload = args.handler(run, args)
         inputs = _inputs(args)
         if args.format == "json":
-            pieces = _json_report_pieces(args.command, inputs, payload)
+            from shadowscan import jsonv1
+
+            pieces = jsonv1.report_pieces(args.command, inputs, payload)
         else:
             from shadowscan import text
 

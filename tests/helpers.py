@@ -9,7 +9,7 @@ from random import Random
 from types import ModuleType
 from typing import Any, Iterable, Mapping, Sequence
 
-from shadowscan import pom
+from shadowscan import jsonv1, pom
 from shadowscan.analysis import (
     EcosystemComparison,
     EffectiveClassMap,
@@ -72,6 +72,11 @@ def load_spans() -> ModuleType:
     spans = ModuleType("shadowbench_spans")
     exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), spans.__dict__)
     return spans
+
+
+def json_report(command: str, inputs: dict[str, Any], payload: Any) -> str:
+    """A schema v1 JSON report as one text: the writer's pieces, joined."""
+    return "".join(jsonv1.report_pieces(command, inputs, payload))
 
 
 def coord(text: str) -> Coordinate:

@@ -17,15 +17,22 @@ from pathlib import Path
 
 import pytest
 
-from shadowscan import cli, text
+from shadowscan import cli, jsonv1, text
 from shadowscan.analysis import ShadowFinding
-from shadowscan.cli import _MAX_NESTING, _json_report, main
+from shadowscan.cli import main
 from shadowscan.errors import ReportTooDeep
-from shadowscan.mitigations import MitigationRule, MitigationVerdict
+from shadowscan.jsonv1 import _MAX_NESTING
+from shadowscan.mitigations import (
+    DuplicateClassViolation,
+    MitigationRule,
+    MitigationVerdict,
+    SealedPackageViolation,
+    SplitPackageViolation,
+)
 from shadowscan.model import OmittedConflict, ResolvedNode
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
-from tests.helpers import FIXTURES, coord, load_spans, make_repo, write_pom
+from tests.helpers import FIXTURES, coord, json_report, load_spans, make_repo, write_pom
 from tests.test_tracer_bindings import COMMANDS
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
@@ -893,8 +900,37 @@ def test_a_record_array_report_is_written_without_a_second_copy(monkeypatch, tmp
     # the report's pieces and one joined batch at a time are held, never the whole report twice
     payload = {"findings": many_findings()}
     path = tmp_path / "report.json"
-    peak = written_peak(monkeypatch, path, lambda: cli._json_report_pieces("scan", {}, payload))
-    assert path.read_text(encoding="utf-8") == _json_report("scan", {}, payload)
+    peak = written_peak(monkeypatch, path, lambda: jsonv1.report_pieces("scan", {}, payload))
+    assert path.read_text(encoding="utf-8") == json_report("scan", {}, payload)
+    assert peak < 2 * path.stat().st_size
+
+
+def many_violations():
+    """Three verdicts over 10 000 violations of three classes, the shape of a large check report."""
+    winners = [coord(f"org.big:winner{number}:1.0") for number in range(50)]
+    return [
+        MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, tuple(
+            DuplicateClassViolation(f"org.big.p{number % 10}.Class{number:05d}", winners[number % 50],
+                                    (winners[number % 7], winners[number % 3 + 7]))
+            for number in range(9_000)
+        )),
+        MitigationVerdict(MitigationRule.SEALED_JARS, tuple(
+            SealedPackageViolation(f"org.big.s{number:04d}", winners[number % 50], tuple(winners[:number % 9 + 1]))
+            for number in range(500)
+        )),
+        MitigationVerdict(MitigationRule.JAVA_MODULES, tuple(
+            SplitPackageViolation(f"org.big.m{number:04d}", tuple(winners[number % 5:number % 5 + 4]))
+            for number in range(500)
+        )),
+    ]
+
+
+def test_a_nested_record_array_report_is_written_without_a_second_copy(monkeypatch, tmp_path):
+    # each verdict's violations are pieces of the report, never one text per verdict or violation
+    payload = {"verdicts": many_violations()}
+    path = tmp_path / "report.json"
+    peak = written_peak(monkeypatch, path, lambda: jsonv1.report_pieces("check", {}, payload))
+    assert path.read_text(encoding="utf-8") == json_report("check", {}, payload)
     assert peak < 2 * path.stat().st_size
 
 
@@ -1113,12 +1149,12 @@ class TestJsonReport:
         pairs = (_MAX_NESTING - 2) // 2
         assert 1 + 2 * pairs + 1 == _MAX_NESTING
         payload, lines = self.nested(pairs)
-        assert _json_report("resolve", {}, payload) == "\n".join(lines) + "\n"
+        assert json_report("resolve", {}, payload) == "\n".join(lines) + "\n"
 
     def test_payload_nested_past_the_limit_is_refused(self):
         payload, _ = self.nested((_MAX_NESTING - 2) // 2)
         with pytest.raises(ReportTooDeep, match=f"deeper than {_MAX_NESTING} levels"):
-            _json_report("resolve", {}, [payload])
+            json_report("resolve", {}, [payload])
 
     @staticmethod
     def findings_under(arrays):
@@ -1148,22 +1184,22 @@ class TestJsonReport:
         # the report object and the wrapping arrays hold the findings array at
         # level _MAX_NESTING - 3, so each finding's arrays reach the limit
         payload, plain = self.findings_under(_MAX_NESTING - 4)
-        report = _json_report("scan", {}, payload)
-        assert report == _json_report("scan", {}, plain)
+        report = json_report("scan", {}, payload)
+        assert report == json_report("scan", {}, plain)
         assert "  " * _MAX_NESTING + '"g:c:1"\n' in report
         assert "  " * (_MAX_NESTING + 1) not in report
 
     def test_record_array_nested_past_the_limit_is_refused(self):
         payload, _ = self.findings_under(_MAX_NESTING - 3)
         with pytest.raises(ReportTooDeep, match=f"deeper than {_MAX_NESTING} levels"):
-            _json_report("scan", {}, payload)
+            json_report("scan", {}, payload)
 
     def test_a_named_tuple_record_is_an_object_of_its_fields_and_derived_members(self):
         verdict = MitigationVerdict(MitigationRule.SEALED_JARS)
         finding = ShadowFinding("org.x.A", coord("g:a:1"), (coord("g:b:1"),), (0, 1))
         node = ResolvedNode(coord("g:x:2"), (1, 0), 4, OmittedConflict(coord("g:x:1")))
         payload = {"verdict": verdict, "finding": finding, "node": node}
-        report = json.loads(_json_report("check", {}, payload))
+        report = json.loads(json_report("check", {}, payload))
         assert report["payload"] == {
             "verdict": {
                 "rule": "sealed-jars", "violations": [], "diagnostic": None, "passed": True,
@@ -1181,7 +1217,7 @@ class TestJsonReport:
     @pytest.mark.parametrize("value", [1.5, {1}, object(), b"bytes", Pair((1, 2)), Point(1)])
     def test_an_unsupported_type_is_rejected(self, value):
         with pytest.raises(TypeError):
-            _json_report("resolve", {}, {"value": value})
+            json_report("resolve", {}, {"value": value})
 
 
 def test_a_traced_scan_runs_and_counts_content_bytes():

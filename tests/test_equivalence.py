@@ -25,8 +25,8 @@ from shadowscan.analysis import (
     detect_shadowing,
     effective_classes,
 )
-from shadowscan.cli import _MAX_NESTING, _json_report
 from shadowscan.inventory import ClassInventory, inspect_classlist, inspect_jar
+from shadowscan.jsonv1 import _MAX_NESTING
 from shadowscan.errors import InvalidClassName, InvalidCoordinate, ReportTooDeep, ShadowscanError
 from shadowscan.mitigations import (
     DuplicateClassViolation,
@@ -50,6 +50,7 @@ from shadowscan.pom import fetch_pom, parse_pom
 from shadowscan.resolver import Conflict, Occurrence, resolve
 from tests.helpers import (
     full_expansion_winners,
+    json_report,
     memory_repo,
     random_conflict_repo,
     random_inventories,
@@ -457,7 +458,7 @@ def dumped(command, inputs, payload) -> str:
 
 @given(STRINGS, st.dictionaries(STRINGS, DOCUMENTS, max_size=3), DOCUMENTS)
 def test_report_writer_matches_json_dumps(command, inputs, payload):
-    assert _json_report(command, inputs, payload) == dumped(command, inputs, payload)
+    assert json_report(command, inputs, payload) == dumped(command, inputs, payload)
 
 
 class Side(str, Enum):
@@ -593,9 +594,9 @@ def test_record_arrays_match_json_dumps_of_their_expansion(payload):
         expected = dumped("records", {}, expanded(payload))
     except TypeError:
         with pytest.raises(TypeError):
-            _json_report("records", {}, payload)
+            json_report("records", {}, payload)
     else:
-        assert _json_report("records", {}, payload) == expected
+        assert json_report("records", {}, payload) == expected
 
 
 # Arrays that are equal and hash alike but are written differently, such as
@@ -614,12 +615,12 @@ def test_records_sharing_a_few_arrays_match_json_dumps_of_their_expansion(data):
     records = data.draw(st.lists(
         st.builds(Row, st.sampled_from(["a", "b"]), column, column), min_size=2, max_size=30,
     ))
-    assert _json_report("records", {}, records) == dumped("records", {}, expanded(records))
+    assert json_report("records", {}, records) == dumped("records", {}, expanded(records))
 
 
 def test_an_int_and_a_bool_array_that_compare_equal_keep_their_own_text():
     records = [Row("a", (1,)), Row("b", (True,)), Row("c", (1,))]
-    text = _json_report("records", {}, records)
+    text = json_report("records", {}, records)
     assert text == dumped("records", {}, expanded(records))
     assert text.count("true") == 1
 
@@ -664,7 +665,7 @@ AT_THE_LIMIT = (_MAX_NESTING - 4) // 2
 @pytest.mark.parametrize("leaf_status", [INCLUDED, OmittedConflict(Coordinate("g:x:1")), OmittedDuplicate(())])
 def test_a_chain_whose_deepest_array_sits_at_the_nesting_limit_is_written(leaf_status):
     payload = {"tree": node_chain(AT_THE_LIMIT, leaf_status)}
-    report = _json_report("resolve", {}, payload)
+    report = json_report("resolve", {}, payload)
     assert report == deep_dumped("resolve", payload)
     assert "\n" + "  " * _MAX_NESTING + f"{AT_THE_LIMIT}\n" in report
     assert "  " * (_MAX_NESTING + 1) not in report
@@ -677,14 +678,14 @@ def test_a_chain_whose_deepest_array_sits_at_the_nesting_limit_is_written(leaf_s
 )
 def test_a_chain_one_level_past_the_nesting_limit_is_refused(length, leaf_status):
     with pytest.raises(ReportTooDeep) as refused:
-        _json_report("resolve", {}, {"tree": node_chain(length, leaf_status)})
+        json_report("resolve", {}, {"tree": node_chain(length, leaf_status)})
     assert str(refused.value) == TOO_DEEP
 
 
 def test_a_450_level_chain_is_written_under_the_default_recursion_limit():
     assert sys.getrecursionlimit() <= 1000
     payload = {"tree": node_chain(450)}
-    report = _json_report("resolve", {}, payload)
+    report = json_report("resolve", {}, payload)
     assert report == deep_dumped("resolve", payload)
 
 
@@ -701,7 +702,7 @@ def test_hand_built_trees_with_list_children_shared_subtrees_and_other_records()
     ]
     for tree in trees:
         for payload in ({"tree": tree}, {"trees": [tree, tree]}, [[tree]]):
-            assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
+            assert json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -711,7 +712,7 @@ def test_a_cyclic_tree_is_refused_as_too_deep(copies):
     node = ResolvedNode(Coordinate("g:loop:1"), (), 0, INCLUDED, [])
     node.children.extend([node] * copies)
     with pytest.raises(ReportTooDeep) as refused:
-        _json_report("resolve", {}, {"tree": node})
+        json_report("resolve", {}, {"tree": node})
     assert str(refused.value) == TOO_DEEP
 
 
@@ -724,7 +725,7 @@ def test_conflicts_with_a_single_loser_or_an_empty_path_match_json_dumps():
         Conflict("g:a", Occurrence(a, (1,)), [Occurrence(c, [])]),
     ]
     for payload in ({"conflicts": conflicts}, {"conflicts": conflicts[:1] * 3}, [conflicts[2:]]):
-        assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
+        assert json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
 
 
 PATH_ITEMS = st.integers(0, 3) | st.booleans()
@@ -757,13 +758,13 @@ def node_trees(draw):
 @settings(max_examples=200)
 @given(node_trees())
 def test_hand_built_trees_match_json_dumps_of_their_expansion(payload):
-    assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
+    assert json_report("resolve", {}, payload) == dumped("resolve", {}, expanded(payload))
 
 
 @given(st.randoms(use_true_random=False))
 def test_tree_report_matches_the_node_payload_reference(rng):
     root = random_tree(rng, max_depth=4, max_children=3).root
-    assert _json_report("resolve", {}, {"tree": root}) == dumped(
+    assert json_report("resolve", {}, {"tree": root}) == dumped(
         "resolve", {}, {"tree": reference_node_payload(root)}
     )
 
@@ -778,7 +779,7 @@ def test_resolution_report_matches_the_payload_references(seed):
         "conflicts": reference_conflicts_payload(resolution),
     }
     payload = {"tree": resolution.tree.root, "conflicts": resolution.conflicts}
-    assert _json_report("resolve", {}, payload) == dumped("resolve", {}, expected)
+    assert json_report("resolve", {}, payload) == dumped("resolve", {}, expected)
 
 
 @st.composite
@@ -870,4 +871,4 @@ def test_findings_verdicts_and_comparison_match_the_payload_references(rng, root
         "verdicts": [reference_verdict_payload(verdict) for verdict in verdicts],
         "classes": reference_comparison_payload(comparison),
     }
-    assert _json_report("mixed", {}, payload) == dumped("mixed", {}, expected)
+    assert json_report("mixed", {}, payload) == dumped("mixed", {}, expected)

@@ -29,9 +29,9 @@ RESOLUTION = {
     "shadowscan.ordering", "shadowscan.pom", "shadowscan.resolver",
 }
 CLASSES = RESOLUTION | {"shadowscan.inventory", "shadowscan.analysis"}
+# a JSON report also loads the writer, shadowscan.jsonv1
 LOADED_BY = {
-    # the tree and the conflicts take the JSON writer's row pass
-    "resolve": RESOLUTION | {"shadowscan.rows"},
+    "resolve": RESOLUTION,
     "classpath": RESOLUTION,
     "hijack": RESOLUTION | {"shadowscan.analysis"},
     "scan": CLASSES,
@@ -61,7 +61,7 @@ def test_the_cli_loads_only_the_resolution_stages():
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_a_json_command_loads_only_the_stages_it_runs(argv):
     code = f"from shadowscan.cli import main; main({[*argv, *CWA, '--format', 'json']!r})"
-    assert loaded(code) == LOADED_BY[argv[0]]
+    assert loaded(code) == LOADED_BY[argv[0]] | {"shadowscan.jsonv1"}
 
 
 def test_only_a_text_report_loads_the_text_views():

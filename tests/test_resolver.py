@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from shadowscan import errors
-from shadowscan.cli import Run, _json_text
+from shadowscan.cli import Run
 from shadowscan.errors import DepthLimitExceeded, UnresolvableDependency
 from shadowscan.model import OmittedConflict, OmittedDuplicate, check_invariants
 from shadowscan.pom import fetch_pom, load_repository
@@ -19,6 +19,7 @@ from tests.helpers import (
     FIXTURES,
     coord,
     full_expansion_winners,
+    json_report,
     make_repo,
     memory_repo,
     random_conflict_repo,
@@ -321,4 +322,4 @@ def test_a_resolved_tree_crosses_a_process_boundary(name, duplicate):
         node.coordinate for node in resolution.tree.nodes
     ]
     if name not in CHAINS:  # a chain's JSON report nests too deep to write
-        assert _json_text(copied) == _json_text(resolution)
+        assert json_report("resolve", {}, copied) == json_report("resolve", {}, resolution)
