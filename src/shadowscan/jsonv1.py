@@ -1,9 +1,9 @@
 """Schema v1 JSON reports: ``json.dumps(report, sort_keys=True, indent=2)`` and a newline, as pieces.
 
 Only ``--format json`` loads this module. One column encoder, ``_column``,
-writes one member over many records at once; two assemblers build on it,
-one for an array of records and one for a record tree. What they refuse is
-written value by value, to the same bytes.
+writes one member over many records at once, and so also every array of
+records, as a column of one array; a record tree is assembled from its
+rows. What they refuse is written value by value, to the same bytes.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def _per_row(texts: list[str], depths: list[int]) -> Iterator[str]:
     return map(texts.__getitem__, depths)
 
 
-def _record_openings(prefix: list[str], at: list[int]) -> list[str]:
-    """Per level, the opening of an array's first record (after ``prefix``) and of a later one."""
-    return [text for before, level in zip(prefix, at) for text in (
-        before + "[" + _BREAKS[level + 1] + "{" + _BREAKS[level + 2],
-        _BREAKS[level + 1] + "}" + _COMMAS[level + 1] + "{" + _BREAKS[level + 2])]
-
-
 def _column(values: list[Any], depths: list[int], at: list[int], prefix: list[str], nest: int) -> Any:
     """The column encoder: the pieces of one member's ``values`` over many records, or None.
 
@@ -142,9 +135,13 @@ def _column(values: list[Any], depths: list[int], at: list[int], prefix: list[st
     item_depths = list(chain.from_iterable(map(lambda depth, length: chain(
         (2 * depth,)[:length], repeat(2 * depth + 1, length - 1)), depths, lengths)))
     if encode is None:
+        # per level, the opening of an array's first record and of a later one
+        openings = [text for before, level in zip(prefix, at) for text in (
+            before + "[" + _BREAKS[level + 1] + "{" + _BREAKS[level + 2],
+            _BREAKS[level + 1] + "}" + _COMMAS[level + 1] + "{" + _BREAKS[level + 2])]
         closings = [_BREAKS[level + 1] + "}" + _BREAKS[level] + "]" for level in at]
         found = _rows(list(chain.from_iterable(values)), item_kinds, item_depths,
-                      [level + 2 for level in at for _ in "01"], _record_openings(prefix, at), None, nest)
+                      [level + 2 for level in at for _ in "01"], openings, None, nest)
         if found is None:
             return None
     else:  # scalars at several levels (a tree's paths), each distinct item encoded once
@@ -212,17 +209,6 @@ def _by_row(columns: list[Any]) -> Iterator[Iterable[str]]:
     return iter(groups[0]) if len(groups) == 1 else map(chain.from_iterable, zip(*groups))
 
 
-def _record_array(records: list[Any] | tuple[Any, ...], level: int, parts: list[str]) -> bool:
-    """Append to ``parts`` an array of records at nesting level ``level``, or append nothing: False."""
-    rows = _rows(records, set(map(type, records)), [0] + [1] * (len(records) - 1), [level + 2] * 2,
-                 _record_openings([""], [level]), None, 2)
-    if rows is None:
-        return False
-    parts += chain.from_iterable(rows)
-    parts.append(_BREAKS[level + 1] + "}" + _BREAKS[level] + "]")
-    return True
-
-
 def _record_tree(root: Any, tree: int, level: int, parts: list[str]) -> bool:
     """Append to ``parts`` a record tree: ``root``, whose member ``tree`` holds nodes of its class.
 
@@ -271,10 +257,11 @@ def _record_tree(root: Any, tree: int, level: int, parts: list[str]) -> bool:
 def pieces(document: Any) -> list[str]:
     """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, as pieces, without recursion.
 
-    An array of two or more records goes to ``_record_array``, a record
-    tree (a record with one member that holds records of its own class) to
-    ``_record_tree``. Raises ``ReportTooDeep`` rather than nest deeper than
-    ``_MAX_NESTING``, and ``TypeError`` for a value of no JSON type.
+    An array of records goes to ``_column``, as a column of one value, a
+    record tree (a record with one member that holds records of its own
+    class) to ``_record_tree``. Raises ``ReportTooDeep`` rather than nest
+    deeper than ``_MAX_NESTING``, and ``TypeError`` for a value of no JSON
+    type.
     """
     parts: list[str] = []
     emit = parts.append
@@ -301,9 +288,11 @@ def pieces(document: Any) -> list[str]:
                              for name, item in sorted(value.items())]
                 elif cls is list or cls is tuple:
                     # most arrays hold scalars (paths above all): skip those without a call
-                    if (len(value) > 1 and _SCALARS[value[0].__class__] is None
-                            and _record_array(value, level, parts)):
-                        continue
+                    if value and _SCALARS[value[0].__class__] is None:
+                        found = _column([value], [0], [level], [""], 2)
+                        if found is not None:
+                            parts += next(found)
+                            continue
                     opening, close = "[", "]"
                     items = [("", item) for item in value]
                 else:

@@ -18,7 +18,7 @@ from shadowscan.analysis import (
 from shadowscan.cli import Run
 from shadowscan.errors import UnknownArtifact
 from shadowscan.inventory import ClassInventory
-from shadowscan.model import Coordinate, check_class_name
+from shadowscan.model import Coordinate, OmittedConflict, check_class_name
 from shadowscan.ordering import Ecosystem, build_classpath
 from tests.helpers import (
     FIXTURES,
@@ -165,6 +165,19 @@ class TestDetectShadowing:
             depths = [finding.winner_depth for finding in expected]
             ties += len(depths) - len(set(depths))
         assert ties > 100  # most findings share their depth with another
+
+    @pytest.mark.parametrize("winner", ["g:ghost:1", "g:x:1"])
+    def test_a_winner_that_is_no_included_node_is_refused(self, winner):
+        # g:ghost:1 is absent from the tree; g:x:1 is a node omitted for g:x:2
+        tree = build_tree(
+            ("g:root:1", [
+                ("g:a:1", [("g:x:1", [], OmittedConflict(coord("g:x:2")))]),
+                ("g:x:2", []),
+            ])
+        )
+        class_map = effective_classes([inventory(winner, "org.x.A"), inventory("g:a:1", "org.x.A")])
+        with pytest.raises(UnknownArtifact, match=f"^{winner} is not an included node of the tree$"):
+            detect_shadowing(class_map, tree)
 
 
 def reach_of(tree, ecosystem, attacker):

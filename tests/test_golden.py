@@ -48,7 +48,7 @@ TEXT_RENDERERS = [
     "_tree_lines", "_conflict_lines", "_finding_lines", "_verdict_lines", "_comparison_lines",
     "_classpath_lines", "_hijack_lines",
 ]
-JSON_RENDERERS = ["report_pieces", "pieces", "_record_array", "_record_tree"]
+JSON_RENDERERS = ["report_pieces", "pieces", "_column", "_record_tree"]
 
 
 def run(capsys, fixture: str, command: str, output_format: str) -> tuple[int, str]:
@@ -80,17 +80,26 @@ def test_every_record_array_and_tree_is_written_column_by_column(capsys, monkeyp
     # a member that the column encoder refuses keeps the bytes, but sends its
     # records to the value-by-value loop, which writes them about 2x slower
     assembled = []
-    for name in ("_record_array", "_record_tree"):
-        def checked(value, *args, assemble=getattr(jsonv1, name), name=name):
-            assert assemble(value, *args), f"{name} handed {value!r:.200} back to the value loop"
-            assembled.append(name)
-            return True
+    column, record_tree = jsonv1._column, jsonv1._record_tree
 
-        monkeypatch.setattr(jsonv1, name, checked)
+    def checked_column(values, *args):
+        found = column(values, *args)
+        if sys._getframe(1).f_code.co_name == "pieces":  # an array of records, one record or more
+            assert found is not None, f"_column handed {values!r:.200} back to the value loop"
+            assembled.append("_column")
+        return found
+
+    def checked_tree(root, *args):
+        assert record_tree(root, *args), f"_record_tree handed {root!r:.200} back to the value loop"
+        assembled.append("_record_tree")
+        return True
+
+    monkeypatch.setattr(jsonv1, "_column", checked_column)
+    monkeypatch.setattr(jsonv1, "_record_tree", checked_tree)
     monkeypatch.chdir(FIXTURES.parent)
     for command in COMMANDS:
         assert run(capsys, fixture, command, "json")[1]
-    assert sorted(set(assembled)) == ["_record_array", "_record_tree"]
+    assert sorted(set(assembled)) == ["_column", "_record_tree"]
 
 
 @pytest.mark.parametrize(

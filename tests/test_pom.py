@@ -268,6 +268,25 @@ class TestLoadRepository:
         victim = repo.lookup(coord("org.example:victim:1.0"))
         assert victim.content_path is None
 
+    def test_a_failed_jar_lookup_ends_the_scan_without_reading_the_class_list(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the suite may run as root, where a chmod cannot provoke EACCES
+        make_repo(tmp_path, {"g:root:1": ["g:a:1"], "g:a:1": []}, {"g:a:1": ["g.a.Main"]})
+        jar = f"{tmp_path}/g/a/1/artifact.jar"
+        real_lstat = os.lstat
+
+        def failing_lstat(path, *args, **kwargs):
+            if path == jar:
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return real_lstat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "lstat", failing_lstat)
+        assert main(["scan", "--repo", str(tmp_path), "--root", "g:root:1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot read {jar}: [Errno 13] Permission denied: '{jar}'\n"
+
     def test_reparsing_fixture_documents_is_stable(self):
         first = load_repository(FIXTURES / "sample-app")
         second = load_repository(FIXTURES / "sample-app")
