@@ -7,11 +7,12 @@ from importlib import import_module
 
 # each exported name -> the module that defines it, imported on first access (PEP 562)
 _EXPORTS = {name: module for module, names in {
-    "analysis": "EcosystemComparison EffectiveClassMap ShadowFinding WinnerComparison"
-                " compare_ecosystems detect_shadowing effective_classes hijack_reach"
-                " hijack_surface",
+    "analysis": "EcosystemComparison ShadowFinding WinnerComparison compare_ecosystems"
+                " detect_shadowing hijack_reach hijack_surface",
     "errors": "ShadowscanError",
-    "inventory": "ClassInventory inspect_classlist inspect_jar inventory_all",
+    "inventory": "ClassInventory EffectiveClassMap effective_classes inspect_classlist"
+                 " inventory_all",
+    "jar": "inspect_jar",
     "mitigations": "MitigationVerdict check_ban_duplicate_classes check_modules check_sealed",
     "model": "Coordinate MitigationRule PomDocument ResolvedNode ResolvedTree check_class_name"
              " check_invariants package_of",

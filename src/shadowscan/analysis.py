@@ -1,46 +1,16 @@
-"""Effective class bindings, shadowing findings, and hijack geometry."""
+"""Shadowing findings, hijack geometry, and the Maven/Gradle winner comparison."""
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from shadowscan.errors import UnknownArtifact
 from shadowscan.model import Coordinate, ResolvedNode, ResolvedTree, TreePath
 from shadowscan.ordering import Classpath, Ecosystem, build_classpath
 
 if TYPE_CHECKING:
-    from shadowscan.inventory import ClassInventory
-
-
-class EffectiveClassMap(NamedTuple):
-    """What actually loads: each class name bound to its providers in classpath order.
-
-    The first provider is the one the class loader returns; a class with
-    more than one provider is shadowed.
-    """
-
-    bindings: Mapping[str, tuple[Coordinate, ...]]
-
-
-def effective_classes(inventories: Sequence[ClassInventory]) -> EffectiveClassMap:
-    """Bind every provided class to the inventories that carry it, earliest first.
-
-    The bindings keep the order in which the classes are first seen.
-    """
-    providers: dict[str, Any] = {}  # class name -> its providers in order: a list, then its tuple
-    get = providers.get
-    for inventory in inventories:
-        coordinate = inventory.coordinate
-        for cls in inventory.classes:
-            found = get(cls)
-            if found is None:
-                providers[cls] = [coordinate]
-            else:
-                found.append(coordinate)
-    for cls, found in providers.items():  # in place: the keys and their order stay
-        providers[cls] = tuple(found)
-    return EffectiveClassMap(providers)
+    from shadowscan.inventory import ClassInventory, EffectiveClassMap
 
 
 class ShadowFinding(NamedTuple):
@@ -73,6 +43,7 @@ def detect_shadowing(class_map: EffectiveClassMap, tree: ResolvedTree) -> list[S
     # each included coordinate -> its path and the findings at its depth
     targets = {coordinate: (node.path, by_depth.setdefault(len(node.path), []))
                for coordinate, node in included_nodes(tree).items()}
+    new = tuple.__new__  # a record without NamedTuple's argument handling
     for class_name, providers in class_map.bindings.items():
         if len(providers) > 1:
             winner = providers[0]
@@ -80,7 +51,7 @@ def detect_shadowing(class_map: EffectiveClassMap, tree: ResolvedTree) -> list[S
             if target is None:
                 raise UnknownArtifact(f"{winner} is not an included node of the tree")
             path, found = target
-            found.append(ShadowFinding(class_name, winner, providers[1:], path))
+            found.append(new(ShadowFinding, (class_name, winner, providers[1:], path)))
     findings: list[ShadowFinding] = []
     for depth in sorted(by_depth, reverse=True):
         findings += sorted(by_depth[depth], key=itemgetter(0))  # by class name

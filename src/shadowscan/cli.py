@@ -11,7 +11,7 @@ import sys
 from contextlib import suppress
 from functools import cached_property
 from importlib import import_module
-from itertools import islice
+from itertools import count, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
 
 from shadowscan.errors import (
@@ -28,8 +28,7 @@ from shadowscan.pom import Repository, fetch_pom, load_repository
 from shadowscan.resolver import DEFAULT_MAX_DEPTH, Occurrence, ResolutionReport, resolve
 
 if TYPE_CHECKING:
-    from shadowscan.analysis import EffectiveClassMap
-    from shadowscan.inventory import ClassInventory
+    from shadowscan.inventory import ClassInventory, EffectiveClassMap
     from shadowscan.mitigations import MitigationVerdict
 
 
@@ -49,9 +48,9 @@ def _on_first_call(module: str, name: str) -> Callable[..., Any]:
 inventory_all = _on_first_call("inventory", "inventory_all")
 # unused here but bound: shadowbench/spans.py wraps cli.load_inventory
 load_inventory = _on_first_call("inventory", "load_inventory")
+effective_classes = _on_first_call("inventory", "effective_classes")
 compare_ecosystems = _on_first_call("analysis", "compare_ecosystems")
 detect_shadowing = _on_first_call("analysis", "detect_shadowing")
-effective_classes = _on_first_call("analysis", "effective_classes")
 hijack_reach = _on_first_call("analysis", "hijack_reach")
 hijack_surface = _on_first_call("analysis", "hijack_surface")
 included_nodes = _on_first_call("analysis", "included_nodes")
@@ -333,9 +332,12 @@ def _write_stdout(pieces: Iterable[str]) -> None:
         stream.write("".join(pieces))
         return
     encode = codecs.getincrementalencoder(stream.encoding)("backslashreplace").encode
-    pieces = iter(pieces)
-    while True:
-        batch = list(islice(pieces, _BATCH))
+    if pieces.__class__ is list:  # a JSON report: sliced, not copied through an iterator
+        batches = (pieces[start:start + _BATCH] for start in count(0, _BATCH))
+    else:  # a text report, made as it is read
+        pieces = iter(pieces)
+        batches = iter(lambda: list(islice(pieces, _BATCH)), None)
+    for batch in batches:
         data = memoryview(encode("".join(batch), len(batch) < _BATCH))
         while data:
             data = data[os.write(fileno, data):]

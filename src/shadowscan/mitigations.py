@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -11,8 +11,7 @@ from shadowscan.model import Coordinate, MitigationRule, check_class_name, packa
 from shadowscan.pom import read_text_file
 
 if TYPE_CHECKING:
-    from shadowscan.analysis import EffectiveClassMap
-    from shadowscan.inventory import ClassInventory
+    from shadowscan.inventory import ClassInventory, EffectiveClassMap
 
 # A list of collision patterns larger than this is hostile input, as a POM is.
 ALLOWLIST_LIMIT = 16 * 2**20
@@ -114,12 +113,13 @@ def check_ban_duplicate_classes(
     patterns = [check_pattern(pattern) for pattern in allowlist]
     exact = {pattern for pattern in patterns if not pattern.endswith("*")}
     prefixes = tuple(pattern[:-1] for pattern in patterns if pattern.endswith("*"))
+    new = tuple.__new__  # a record without NamedTuple's argument handling
     violations = [
-        DuplicateClassViolation(class_name, providers[0], providers[1:])
+        new(DuplicateClassViolation, (class_name, providers[0], providers[1:]))
         for class_name, providers in class_map.bindings.items()
         if len(providers) > 1 and class_name not in exact and not class_name.startswith(prefixes)
     ]
-    violations.sort(key=attrgetter("class_name"))
+    violations.sort(key=itemgetter(0))  # by class name
     return MitigationVerdict(MitigationRule.BAN_DUPLICATE_CLASSES, tuple(violations))
 
 
@@ -135,8 +135,9 @@ def check_sealed(
     """
     # dict keys double as an insertion-ordered set of each package's winners
     winners_by_package: dict[str, dict[Coordinate, None]] = {}
+    # each class's package is package_of's rpartition, taken without a call
     for class_name, providers in class_map.bindings.items():
-        winners_by_package.setdefault(package_of(class_name), {})[providers[0]] = None
+        winners_by_package.setdefault(class_name.rpartition(".")[0], {})[providers[0]] = None
     violations: list[SealedPackageViolation] = []
     for inventory in inventories:
         for package in sorted(inventory.sealed_packages):

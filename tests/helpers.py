@@ -10,13 +10,7 @@ from types import ModuleType
 from typing import Any, Iterable, Mapping, Sequence
 
 from shadowscan import jsonv1, pom
-from shadowscan.analysis import (
-    EcosystemComparison,
-    EffectiveClassMap,
-    ShadowFinding,
-    WinnerComparison,
-    effective_classes,
-)
+from shadowscan.analysis import EcosystemComparison, ShadowFinding, WinnerComparison
 from shadowscan.errors import (
     DuplicateClassName,
     DuplicateDeclaration,
@@ -25,7 +19,7 @@ from shadowscan.errors import (
     MissingContent,
     MissingCoordinate,
 )
-from shadowscan.inventory import ClassInventory
+from shadowscan.inventory import ClassInventory, EffectiveClassMap, effective_classes
 from shadowscan.mitigations import (
     DuplicateClassViolation,
     MitigationRule,
@@ -304,16 +298,18 @@ def random_inventories(
 
     ``coordinates`` fixes the artifacts, one inventory each, instead of a
     random number of generated ones. With ``seal`` each inventory also seals
-    a random subset of the pool's packages, provided by it or not.
+    a random subset of the pool's packages, provided by it or not. A few of
+    the pool's names are bare, in the unnamed package ``""``, which no
+    artifact can seal.
     """
     pool_size = rng.randint(1, max_classes)
-    pool = [f"org.pool.p{i % 7}.Class{i}" for i in range(pool_size)]
+    pool = ["Main", "Util", "Util$1", *(f"org.pool.p{i % 7}.Class{i}" for i in range(pool_size))]
     if coordinates is None:
         count = rng.randint(1, max_artifacts)
         coordinates = [Coordinate.of("org.gen", f"art{n}", "1.0") for n in range(count)]
     inventories = []
     for coordinate in coordinates:
-        names = rng.sample(pool, k=rng.randint(0, min(8, pool_size)))
+        names = rng.sample(pool, k=rng.randint(0, min(8, len(pool))))
         sealed = {f"org.pool.p{i}" for i in range(7) if rng.random() < 0.3} if seal else set()
         inventories.append(
             ClassInventory(

@@ -9,8 +9,9 @@ import time
 from contextlib import contextmanager
 from random import Random
 
-from shadowscan.analysis import detect_shadowing, effective_classes, hijack_surface
+from shadowscan.analysis import detect_shadowing, hijack_surface
 from shadowscan.cli import Run, main
+from shadowscan.inventory import effective_classes
 from shadowscan.mitigations import (
     check_ban_duplicate_classes,
     check_modules,

@@ -11,13 +11,12 @@ from shadowscan.analysis import (
     ShadowFinding,
     compare_ecosystems,
     detect_shadowing,
-    effective_classes,
     hijack_reach,
     hijack_surface,
 )
 from shadowscan.cli import Run
 from shadowscan.errors import UnknownArtifact
-from shadowscan.inventory import ClassInventory
+from shadowscan.inventory import ClassInventory, effective_classes
 from shadowscan.model import Coordinate, OmittedConflict, check_class_name
 from shadowscan.ordering import Ecosystem, build_classpath
 from tests.helpers import (

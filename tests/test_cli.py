@@ -609,7 +609,7 @@ def test_a_fifo_archive_is_an_io_failure_not_a_hang(tmp_path):
     script = (
         "import sys\n"
         "from shadowscan.errors import IoFailure\n"
-        "from shadowscan.inventory import inspect_jar\n"
+        "from shadowscan.jar import inspect_jar\n"
         "from shadowscan.model import Coordinate\n"
         "try:\n"
         "    inspect_jar(sys.argv[1], Coordinate('g:a:1'))\n"

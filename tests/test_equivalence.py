@@ -23,9 +23,9 @@ from shadowscan.analysis import (
     WinnerComparison,
     compare_ecosystems,
     detect_shadowing,
-    effective_classes,
 )
-from shadowscan.inventory import ClassInventory, inspect_classlist, inspect_jar
+from shadowscan.inventory import ClassInventory, effective_classes, inspect_classlist
+from shadowscan.jar import inspect_jar
 from shadowscan.jsonv1 import _MAX_NESTING
 from shadowscan.errors import InvalidClassName, InvalidCoordinate, ReportTooDeep, ShadowscanError
 from shadowscan.mitigations import (

@@ -9,10 +9,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import zipfile
 
 import pytest
 
-from tests.helpers import FIXTURES
+from tests.helpers import FIXTURES, make_repo
 from tests.test_tracer_bindings import COMMANDS, CWA
 
 # the shadowscan.* entries of sys.modules after `code` ran with stdout captured
@@ -28,14 +29,15 @@ RESOLUTION = {
     "shadowscan", "shadowscan.cli", "shadowscan.errors", "shadowscan.model",
     "shadowscan.ordering", "shadowscan.pom", "shadowscan.resolver",
 }
-CLASSES = RESOLUTION | {"shadowscan.inventory", "shadowscan.analysis"}
-# a JSON report also loads the writer, shadowscan.jsonv1
+# the bindings sit beside the inventories: check reads no finding, so it loads no analysis
+CLASSES = RESOLUTION | {"shadowscan.inventory"}
+# a JSON report also loads the writer, shadowscan.jsonv1; class lists never load shadowscan.jar
 LOADED_BY = {
     "resolve": RESOLUTION,
     "classpath": RESOLUTION,
     "hijack": RESOLUTION | {"shadowscan.analysis"},
-    "scan": CLASSES,
-    "compare": CLASSES,
+    "scan": CLASSES | {"shadowscan.analysis"},
+    "compare": CLASSES | {"shadowscan.analysis"},
     "check": CLASSES | {"shadowscan.mitigations"},
 }
 
@@ -67,3 +69,12 @@ def test_a_json_command_loads_only_the_stages_it_runs(argv):
 def test_only_a_text_report_loads_the_text_views():
     code = f"from shadowscan.cli import main; main({['resolve', *CWA, '--format', 'text']!r})"
     assert loaded(code) == RESOLUTION | {"shadowscan.text"}
+
+
+def test_an_archive_loads_the_jar_reader(tmp_path):
+    make_repo(tmp_path, {"g:root:1": ["g:lib:1"], "g:lib:1": []}, {"g:root:1": ["g.Main"]})
+    with zipfile.ZipFile(tmp_path / "g" / "lib" / "1" / "artifact.jar", "w") as archive:
+        archive.writestr("g/Main.class", b"")
+    argv = ["scan", "--repo", str(tmp_path), "--root", "g:root:1", "--format", "json"]
+    code = f"from shadowscan.cli import main; assert main({argv!r}) == 0"
+    assert loaded(code) == LOADED_BY["scan"] | {"shadowscan.jsonv1", "shadowscan.jar"}

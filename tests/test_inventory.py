@@ -21,13 +21,8 @@ from shadowscan.errors import (
     NotAZip,
 )
 from shadowscan import inventory as inventory_module
-from shadowscan.inventory import (
-    _MANIFEST_LIMIT,
-    ClassInventory,
-    inspect_classlist,
-    inspect_jar,
-    inventory_all,
-)
+from shadowscan.inventory import ClassInventory, inspect_classlist, inventory_all
+from shadowscan.jar import _MANIFEST_LIMIT, inspect_jar
 from shadowscan.model import package_of
 from shadowscan.ordering import Ecosystem, build_classpath
 from shadowscan.pom import CLASSLIST_LIMIT, fetch_pom, load_repository

@@ -6,10 +6,10 @@ from random import Random
 
 import pytest
 
-from shadowscan.analysis import detect_shadowing, effective_classes
+from shadowscan.analysis import detect_shadowing
 from shadowscan.cli import Run
 from shadowscan.errors import InvalidPattern, IoFailure
-from shadowscan.inventory import ClassInventory, inspect_classlist
+from shadowscan.inventory import ClassInventory, effective_classes, inspect_classlist
 from shadowscan.mitigations import (
     ALLOWLIST_LIMIT,
     MitigationRule,

@@ -9,7 +9,7 @@ import zipfile
 
 import pytest
 
-from shadowscan import inventory
+from shadowscan import jar
 from shadowscan.cli import main
 from shadowscan.errors import (
     CoordinateMismatch,
@@ -22,7 +22,7 @@ from shadowscan.errors import (
     NotAZip,
     PomNotFound,
 )
-from shadowscan.inventory import inspect_jar
+from shadowscan.jar import inspect_jar
 from shadowscan.model import Coordinate
 from shadowscan.pom import POM_LIMIT, fetch_pom, load_repository, parse_pom, read_text_file
 from shadowscan.resolver import resolve
@@ -490,7 +490,7 @@ class TestNoDescriptorLeak:
         self.refuses(self.read_jar, path, NotAZip, "is not a ZIP archive")
 
     def test_archive_whose_manifest_inflates_past_the_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(inventory, "_MANIFEST_LIMIT", 16)
+        monkeypatch.setattr(jar, "_MANIFEST_LIMIT", 16)
         path = tmp_path / "artifact.jar"
         with zipfile.ZipFile(path, "w") as archive:
             archive.writestr("META-INF/MANIFEST.MF", "Manifest-Version: 1.0\n")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from shadowscan.cli import main
 from shadowscan.errors import ShadowscanError
-from shadowscan.inventory import inspect_jar
+from shadowscan.jar import inspect_jar
 from tests.helpers import FIXTURES, coord
 
 # fixture -> its root; the root reaches every POM and class list in the fixture
