@@ -7,7 +7,6 @@ import errno
 import os
 import re
 import stat
-import xml.etree.ElementTree as ET
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -87,17 +86,144 @@ def _warn(message: str, *args: object) -> None:
     logging.getLogger(__name__).warning(inert(message % args))
 
 
-def _read_coordinate(children: dict[str, ET.Element], where: str, prefix: str) -> Coordinate:
-    values: list[str] = []
+# The plain POM subset, read without ElementTree: an optional UTF-8 declaration,
+# then <project> with at most a default namespace whose URI holds no "}" (which
+# ElementTree refuses), no control character and no reference; then tokens, each
+# followed only by [ \t\n]: a section or dependency tag, the end of the root, or
+# an unprefixed ASCII-named leaf of character data without "&", "<" or a control
+# character (a CR would be normalized). A token begins with "<", so a scan that
+# fails costs at most its own name and text: the reader is linear in the input.
+_PLAIN_HEAD = re.compile(
+    r'(?:<\?xml version="1\.0" encoding="UTF-8"\?>)?[ \t\n]*<project(?: xmlns="([^\x00-\x1f"&<}]*)")?>'
+)
+_PLAIN_TOKEN = re.compile(
+    r"<(?:(/?dependenc(?:y|ies)|/project)"
+    r"|([A-Za-z_][A-Za-z0-9._-]*)>([^\x00-\x08\x0b-\x1f&<]*)</\2)>"
+)
+# Namespaces in XML 1.0 §3: no default namespace may be bound to these; expat refuses them
+_RESERVED_NAMESPACES = ("http://www.w3.org/XML/1998/namespace", "http://www.w3.org/2000/xmlns/")
+
+# Each front end gives the root's local name, its children's local names and
+# texts, and the children's names and texts of every dependency of the first
+# dependencies section; a text is "" where ElementTree's is None.
+_Read = tuple[str, list[str], list[str], list[tuple[list[str], list[str]]]]
+
+
+def _read_plain(xml_text: str) -> _Read | None:
+    """The plain POM subset's reading of the text, or None for any other text.
+
+    Everything accepted parses to the same reading under ElementTree: no
+    comment, reference, CDATA section, attribute but the default namespace,
+    prefix, empty-element tag, CR, ``]]>`` or character outside XML 1.0's
+    ``Char``; leaves hold character data only, and a ``dependencies``
+    section holds ``dependency`` elements of such leaves.
+    """
+    head = _PLAIN_HEAD.match(xml_text)
+    if (head is None or head[1] in _RESERVED_NAMESPACES or "]]>" in xml_text
+            or not xml_text.isascii() and re.search("[\ud800-\udfff\ufffe\uffff]", xml_text)):
+        return None
+    # gap, tag, leaf name, leaf text, gap, ...: every gap must be whitespace,
+    # and the last token must end the root
+    parts = _PLAIN_TOKEN.split(xml_text[head.end():])
+    if parts[-4:-3] != ["/project"] or "".join(parts[::4]).strip(" \t\n"):
+        return None
+    tags, names, values = parts[1:-4:4], parts[2:-4:4], parts[3:-4:4]
+    children: list[str] = []
+    texts: list[str] = []
+    dependencies: list[tuple[list[str], list[str]]] | None = None
+    section = None  # the open section's dependencies; only the first section's are kept
+    opened = None  # the first token of the open dependency
+    start = 0  # the first token of the current run of the project's leaves
+    for index, tag in enumerate(tags):
+        if tag is None:  # a leaf belongs to the project or to a dependency
+            if section is not None and opened is None:
+                return None
+        elif opened is not None:
+            if tag != "/dependency":
+                return None
+            if section is dependencies:
+                section.append((names[opened:index], values[opened:index]))
+            opened = None
+        elif section is not None:
+            if tag == "dependency":
+                opened = index + 1
+            elif tag == "/dependencies":
+                section = None
+                start = index + 1
+            else:
+                return None
+        elif tag == "dependencies":
+            children += names[start:index]
+            texts += values[start:index]
+            children.append(tag)
+            texts.append(parts[4 * index + 4])  # the whitespace before its first tag
+            section = []
+            if dependencies is None:
+                dependencies = section
+        else:
+            return None
+    if section is not None:
+        return None
+    children += names[start:]
+    texts += values[start:]
+    return "project", children, texts, dependencies or []
+
+
+def _local(tag: str) -> str:
+    # ElementTree spells a namespaced tag "{uri}local"; only the local part counts
+    return tag[tag.rfind("}") + 1:]
+
+
+def _read_tree(xml_text: str) -> _Read:
+    """ElementTree's reading of any text, or ``MalformedXml``."""
+    import xml.etree.ElementTree as ET  # only a POM outside the plain subset loads it
+
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as exc:
+        raise MalformedXml(f"not well-formed XML: {exc}") from exc
+    names = [_local(child.tag) for child in root]
+    dependencies = []
+    if "dependencies" in names:
+        for element in root[names.index("dependencies")]:
+            if _local(element.tag) == "dependency":
+                dependencies.append((
+                    [_local(child.tag) for child in element],
+                    [child.text or "" for child in element],
+                ))
+    return _local(root.tag), names, [child.text or "" for child in root], dependencies
+
+
+def _prefix(source: str) -> str:
+    return f"{source}: " if source else ""
+
+
+def _where(project: Coordinate | None, index: int) -> str:
+    return "project" if project is None else f"dependency #{index} of {project}"
+
+
+def _read_coordinate(
+    names: list[str], values: list[str], source: str,
+    project: Coordinate | None = None, index: int = 0,
+) -> Coordinate:
+    """The coordinate that the first child of each coordinate name spells.
+
+    The children are the project's, or its ``index``-th dependency's; the
+    texts naming either are built only for an error or a warning.
+    """
+    tokens: list[str] = []
     for name in ("groupId", "artifactId", "version"):
-        child = children.get(name)
-        text = "" if child is None else (child.text or "").strip()
+        try:
+            text = values[names.index(name)].strip()
+        except ValueError:  # no child of that name
+            text = ""
         if not text:
-            raise MissingCoordinate(f"{where}: missing or empty <{name}>")
+            raise MissingCoordinate(f"{_where(project, index)}: missing or empty <{name}>")
         if "${" in text:
-            _warn("%s%s: property placeholder %r is not interpolated", prefix, where, text)
-        values.append(text)
-    return Coordinate.of(*values)
+            _warn("%s%s: property placeholder %r is not interpolated",
+                  _prefix(source), _where(project, index), text)
+        tokens.append(text)
+    return Coordinate.of(*tokens)
 
 
 def parse_pom(xml_text: str, source: str = "") -> PomDocument:
@@ -111,46 +237,22 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
     elements are ignored silently. A group:artifact declared twice raises
     ``DuplicateDeclaration``. A nonempty ``source`` begins every warning, so
     that it names the file the text came from.
-    """
-    prefix = f"{source}: " if source else ""
-    try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        raise MalformedXml(f"not well-formed XML: {exc}") from exc
-    # ElementTree spells a namespaced tag "{uri}local"; only the local part counts
-    tag = root.tag
-    name = tag[tag.rfind("}") + 1:]
-    if name != "project":
-        raise MalformedXml(f"root element must be <project>, got <{name}>")
-    children: dict[str, ET.Element] = {}  # the first child of each local name
-    ignored: list[str] = []
-    for child in root:
-        tag = child.tag
-        name = tag[tag.rfind("}") + 1:]
-        children.setdefault(name, child)
-        if name in _IGNORED_PROJECT_ELEMENTS:
-            ignored.append(name)
-    coordinate = _read_coordinate(children, "project", prefix)
-    for name in ignored:
-        _warn("%sproject %s: ignoring <%s>", prefix, coordinate, name)
 
+    A text in the plain subset (``_read_plain``) is read without
+    ElementTree; any other text is read by ElementTree, to the same result.
+    """
+    root, names, values, sections = _read_plain(xml_text) or _read_tree(xml_text)
+    if root != "project":
+        raise MalformedXml(f"root element must be <project>, got <{root}>")
+    coordinate = _read_coordinate(names, values, source)
+    for name in names:
+        if name in _IGNORED_PROJECT_ELEMENTS:
+            _warn("%sproject %s: ignoring <%s>", _prefix(source), coordinate, name)
     dependencies: list[Coordinate] = []
-    section = children.get("dependencies")
-    for element in () if section is None else section:
-        tag = element.tag
-        if tag[tag.rfind("}") + 1:] != "dependency":
-            continue
-        fields: dict[str, ET.Element] = {}
-        exclusions = 0
-        for child in element:
-            tag = child.tag
-            name = tag[tag.rfind("}") + 1:]
-            fields.setdefault(name, child)
-            exclusions += name == "exclusions"
-        where = f"dependency #{len(dependencies)} of {coordinate}"
-        dependency = _read_coordinate(fields, where, prefix)
-        for _ in range(exclusions):
-            _warn("%sdependency %s: ignoring <exclusions>", prefix, dependency)
+    for index, (child_names, child_values) in enumerate(sections):
+        dependency = _read_coordinate(child_names, child_values, source, coordinate, index)
+        for _ in range(child_names.count("exclusions")):
+            _warn("%sdependency %s: ignoring <exclusions>", _prefix(source), dependency)
         dependencies.append(dependency)
     seen: set[str] = set()
     for dependency in dependencies:

@@ -1,28 +1,34 @@
 """Each command imports only the ``shadowscan`` modules of the stages it runs.
 
 The module sets are read in fresh interpreters, where no other test has
-imported anything; an eager import added later changes a set here.
+imported anything; an eager import added later changes a set here. They
+hold the ``xml`` modules too: only a POM outside the plain subset loads
+ElementTree.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import zipfile
 
 import pytest
 
-from tests.helpers import FIXTURES, make_repo
+from shadowscan.cli import main
+from tests.helpers import FIXTURE_ROOTS, FIXTURES, make_repo
+from tests.test_golden import COMMANDS as GOLDEN_COMMANDS
+from tests.test_golden import HIJACK
 from tests.test_tracer_bindings import COMMANDS, CWA
 
-# the shadowscan.* entries of sys.modules after `code` ran with stdout captured
+# the shadowscan.* and xml.* entries of sys.modules after `code` ran with stdout captured
 PROBE = """\
 import io, sys
 sys.stdout = io.StringIO()
 {code}
 sys.stdout = sys.__stdout__
-print(*sorted(name for name in sys.modules if name.partition(".")[0] == "shadowscan"))
+print(*sorted(name for name in sys.modules if name.partition(".")[0] in ("shadowscan", "xml")))
 """
 
 RESOLUTION = {
@@ -78,3 +84,38 @@ def test_an_archive_loads_the_jar_reader(tmp_path):
     argv = ["scan", "--repo", str(tmp_path), "--root", "g:root:1", "--format", "json"]
     code = f"from shadowscan.cli import main; assert main({argv!r}) == 0"
     assert loaded(code) == LOADED_BY["scan"] | {"shadowscan.jsonv1", "shadowscan.jar"}
+
+
+def test_no_command_over_the_fixtures_loads_elementtree():
+    runs = []
+    for fixture, root in FIXTURE_ROOTS.items():
+        attacker, target = HIJACK[fixture]
+        for command in GOLDEN_COMMANDS.values():
+            argv = [arg.format(attacker=attacker, target=target) for arg in command]
+            for output_format in ("json", "text"):
+                runs.append([*argv, "--repo", str(FIXTURES / fixture), "--root", root,
+                             "--format", output_format])
+    code = f"from shadowscan.cli import main\nfor argv in {runs!r}: main(argv)"
+    assert not {name for name in loaded(code) if name.startswith("xml")}
+
+
+def test_a_pom_outside_the_plain_subset_loads_elementtree_and_reads_alike(
+    tmp_path, monkeypatch, capsys,
+):
+    shutil.copytree(FIXTURES / "cwa-server", tmp_path / "cwa-server")
+    pom = tmp_path / "cwa-server" / "app.coronawarn" / "cwa-parent" / "3.2.0" / "pom.xml"
+    pom.write_text(pom.read_text().replace("<dependencies>", "<!-- c --><dependencies>", 1))
+    argv = ["resolve", "--repo", "cwa-server", "--root", FIXTURE_ROOTS["cwa-server"],
+            "--format", "json"]
+    reports = []
+    for directory in (FIXTURES, tmp_path):  # the same --repo text names either copy
+        monkeypatch.chdir(directory)
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    code = f"import os\nos.chdir({str(tmp_path)!r})\nfrom shadowscan.cli import main\nmain({argv!r})"
+    modules = loaded(code)
+    assert "xml.etree.ElementTree" in modules
+    assert {name for name in modules if name.startswith("shadowscan")} == (
+        LOADED_BY["resolve"] | {"shadowscan.jsonv1"}
+    )

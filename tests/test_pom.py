@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import logging
 import os
+import time
 import zipfile
 
 import pytest
@@ -21,12 +22,20 @@ from shadowscan.errors import (
     MissingCoordinate,
     NotAZip,
     PomNotFound,
+    ShadowscanError,
 )
 from shadowscan.jar import inspect_jar
 from shadowscan.model import Coordinate
-from shadowscan.pom import POM_LIMIT, fetch_pom, load_repository, parse_pom, read_text_file
+from shadowscan.pom import (
+    POM_LIMIT,
+    _read_plain,
+    fetch_pom,
+    load_repository,
+    parse_pom,
+    read_text_file,
+)
 from shadowscan.resolver import resolve
-from tests.helpers import FIXTURES, coord, make_repo
+from tests.helpers import FIXTURES, coord, make_repo, reference_parse_pom
 
 POC_COORDINATES = [
     coord(text)
@@ -37,6 +46,9 @@ POC_COORDINATES = [
         "org.evil:fakelibrary:1.0",
     )
 ]
+# expat's refusal of a default namespace bound to the xml or xmlns namespace name
+RESERVED_NAMESPACE = "prefix must not be bound to one of the reserved namespace names"
+
 SAMPLE_APP_COORDINATES = [
     coord(f"com.example:{name}:1.0")
     for name in ("Project", "D1", "D11", "D111", "D112", "D2", "D21", "D211", "D22", "D221")
@@ -167,13 +179,24 @@ class TestParsePom:
         document = parse_pom(text)
         assert str(document.dependencies[0]) == "x:y:1"
 
-    def test_a_close_brace_in_a_namespace_uri_is_refused_as_malformed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("comment", ["", "<!-- c -->"], ids=["plain", "commented"])
+    @pytest.mark.parametrize(("uri", "error"), [
+        ("urn:a}b", "syntax error"),
+        ("http://www.w3.org/XML/1998/namespace", RESERVED_NAMESPACE),
+        ("http://www.w3.org/2000/xmlns/", RESERVED_NAMESPACE),
+    ], ids=["close-brace", "xml-namespace", "xmlns-namespace"])
+    def test_a_close_brace_in_a_namespace_uri_is_refused_as_malformed(
+        self, tmp_path, capsys, uri, error, comment,
+    ):
         # XML allows "}" in a namespace URI, but ElementTree's expat parser
-        # separates URI and local name with it and refuses the document; this
-        # pins that input error (exit 1, one line, no traceback) until it is mended
+        # separates URI and local name with it and refuses the document, as it
+        # refuses a default namespace bound to a reserved URI. The plain reader
+        # declines all three, so the POM is refused alike with or without a
+        # comment (which only ElementTree reads). This pins that input error
+        # (exit 1, one line, no traceback) until it is mended
         text = (
-            '<project xmlns="urn:a}b"><groupId>g</groupId><artifactId>a</artifactId>'
-            "<version>1</version></project>"
+            f'<project xmlns="{uri}"><groupId>g</groupId><artifactId>a</artifactId>'
+            f"<version>1</version>{comment}</project>"
         )
         with pytest.raises(MalformedXml):
             parse_pom(text)
@@ -183,7 +206,7 @@ class TestParsePom:
         code = main(["resolve", "--repo", str(tmp_path), "--root", "g:a:1"])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert err == f"error: {pom} (g:a:1): not well-formed XML: syntax error: line 1, column 0\n"
+        assert err == f"error: {pom} (g:a:1): not well-formed XML: {error}: line 1, column 0\n"
 
     def test_unknown_elements_ignored_silently(self, caplog):
         text = (
@@ -228,6 +251,60 @@ class TestParsePom:
 
     def test_parse_is_deterministic(self):
         assert parse_pom(SAFE_ORDER_POM) == parse_pom(SAFE_ORDER_POM)
+
+
+# POMs of hostile size that the plain reader must decline after reading them
+# whole: each is built at about ``size`` characters
+PROJECT = (
+    '<project xmlns="http://maven.apache.org/POM/4.0.0">'
+    "<groupId>g</groupId><artifactId>a</artifactId><version>1</version>"
+)
+HOSTILE_SHAPES = {
+    "many leaves, then a bad end tag":
+        lambda size: PROJECT + "<name>x</name>\n" * (size // 15) + "<name>x</nam></project>",
+    "a whitespace run, then junk": lambda size: PROJECT + " " * size + "junk</project>",
+    "many dependencies, then truncation": lambda size: PROJECT + "<dependencies>" + "".join(
+        f"<dependency><groupId>g</groupId><artifactId>a{i}</artifactId><version>1</version>"
+        "</dependency>\n" for i in range(size // 95)
+    ),
+    "deep nesting": lambda size: PROJECT + "<nested-element-name>" * (size // 21),
+    "alternating whitespace": lambda size: PROJECT + " \t" * (size // 2) + "\n<",
+}
+
+
+def outcome(text: str, parse) -> object:
+    try:
+        return parse(text)
+    except ShadowscanError as exc:
+        return type(exc), str(exc)
+
+
+def decline_seconds(text: str) -> float:
+    """The least of three times that the plain reader takes to decline the text."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert _read_plain(text) is None
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class TestPlainReader:
+    @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+    def test_a_hostile_pom_is_declined_in_linear_time_and_read_as_elementtree_reads_it(
+        self, shape,
+    ):
+        texts = [HOSTILE_SHAPES[shape](size) for size in (2**19, 2**22)]
+        for text in texts:
+            assert outcome(text, parse_pom) == outcome(text, reference_parse_pom)
+        small, large = map(decline_seconds, texts)
+        assert large <= 16 * small
+
+    def test_a_lone_surrogate_is_left_to_elementtree(self):
+        text = "<project><groupId>\ud800</groupId></project>"
+        assert _read_plain(text) is None
+        with pytest.raises(UnicodeEncodeError):
+            parse_pom(text)
 
 
 class TestLoadRepository:
