@@ -86,6 +86,7 @@ def inspect_classlist(file: Path | str, coordinate: Coordinate) -> ClassInventor
         start = end + 1
     classes, sealed = _read_lines(path, text[:start])
     body = text[start:]
+    # the header holds a class after a line break other than "\n" ("# c\rorg.a.A");
     # with "\n" read as ".", ".." marks an empty line or an empty name segment
     if (not classes and body.endswith("\n") and body.isascii()
             and not body.startswith((".", "\n"))

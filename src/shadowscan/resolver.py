@@ -56,22 +56,25 @@ def resolve(
     its subtree is never expanded, so dependencies of losing versions cannot
     influence the result. A coordinate reappearing below itself is cut the
     same way, which terminates cycles without a dedicated check.
+
+    Each node is one row, in level order with the root as row 0: its
+    coordinate, path, status and number of children, and ``winners`` maps a
+    group:artifact to the row of its included node. Level order puts each
+    node's children in one run of rows, and the runs follow their parents'
+    order, so walking the rows from the last one up, each node's run ends
+    where the next node's run begins.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    # one row per node in level order: coordinate, path, status, parent's row
     rows: list[tuple[Coordinate, TreePath, NodeStatus, int]] = [
-        (root.coordinate, (), INCLUDED, -1)
+        (root.coordinate, (), INCLUDED, len(root.dependencies))
     ]
-    winners: dict[str, Occurrence] = {
-        root.coordinate.ga: Occurrence(root.coordinate, ())
-    }
+    winners = {root.coordinate.ga: 0}
     losers: dict[str, list[Occurrence]] = {}
-    # nodes still to place: parent's row, declaration index, coordinate
-    queue: deque[tuple[int, int, Coordinate]] = deque(zip(repeat(0), count(), root.dependencies))
+    # nodes still to place: parent's path, declaration index, coordinate
+    queue: deque[tuple[TreePath, int, Coordinate]] = deque(zip(repeat(()), count(), root.dependencies))
     while queue:
-        parent, position, coordinate = queue.popleft()
-        parent_path = rows[parent][1]
+        parent_path, position, coordinate = queue.popleft()
         path = parent_path + (position,)
         if len(path) > max_depth:
             raise DepthLimitExceeded(
@@ -79,37 +82,32 @@ def resolve(
             )
         ga = coordinate.rpartition(":")[0]
         winner = winners.get(ga)
-        status: NodeStatus
+        dependencies: tuple[Coordinate, ...] = ()
         if winner is None:
-            status = INCLUDED
-        elif winner.coordinate == coordinate:
-            status = _new(OmittedDuplicate, (winner.path,))
-        else:
-            status = _new(OmittedConflict, (winner.coordinate,))
-            losers.setdefault(ga, []).append(_new(Occurrence, (coordinate, path)))
-        index = len(rows)
-        rows.append((coordinate, path, status, parent))
-        if winner is None:
-            winners[ga] = _new(Occurrence, (coordinate, path))
+            status: NodeStatus = INCLUDED
+            winners[ga] = len(rows)
             try:
-                document = fetch_pom(repo, coordinate)
+                dependencies = fetch_pom(repo, coordinate).dependencies
             except PomNotFound as exc:
                 raise UnresolvableDependency(coordinate, parent_path) from exc
-            queue.extend(zip(repeat(index), count(), document.dependencies))
+            queue.extend(zip(repeat(path), count(), dependencies))
+        elif rows[winner][0] == coordinate:
+            status = _new(OmittedDuplicate, (rows[winner][1],))
+        else:
+            status = _new(OmittedConflict, (rows[winner][0],))
+            losers.setdefault(ga, []).append(_new(Occurrence, (coordinate, path)))
+        rows.append((coordinate, path, status, len(dependencies)))
 
-    # From the last row up, every node's children are built before the node.
-    nodes: list[ResolvedNode] = []
-    children: dict[int, list[ResolvedNode]] = {}
+    nodes: list[ResolvedNode | None] = [None] * len(rows)
+    end = len(rows)
     for index in range(len(rows) - 1, -1, -1):
-        coordinate, path, status, parent = rows[index]
-        below = tuple(reversed(children.pop(index, ())))
-        node = _new(ResolvedNode, (coordinate, path, index, status, below))
-        children.setdefault(parent, []).append(node)
-        nodes.append(node)
-    nodes.reverse()
+        coordinate, path, status, width = rows[index]
+        below = tuple(nodes[end - width : end])
+        nodes[index] = _new(ResolvedNode, (coordinate, path, index, status, below))
+        end -= width
 
     conflicts = tuple(
-        Conflict(group_artifact=ga, winner=winners[ga], losers=tuple(occurrences))
+        Conflict(ga, Occurrence(*rows[winners[ga]][:2]), tuple(occurrences))
         # dict insertion follows the first losing occurrence, i.e. tree order
         for ga, occurrences in losers.items()
     )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import sys
 import zipfile
 from enum import Enum
@@ -285,6 +287,39 @@ def test_coordinate_of_names_the_first_bad_token_as_the_per_token_reference(toke
         assert reference_coordinate_error(tokens) is None
 
 
+# valid tokens, and tokens with a ':' or a whitespace character somewhere, or empty
+TOKEN_TEXTS = st.text(min_size=1, max_size=6).filter(reference_token_ok)
+BAD_TOKENS = st.just("") | st.builds(
+    lambda head, bad, tail: head + bad + tail,
+    st.text(max_size=2), st.sampled_from([":", " ", "\t", "\n", "\x85", "\u3000"]),
+    st.text(max_size=2),
+)
+
+
+@given(st.tuples(TOKEN_TEXTS, TOKEN_TEXTS, TOKEN_TEXTS))
+def test_a_coordinate_is_its_text(tokens):
+    coordinate = Coordinate.of(*tokens)
+    text = ":".join(tokens)
+    assert type(coordinate) is Coordinate and str(coordinate) == text
+    assert type(Coordinate(text)) is Coordinate
+    assert Coordinate(text) == Coordinate.of(*text.split(":")) == coordinate
+    parts = (coordinate.group_id, coordinate.artifact_id, coordinate.version)
+    assert parts == tokens and coordinate.ga == f"{tokens[0]}:{tokens[1]}"
+    assert type(coordinate.ga) is str
+    assert coordinate == text and hash(coordinate) == hash(text)
+    for clone in (copy.copy(coordinate), pickle.loads(pickle.dumps(coordinate))):
+        assert type(clone) is Coordinate and clone == coordinate
+
+
+@given(st.tuples(TOKEN_TEXTS, TOKEN_TEXTS, TOKEN_TEXTS), st.integers(0, 2), BAD_TOKENS)
+def test_a_bad_token_in_any_position_is_refused(tokens, position, bad):
+    tokens = tokens[:position] + (bad,) + tokens[position + 1:]
+    with pytest.raises(InvalidCoordinate):
+        Coordinate.of(*tokens)
+    with pytest.raises(InvalidCoordinate):
+        Coordinate(":".join(tokens))
+
+
 # POMs: the coordinate elements shuffled, repeated or missing, with padded,
 # placeholder and now and then empty, invalid or element-only values;
 # repeated dependencies sections and coordinates from small pools, so that
@@ -467,7 +502,12 @@ def test_the_plain_reader_reads_as_elementtree_does(rng):
     assert parsed(parse_pom, text) == parsed(reference_parse_pom, text)
 
 
-@given(st.randoms(use_true_random=False))
+# seeded sources: Hypothesis's own draws never reached more than 40 distinct
+# classes in 100 examples of either property; a seeded Random did in 4 and 7
+SEEDED = st.integers(0, 2**32 - 1).map(Random)
+
+
+@given(SEEDED)
 def test_check_sealed_matches_the_list_reference(rng):
     inventories = random_inventories(rng, max_artifacts=20, max_classes=60, seal=True)
     class_map = effective_classes(inventories)
@@ -476,7 +516,7 @@ def test_check_sealed_matches_the_list_reference(rng):
     )
 
 
-@given(st.randoms(use_true_random=False), st.booleans())
+@given(SEEDED, st.booleans())
 def test_check_modules_matches_the_list_reference(rng, root_is_module):
     inventories = random_inventories(rng, max_artifacts=20, max_classes=60, seal=True)
     assert typed(check_modules(inventories, root_is_module)) == typed(

@@ -8,8 +8,6 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from shadowscan.errors import InvalidClassName, InvalidCoordinate
 from shadowscan.model import (
@@ -28,7 +26,6 @@ from tests.helpers import (
     coord,
     random_tree,
     reference_dfs_order,
-    reference_token_ok,
     sample_tree,
     tree_of,
 )
@@ -67,15 +64,6 @@ class TestCoordinates:
         assert coord("g:a:1.0") < coord("g:a:2.0")
 
 
-# valid tokens, and tokens with a ':' or a whitespace character somewhere, or empty
-TOKEN_TEXTS = st.text(min_size=1, max_size=6).filter(reference_token_ok)
-BAD_TOKENS = st.just("") | st.builds(
-    lambda head, bad, tail: head + bad + tail,
-    st.text(max_size=2), st.sampled_from([":", " ", "\t", "\n", "\x85", "\u3000"]),
-    st.text(max_size=2),
-)
-
-
 class TestCoordinateText:
     """A coordinate is its validated ``group:artifact:version`` text."""
 
@@ -97,28 +85,6 @@ class TestCoordinateText:
             coord("g:a:0"), fresh, coord("g:b:0"),
         ]
         assert repr(coordinate) == repr(fresh) == "'g:a:1'"
-
-    @given(st.tuples(TOKEN_TEXTS, TOKEN_TEXTS, TOKEN_TEXTS))
-    def test_a_coordinate_is_its_text(self, tokens):
-        coordinate = Coordinate.of(*tokens)
-        text = ":".join(tokens)
-        assert type(coordinate) is Coordinate and str(coordinate) == text
-        assert type(Coordinate(text)) is Coordinate
-        assert Coordinate(text) == Coordinate.of(*text.split(":")) == coordinate
-        parts = (coordinate.group_id, coordinate.artifact_id, coordinate.version)
-        assert parts == tokens and coordinate.ga == f"{tokens[0]}:{tokens[1]}"
-        assert type(coordinate.ga) is str
-        assert coordinate == text and hash(coordinate) == hash(text)
-        for clone in (copy.copy(coordinate), pickle.loads(pickle.dumps(coordinate))):
-            assert type(clone) is Coordinate and clone == coordinate
-
-    @given(st.tuples(TOKEN_TEXTS, TOKEN_TEXTS, TOKEN_TEXTS), st.integers(0, 2), BAD_TOKENS)
-    def test_a_bad_token_in_any_position_is_refused(self, tokens, position, bad):
-        tokens = tokens[:position] + (bad,) + tokens[position + 1:]
-        with pytest.raises(InvalidCoordinate):
-            Coordinate.of(*tokens)
-        with pytest.raises(InvalidCoordinate):
-            Coordinate(":".join(tokens))
 
     @pytest.mark.parametrize("printed_first", [False, True])
     def test_copy_and_pickle_round_trip(self, printed_first):

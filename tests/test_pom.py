@@ -259,14 +259,25 @@ PROJECT = (
     '<project xmlns="http://maven.apache.org/POM/4.0.0">'
     "<groupId>g</groupId><artifactId>a</artifactId><version>1</version>"
 )
+
+
+def dependencies_section(size: int) -> str:
+    """An unclosed dependencies section of about ``size`` characters."""
+    return "<dependencies>" + "".join(
+        f"<dependency><groupId>g</groupId><artifactId>a{i}</artifactId><version>1</version>"
+        "</dependency>\n" for i in range(size // 95)
+    )
+
+
 HOSTILE_SHAPES = {
     "many leaves, then a bad end tag":
         lambda size: PROJECT + "<name>x</name>\n" * (size // 15) + "<name>x</nam></project>",
     "a whitespace run, then junk": lambda size: PROJECT + " " * size + "junk</project>",
-    "many dependencies, then truncation": lambda size: PROJECT + "<dependencies>" + "".join(
-        f"<dependency><groupId>g</groupId><artifactId>a{i}</artifactId><version>1</version>"
-        "</dependency>\n" for i in range(size // 95)
-    ),
+    "many dependencies, then truncation": lambda size: PROJECT + dependencies_section(size),
+    "many dependencies in an unclosed section":
+        lambda size: PROJECT + dependencies_section(size) + "</project>",
+    "an unclosed dependency": lambda size: PROJECT + "<dependencies><dependency>"
+        + "<groupId>g</groupId>\n" * (size // 21) + "</project>",
     "deep nesting": lambda size: PROJECT + "<nested-element-name>" * (size // 21),
     "alternating whitespace": lambda size: PROJECT + " \t" * (size // 2) + "\n<",
 }
