@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import errno
 import gc
@@ -12,6 +11,7 @@ from contextlib import suppress
 from functools import cached_property
 from importlib import import_module
 from itertools import count, islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
 
 from shadowscan.errors import (
@@ -28,8 +28,12 @@ from shadowscan.pom import Repository, fetch_pom, load_repository
 from shadowscan.resolver import DEFAULT_MAX_DEPTH, Occurrence, ResolutionReport, resolve
 
 if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
+
     from shadowscan.inventory import ClassInventory, EffectiveClassMap
     from shadowscan.mitigations import MitigationVerdict
+
+    Args = Namespace | SimpleNamespace  # argparse's reading of argv, or the plain reader's
 
 
 def _on_first_call(module: str, name: str) -> Callable[..., Any]:
@@ -110,7 +114,7 @@ class Run:
         return effective_classes(self.inventories)
 
 
-def _inputs(args: argparse.Namespace) -> dict[str, Any]:
+def _inputs(args: Args) -> dict[str, Any]:
     """The report's echo of the invocation: every option of the command but --format."""
     return {name: value for name, value in vars(args).items()
             if name not in ("command", "handler", "format")}
@@ -119,24 +123,24 @@ def _inputs(args: argparse.Namespace) -> dict[str, Any]:
 # Each command reads its stages from the run and returns its exit code and its
 # payload; main renders the payload in the requested format only.
 
-def cmd_resolve(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def cmd_resolve(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     return EXIT_OK, {"tree": run.resolution.tree.root, "conflicts": run.resolution.conflicts}
 
 
-def cmd_classpath(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def cmd_classpath(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     entries = run.classpath.entries
     layout = None if args.layout == "none" else emit_layout(run.resolution.tree, LayoutMode(args.layout))
     return EXIT_OK, {"ecosystem": args.ecosystem, "root_precedes": True,
                      "entries": entries, "layout": layout}
 
 
-def cmd_scan(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def cmd_scan(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     findings = detect_shadowing(run.class_map, run.resolution.tree)
     code = EXIT_SHADOWS_FOUND if findings and args.fail_on_shadow else EXIT_OK
     return code, {"ecosystem": args.ecosystem, "findings": findings}
 
 
-def cmd_hijack(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def cmd_hijack(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     tree, classpath = run.resolution.tree, run.classpath
     nodes = included_nodes(tree)
     if args.attacker is not None:
@@ -149,7 +153,7 @@ def cmd_hijack(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]
     return EXIT_OK, {"mode": mode, "subject": subject, "artifacts": artifacts}
 
 
-def cmd_check(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def cmd_check(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     # the class map is read before the allowlist: an artifact's error comes first
     class_map = run.class_map
     allowlist = load_allowlist(args.allowlist) if args.allowlist else ()
@@ -165,7 +169,7 @@ def cmd_check(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return code, {"verdicts": verdicts}
 
 
-def cmd_compare(run: Run, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def cmd_compare(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     return EXIT_OK, {"classes": compare_ecosystems(run.resolution.tree, run.inventories).entries}
 
 
@@ -179,21 +183,17 @@ def _print_error(message: str) -> None:
             print(f"error: {message}", file=sys.stderr)
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are input errors: keep exit code 1, not argparse's 2
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        _print_error(inert(message))
-        raise SystemExit(EXIT_INPUT_ERROR)
-
+# A type function imports argparse only to raise its error: argparse, not the
+# plain reader, reports a value that a type function refuses.
 
 def _rules_argument(value: str) -> tuple[MitigationRule, ...]:
     rules: list[MitigationRule] = []
     for token in value.split(","):
         token = token.strip()
         if token not in _RULE_TOKENS:
+            from argparse import ArgumentTypeError
             choices = ", ".join(sorted(_RULE_TOKENS))
-            raise argparse.ArgumentTypeError(f"unknown rule {token!r} (choose from {choices})")
+            raise ArgumentTypeError(f"unknown rule {token!r} (choose from {choices})")
         rule = _RULE_TOKENS[token]
         if rule not in rules:
             rules.append(rule)
@@ -206,22 +206,40 @@ def _depth_argument(value: str) -> int:
     except ValueError:
         depth = -1
     if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
     return depth
 
 
 def _allowlist_argument(value: str) -> str:
     if not value:
-        raise argparse.ArgumentTypeError("must name a file, got ''")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError("must name a file, got ''")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the choices and defaults that build_parser and the plain reader share
+_FORMATS = ("text", "json")
+_ECOSYSTEMS = ("maven", "gradle")
+_LAYOUTS = ("flat", "nested", "none")
+_ALL_RULES = tuple(_RULE_TOKENS.values())
+
+
+def build_parser() -> ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage problems are input errors: keep exit code 1, not argparse's 2
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            _print_error(inert(message))
+            raise SystemExit(EXIT_INPUT_ERROR)
+
     common = _Parser(add_help=False)
     common.add_argument("--repo", default=os.environ.get(REPO_ENV_VAR),
                         help=f"repository root directory (default: ${REPO_ENV_VAR})")
     common.add_argument("--root", required=True, help="root project coordinate group:artifact:version")
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--format", choices=_FORMATS, default="text")
     common.add_argument("--max-depth", type=_depth_argument, default=DEFAULT_MAX_DEPTH)
 
     parser = _Parser(prog="shadowscan", description=__doc__)
@@ -231,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_resolve)
 
     sub = subparsers.add_parser("classpath", parents=[common], help="print the ordered classpath")
-    sub.add_argument("--ecosystem", choices=("maven", "gradle"), default="maven")
-    sub.add_argument("--layout", choices=("flat", "nested", "none"), default="none")
+    sub.add_argument("--ecosystem", choices=_ECOSYSTEMS, default="maven")
+    sub.add_argument("--layout", choices=_LAYOUTS, default="none")
     sub.set_defaults(handler=cmd_classpath)
 
     sub = subparsers.add_parser("scan", parents=[common], help="report shadowed classes")
-    sub.add_argument("--ecosystem", choices=("maven", "gradle"), default="maven")
+    sub.add_argument("--ecosystem", choices=_ECOSYSTEMS, default="maven")
     sub.add_argument("--fail-on-shadow", action="store_true")
     sub.set_defaults(handler=cmd_scan)
 
@@ -244,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--attacker", help="coordinate whose reach to compute")
     group.add_argument("--target", help="coordinate whose surface to compute")
-    sub.add_argument("--ecosystem", choices=("maven", "gradle"), default="maven")
+    sub.add_argument("--ecosystem", choices=_ECOSYSTEMS, default="maven")
     sub.set_defaults(handler=cmd_hijack)
 
     sub = subparsers.add_parser("check", parents=[common], help="run mitigation checks")
-    sub.add_argument("--rules", type=_rules_argument, default=tuple(_RULE_TOKENS.values()))
+    sub.add_argument("--rules", type=_rules_argument, default=_ALL_RULES)
     sub.add_argument("--allowlist", type=_allowlist_argument, help="file of allowed collision patterns")
     sub.add_argument("--root-module", action="store_true", dest="root_module")
     sub.set_defaults(handler=cmd_check)
@@ -258,9 +276,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The plain reader's grammar: each command's handler and options, in build_parser's
+# order, with their defaults and checks. A check is a tuple of choices, a type
+# function, or None for a flag; --repo's default is read from the environment.
+_COMMON = {"--repo": (None, str), "--root": (None, str), "--format": ("text", _FORMATS),
+           "--max-depth": (DEFAULT_MAX_DEPTH, _depth_argument)}
+_ECOSYSTEM = {"--ecosystem": ("maven", _ECOSYSTEMS)}
+_COMMANDS = {
+    "resolve": (cmd_resolve, {}),
+    "classpath": (cmd_classpath, {**_ECOSYSTEM, "--layout": ("none", _LAYOUTS)}),
+    "scan": (cmd_scan, {**_ECOSYSTEM, "--fail-on-shadow": (False, None)}),
+    "hijack": (cmd_hijack, {"--attacker": (None, str), "--target": (None, str), **_ECOSYSTEM}),
+    "check": (cmd_check, {"--rules": (_ALL_RULES, _rules_argument),
+                          "--allowlist": (None, _allowlist_argument), "--root-module": (False, None)}),
+    "compare": (cmd_compare, {}),
+}
+
+
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns if argv is plain, else None.
+
+    Plain is a command, then its long options in full, none twice, each value in its own
+    token that does not start with ``-`` and passes the option's check, with ``--root``
+    given and, for ``hijack``, exactly one of ``--attacker`` and ``--target``.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, own = _COMMANDS[argv[0]]
+    options = {**_COMMON, **own}
+    given: dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for option in tokens:
+        if option not in options or option in given:
+            return None
+        check = options[option][1]
+        if check is None:  # a flag
+            given[option] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined as one that starts with "-"
+        if value[:1] == "-" or check.__class__ is tuple and value not in check:
+            return None
+        try:
+            given[option] = value if check.__class__ is tuple else check(value)
+        except Exception:  # argparse reads the value again and reports the error
+            return None
+    if "--root" not in given or argv[0] == "hijack" and ("--attacker" in given) == ("--target" in given):
+        return None
+    given.setdefault("--repo", os.environ.get(REPO_ENV_VAR))
+    values = {option[2:].replace("-", "_"): given.get(option, default)
+              for option, (default, _) in options.items()}
+    return SimpleNamespace(command=argv[0], **values, handler=handler)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse is loaded only to read an argv that the plain reader declines
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     if not args.repo:
         _print_error(f"no repository given (--repo or ${REPO_ENV_VAR})")
         return EXIT_INPUT_ERROR

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
 import xml.etree.ElementTree as ET
 from collections import deque
 from pathlib import Path
@@ -54,7 +56,8 @@ FIXTURE_ROOTS = {
     "sealed-full": "org.example:app:1.0",
     "sealed-partial": "org.example:app:1.0",
 }
-SPANS = Path(__file__).resolve().parent.parent / "shadowbench" / "spans.py"
+BENCHMARK = Path(__file__).resolve().parent.parent / "shadowbench"
+SPANS = BENCHMARK / "spans.py"
 
 
 def load_spans() -> ModuleType:
@@ -66,6 +69,21 @@ def load_spans() -> ModuleType:
     spans = ModuleType("shadowbench_spans")
     exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), spans.__dict__)
     return spans
+
+
+def import_benchmark(name: str) -> ModuleType:
+    """``shadowbench/<name>.py``, imported by name as the benchmark's own modules import it.
+
+    No bytecode is written under ``shadowbench/``.
+    """
+    bench = str(BENCHMARK)
+    sys.path.insert(0, bench)
+    dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = dont_write_bytecode
+        sys.path.remove(bench)
 
 
 def json_report(command: str, inputs: dict[str, Any], payload: Any) -> str:

@@ -8,6 +8,7 @@ import importlib
 import json
 import logging
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -32,7 +33,19 @@ from shadowscan.mitigations import (
 from shadowscan.model import OmittedConflict, ResolvedNode
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
-from tests.helpers import FIXTURES, coord, json_report, load_spans, make_repo, write_pom
+from tests.helpers import (
+    FIXTURE_ROOTS,
+    FIXTURES,
+    coord,
+    import_benchmark,
+    json_report,
+    load_spans,
+    make_repo,
+    write_pom,
+)
+from tests.test_golden import COMMANDS as GOLDEN_COMMANDS
+from tests.test_golden import HIJACK
+from tests.test_readme import fenced_blocks
 from tests.test_tracer_bindings import COMMANDS
 
 SAMPLE = ["--repo", str(FIXTURES / "sample-app"), "--root", "com.example:Project:1.0"]
@@ -1271,3 +1284,109 @@ def test_the_traced_benchmark_counts_every_resolved_node(tmp_path):
     counts = load_spans()._resolution_counts(report, ())
     assert counts == {"resolver.nodes": 6, "resolver.omitted": 2, "resolver.conflicts": 1}
     assert counts["resolver.nodes"] == len(report.tree.nodes)
+
+
+# ---------------------------------------------------------------------------
+# the plain argv reader: real invocations take it, every other argv goes to argparse
+
+def benchmark_argvs() -> list[list[str]]:
+    """The argv of each command of ``shadowbench/run.py``'s mix and of its two probes."""
+    benchmark, workloads = import_benchmark("run"), import_benchmark("workloads")
+    root = workloads.build(benchmark.PROBE_PARAMS, 1).root
+    chain = workloads.chain(3).root
+    return [
+        *(benchmark.cli_argv(command, "repo", root) for _, command, _ in benchmark.MIX),
+        benchmark.cli_argv(["resolve"], "chain", chain, benchmark.CHAIN_LENGTH + 100),
+        benchmark.cli_argv(["scan"], "malformed", root),
+    ]
+
+
+def golden_argvs() -> list[list[str]]:
+    """The argv of every command that ``tests/test_golden.py`` runs."""
+    argvs = []
+    for fixture, root in FIXTURE_ROOTS.items():
+        attacker, target = HIJACK[fixture]
+        for command in GOLDEN_COMMANDS.values():
+            argv = [arg.format(attacker=attacker, target=target) for arg in command]
+            for output_format in ("json", "text"):
+                argvs.append([*argv, "--repo", f"fixtures/{fixture}", "--root", root,
+                              "--format", output_format])
+    return argvs
+
+
+def readme_argvs() -> list[list[str]]:
+    """The argv of every ``shadowscan`` line of the README's CLI examples."""
+    lines = "".join(body for language, body in fenced_blocks("CLI") if language == "sh")
+    argvs = [shlex.split(line) for line in lines.replace("\\\n", " ").splitlines()]
+    assert argvs and all(argv[0] == "shadowscan" for argv in argvs)
+    return [argv[1:] for argv in argvs]
+
+
+@pytest.mark.parametrize("argvs", [benchmark_argvs, golden_argvs, readme_argvs],
+                         ids=["benchmark", "golden", "readme"])
+@pytest.mark.parametrize("repo", [None, "env-repo"], ids=["no-env", "env"])
+def test_every_real_invocation_takes_the_plain_reader(monkeypatch, argvs, repo):
+    if repo is None:
+        monkeypatch.delenv(cli.REPO_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.REPO_ENV_VAR, repo)
+    parser = cli.build_parser()
+    for argv in argvs():
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert list(vars(plain).items()) == list(vars(parser.parse_args(argv)).items())
+
+
+SAMPLE_REPO = str(FIXTURES / "sample-app")
+SAMPLE_ROOT = "com.example:Project:1.0"
+# one row per reason the plain reader declines an argv: the argv, and for one that
+# argparse accepts, the plain argv that argparse reads to the same namespace
+DECLINED = {
+    "no command": ([], None),
+    "an unknown command": (["report", *SAMPLE], None),
+    "help": (["--help"], None),
+    "a command's help": (["check", *SAMPLE, "-h"], None),
+    "an abbreviation": (["resolve", "--rep", SAMPLE_REPO, "--root", SAMPLE_ROOT],
+                        ["resolve", *SAMPLE]),
+    "an option joined to its value": (["resolve", f"--repo={SAMPLE_REPO}", "--root", SAMPLE_ROOT],
+                                      ["resolve", *SAMPLE]),
+    "a repeated option": (["classpath", *SAMPLE, "--layout", "flat", "--layout", "nested"],
+                          ["classpath", *SAMPLE, "--layout", "nested"]),
+    "--": (["resolve", "--", *SAMPLE], None),
+    "an unknown token": (["resolve", *SAMPLE, "extra"], None),
+    "another command's option": (["resolve", *SAMPLE, "--ecosystem", "gradle"], None),
+    "a flag given a value": (["scan", *SAMPLE, "--fail-on-shadow", "yes"], None),
+    "a missing value": (["resolve", "--repo", SAMPLE_REPO, "--root"], None),
+    "a value that starts with -": (["check", *SAMPLE, "--allowlist", "--root-module"], None),
+    "a value outside the choices": (["scan", *SAMPLE, "--ecosystem", "ant"], None),
+    "a value its type refuses": (["check", *SAMPLE, "--rules", "dup,bogus"], None),
+    "no --root": (["resolve", "--repo", SAMPLE_REPO], None),
+    "hijack without --attacker or --target": (["hijack", *SAMPLE], None),
+    "hijack with --attacker and --target": (
+        ["hijack", *SAMPLE, "--attacker", "com.example:D1:1.0", "--target", "com.example:D2:1.0"],
+        None,
+    ),
+}
+
+
+def outcome(capsys, call) -> tuple[object, str, str]:
+    """The exit code (or returned value) of ``call()``, with what it wrote to stdout and stderr."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(("argv", "plain"), DECLINED.values(), ids=DECLINED)
+def test_an_argv_the_plain_reader_declines_reads_as_argparse_reads_it(capsys, monkeypatch,
+                                                                      argv, plain):
+    monkeypatch.delenv(cli.REPO_ENV_VAR, raising=False)
+    assert cli._plain_args(argv) is None
+    parsed = outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    if plain is None:  # argparse ends the process: main writes its bytes and exits with its code
+        assert parsed[0] in (0, 1)
+        assert outcome(capsys, lambda: main(argv)) == parsed
+    else:  # argparse reads it as the plain argv, so the command runs as that one does
+        assert list(vars(parsed[0]).items()) == list(vars(cli._plain_args(plain)).items())
+        assert outcome(capsys, lambda: main(argv)) == outcome(capsys, lambda: main(plain))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
+import os
 import pickle
 import sys
 import zipfile
 from enum import Enum
 from random import Random
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Any, NamedTuple
 from unittest import mock
 
@@ -19,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowscan import pom
+from shadowscan import cli, pom
 from shadowscan.analysis import (
     ShadowFinding,
     WinnerComparison,
@@ -522,6 +525,75 @@ def test_check_modules_matches_the_list_reference(rng, root_is_module):
     assert typed(check_modules(inventories, root_is_module)) == typed(
         reference_check_modules(inventories, root_is_module)
     )
+
+
+# the options of every command, with values that pass each option's check
+GOOD_VALUES = {
+    "--repo": ["repo", "a b"], "--root": ["g:a:1", "x"], "--format": ["text", "json"],
+    "--max-depth": ["0", "12", " 7"], "--ecosystem": ["maven", "gradle"],
+    "--layout": ["flat", "nested", "none"], "--attacker": ["g:a:1"], "--target": ["g:b:1"],
+    "--rules": ["dup", "sealed,dup", " modules , dup,dup"], "--allowlist": ["allow.txt", "a b"],
+    "--fail-on-shadow": [], "--root-module": [],
+}
+ARGV_VALUES = ["", "-", "-1", "--root", "x1", "xml", "ant", "dup,bogus", "resolve", "a b", " -x"]
+ARGV_EXTRAS = ["-h", "--help", "--", "-", "extra", "--unknown", "-x", "--rep", "--max", "--fail"]
+# each command's own options; every command also takes --repo, --root, --format and --max-depth
+ARGV_COMMANDS = {
+    "resolve": [], "classpath": ["--ecosystem", "--layout"],
+    "scan": ["--ecosystem", "--fail-on-shadow"], "hijack": ["--attacker", "--target", "--ecosystem"],
+    "check": ["--rules", "--allowlist", "--root-module"], "compare": [],
+}
+
+
+def random_argv(rng: Random) -> list[str]:
+    """A mostly well-formed argv: a command and its options, then a few faults."""
+    command = rng.choice(list(ARGV_COMMANDS)) if rng.random() < 0.95 else rng.choice(["", "-h", "x"])
+    own = ["--repo", "--format", "--max-depth", *ARGV_COMMANDS.get(command, [])]
+    options = rng.sample(own if rng.random() < 0.85 else list(GOOD_VALUES), rng.randint(0, 3))
+    if command == "hijack" and rng.random() < 0.9:
+        options.append(rng.choice(["--attacker", "--target"]))
+    if rng.random() < 0.9:
+        options.append("--root")
+    rng.shuffle(options)
+    argv = [command]
+    for option in options:
+        values = GOOD_VALUES[option] if rng.random() < 0.9 else ARGV_VALUES
+        value = [rng.choice(values)] if values and rng.random() < 0.97 else []
+        if rng.random() < 0.04:  # an abbreviation, which may be ambiguous
+            option = option[:rng.randint(3, len(option) - 1)]
+        if value and rng.random() < 0.04:
+            argv.append(f"{option}={value[0]}")
+        else:
+            argv += [option, *value]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        start = rng.randint(1, len(argv))
+        if rng.random() < 0.5:  # a repeat of a token or of a token and the next
+            argv += argv[start:start + rng.randint(1, 2)]
+        else:
+            argv.insert(start, rng.choice([*ARGV_EXTRAS, *ARGV_VALUES, *GOOD_VALUES]))
+    return argv
+
+
+@settings(max_examples=250)
+@given(SEEDED, st.booleans())
+def test_the_plain_argv_reader_reads_as_argparse_does(rng, repo_in_environment):
+    with mock.patch.dict(os.environ):
+        if repo_in_environment:
+            os.environ[cli.REPO_ENV_VAR] = "env-repo"
+        else:
+            os.environ.pop(cli.REPO_ENV_VAR, None)
+        parser = cli.build_parser()
+        for _ in range(20):
+            argv = random_argv(rng)
+            plain = cli._plain_args(argv)
+            try:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    parsed = parser.parse_args(argv)
+            except SystemExit:  # a usage error or help: argparse must read it
+                assert plain is None, argv
+            else:
+                if plain is not None:
+                    assert list(vars(plain).items()) == list(vars(parsed).items()), argv
 
 
 # dotted names over few short segments, so that names share prefixes and

@@ -3,7 +3,8 @@
 The module sets are read in fresh interpreters, where no other test has
 imported anything; an eager import added later changes a set here. They
 hold the ``xml`` modules too: only a POM outside the plain subset loads
-ElementTree.
+ElementTree. And they hold ``argparse``: only an argv that the plain reader
+declines, such as ``--help`` or a usage error, loads it.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from tests.test_golden import COMMANDS as GOLDEN_COMMANDS
 from tests.test_golden import HIJACK
 from tests.test_tracer_bindings import COMMANDS, CWA
 
-# the shadowscan.* and xml.* entries of sys.modules after `code` ran with stdout captured
+# the shadowscan.*, xml.* and argparse entries of sys.modules after `code` ran with stdout captured
 PROBE = """\
 import io, sys
 sys.stdout = io.StringIO()
 {code}
 sys.stdout = sys.__stdout__
-print(*sorted(name for name in sys.modules if name.partition(".")[0] in ("shadowscan", "xml")))
+print(*sorted(name for name in sys.modules
+              if name.partition(".")[0] in ("shadowscan", "xml", "argparse")))
 """
 
 RESOLUTION = {
@@ -75,6 +77,22 @@ def test_a_json_command_loads_only_the_stages_it_runs(argv):
 def test_only_a_text_report_loads_the_text_views():
     code = f"from shadowscan.cli import main; main({['resolve', *CWA, '--format', 'text']!r})"
     assert loaded(code) == RESOLUTION | {"shadowscan.text"}
+
+
+def test_no_plain_command_loads_argparse():
+    attacker, target = HIJACK["cwa-server"]
+    runs = [[*(arg.format(attacker=attacker, target=target) for arg in command), *CWA,
+             "--format", output_format]
+            for command in GOLDEN_COMMANDS.values() for output_format in ("json", "text")]
+    code = f"from shadowscan.cli import main\nfor argv in {runs!r}: main(argv)"
+    assert "argparse" not in loaded(code)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["resolve", "--root"]],
+                         ids=["help", "command-help", "usage-error"])
+def test_help_and_a_usage_error_load_argparse(argv):
+    code = f"from shadowscan.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
+    assert "argparse" in loaded(code)
 
 
 def test_an_archive_loads_the_jar_reader(tmp_path):

@@ -15,7 +15,6 @@ Not covered, because the oracle does not derive them: ``classpath``,
 from __future__ import annotations
 
 import json
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -29,17 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowscan import cli
+from tests.helpers import import_benchmark
 
-BENCH = str(Path(__file__).resolve().parent.parent / "shadowbench")
-sys.path.insert(0, BENCH)
-dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # none under shadowbench/
-try:
-    import oracle
-    import run
-    import workloads
-finally:
-    sys.dont_write_bytecode = dont_write_bytecode
-    sys.path.remove(BENCH)
+oracle, run, workloads = (import_benchmark(name) for name in ("oracle", "run", "workloads"))
 
 
 @st.composite
