@@ -28,12 +28,10 @@ from shadowscan.pom import Repository, fetch_pom, load_repository
 from shadowscan.resolver import DEFAULT_MAX_DEPTH, Occurrence, ResolutionReport, resolve
 
 if TYPE_CHECKING:
-    from argparse import ArgumentParser, Namespace
+    from argparse import ArgumentParser
 
     from shadowscan.inventory import ClassInventory, EffectiveClassMap
     from shadowscan.mitigations import MitigationVerdict
-
-    Args = Namespace | SimpleNamespace  # argparse's reading of argv, or the plain reader's
 
 
 def _on_first_call(module: str, name: str) -> Callable[..., Any]:
@@ -114,7 +112,7 @@ class Run:
         return effective_classes(self.inventories)
 
 
-def _inputs(args: Args) -> dict[str, Any]:
+def _inputs(args: SimpleNamespace) -> dict[str, Any]:
     """The report's echo of the invocation: every option of the command but --format."""
     return {name: value for name, value in vars(args).items()
             if name not in ("command", "handler", "format")}
@@ -123,24 +121,24 @@ def _inputs(args: Args) -> dict[str, Any]:
 # Each command reads its stages from the run and returns its exit code and its
 # payload; main renders the payload in the requested format only.
 
-def cmd_resolve(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
+def cmd_resolve(run: Run, args: SimpleNamespace) -> tuple[int, dict[str, Any]]:
     return EXIT_OK, {"tree": run.resolution.tree.root, "conflicts": run.resolution.conflicts}
 
 
-def cmd_classpath(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
+def cmd_classpath(run: Run, args: SimpleNamespace) -> tuple[int, dict[str, Any]]:
     entries = run.classpath.entries
     layout = None if args.layout == "none" else emit_layout(run.resolution.tree, LayoutMode(args.layout))
     return EXIT_OK, {"ecosystem": args.ecosystem, "root_precedes": True,
                      "entries": entries, "layout": layout}
 
 
-def cmd_scan(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
+def cmd_scan(run: Run, args: SimpleNamespace) -> tuple[int, dict[str, Any]]:
     findings = detect_shadowing(run.class_map, run.resolution.tree)
     code = EXIT_SHADOWS_FOUND if findings and args.fail_on_shadow else EXIT_OK
     return code, {"ecosystem": args.ecosystem, "findings": findings}
 
 
-def cmd_hijack(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
+def cmd_hijack(run: Run, args: SimpleNamespace) -> tuple[int, dict[str, Any]]:
     tree, classpath = run.resolution.tree, run.classpath
     nodes = included_nodes(tree)
     if args.attacker is not None:
@@ -153,7 +151,7 @@ def cmd_hijack(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     return EXIT_OK, {"mode": mode, "subject": subject, "artifacts": artifacts}
 
 
-def cmd_check(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
+def cmd_check(run: Run, args: SimpleNamespace) -> tuple[int, dict[str, Any]]:
     # the class map is read before the allowlist: an artifact's error comes first
     class_map = run.class_map
     allowlist = load_allowlist(args.allowlist) if args.allowlist else ()
@@ -169,7 +167,7 @@ def cmd_check(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
     return code, {"verdicts": verdicts}
 
 
-def cmd_compare(run: Run, args: Args) -> tuple[int, dict[str, Any]]:
+def cmd_compare(run: Run, args: SimpleNamespace) -> tuple[int, dict[str, Any]]:
     return EXIT_OK, {"classes": compare_ecosystems(run.resolution.tree, run.inventories).entries}
 
 
@@ -183,17 +181,18 @@ def _print_error(message: str) -> None:
             print(f"error: {message}", file=sys.stderr)
 
 
-# A type function imports argparse only to raise its error: argparse, not the
-# plain reader, reports a value that a type function refuses.
+def _refuse(message: str) -> NoReturn:
+    """Refuse an option's value with argparse's error: argparse, not the plain reader, reports it."""
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(message)
+
 
 def _rules_argument(value: str) -> tuple[MitigationRule, ...]:
     rules: list[MitigationRule] = []
     for token in value.split(","):
         token = token.strip()
         if token not in _RULE_TOKENS:
-            from argparse import ArgumentTypeError
-            choices = ", ".join(sorted(_RULE_TOKENS))
-            raise ArgumentTypeError(f"unknown rule {token!r} (choose from {choices})")
+            _refuse(f"unknown rule {token!r} (choose from {', '.join(sorted(_RULE_TOKENS))})")
         rule = _RULE_TOKENS[token]
         if rule not in rules:
             rules.append(rule)
@@ -206,23 +205,45 @@ def _depth_argument(value: str) -> int:
     except ValueError:
         depth = -1
     if depth < 0:
-        from argparse import ArgumentTypeError
-        raise ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+        _refuse(f"must be a non-negative integer, got {value!r}")
     return depth
 
 
 def _allowlist_argument(value: str) -> str:
     if not value:
-        from argparse import ArgumentTypeError
-        raise ArgumentTypeError("must name a file, got ''")
+        _refuse("must name a file, got ''")
     return value
 
 
-# the choices and defaults that build_parser and the plain reader share
-_FORMATS = ("text", "json")
-_ECOSYSTEMS = ("maven", "gradle")
-_LAYOUTS = ("flat", "nested", "none")
-_ALL_RULES = tuple(_RULE_TOKENS.values())
+# The command-line grammar, read by build_parser and by the plain reader: every command takes
+# the shared options, then its own, in usage order. An option is its default (or a function
+# that returns it), its check (a tuple of choices, a type function, or None for a flag) and
+# its help text. A need names options of which exactly one must be given.
+_SHARED = {
+    "--repo": (lambda: os.environ.get(REPO_ENV_VAR), str,
+               f"repository root directory (default: ${REPO_ENV_VAR})"),
+    "--root": (None, str, "root project coordinate group:artifact:version"),
+    "--format": ("text", ("text", "json"), None),
+    "--max-depth": (DEFAULT_MAX_DEPTH, _depth_argument, None),
+}
+_SHARED_NEEDS = (("--root",),)
+_ECOSYSTEM = {"--ecosystem": ("maven", ("maven", "gradle"), None)}
+_COMMANDS = {  # each command's handler, help summary and own options, then its own needs
+    "resolve": (cmd_resolve, "print the resolved tree", {}),
+    "classpath": (cmd_classpath, "print the ordered classpath",
+                  {**_ECOSYSTEM, "--layout": ("none", ("flat", "nested", "none"), None)}),
+    "scan": (cmd_scan, "report shadowed classes",
+             {**_ECOSYSTEM, "--fail-on-shadow": (False, None, None)}),
+    "hijack": (cmd_hijack, "hijack reach or surface of an artifact",
+               {"--attacker": (None, str, "coordinate whose reach to compute"),
+                "--target": (None, str, "coordinate whose surface to compute"), **_ECOSYSTEM},
+               ("--attacker", "--target")),
+    "check": (cmd_check, "run mitigation checks",
+              {"--rules": (tuple(_RULE_TOKENS.values()), _rules_argument, None),
+               "--allowlist": (None, _allowlist_argument, "file of allowed collision patterns"),
+               "--root-module": (False, None, None)}),
+    "compare": (cmd_compare, "diff Maven vs Gradle winners", {}),
+}
 
 
 def build_parser() -> ArgumentParser:
@@ -235,75 +256,34 @@ def build_parser() -> ArgumentParser:
             _print_error(inert(message))
             raise SystemExit(EXIT_INPUT_ERROR)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--repo", default=os.environ.get(REPO_ENV_VAR),
-                        help=f"repository root directory (default: ${REPO_ENV_VAR})")
-    common.add_argument("--root", required=True, help="root project coordinate group:artifact:version")
-    common.add_argument("--format", choices=_FORMATS, default="text")
-    common.add_argument("--max-depth", type=_depth_argument, default=DEFAULT_MAX_DEPTH)
-
     parser = _Parser(prog="shadowscan", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sub = subparsers.add_parser("resolve", parents=[common], help="print the resolved tree")
-    sub.set_defaults(handler=cmd_resolve)
-
-    sub = subparsers.add_parser("classpath", parents=[common], help="print the ordered classpath")
-    sub.add_argument("--ecosystem", choices=_ECOSYSTEMS, default="maven")
-    sub.add_argument("--layout", choices=_LAYOUTS, default="none")
-    sub.set_defaults(handler=cmd_classpath)
-
-    sub = subparsers.add_parser("scan", parents=[common], help="report shadowed classes")
-    sub.add_argument("--ecosystem", choices=_ECOSYSTEMS, default="maven")
-    sub.add_argument("--fail-on-shadow", action="store_true")
-    sub.set_defaults(handler=cmd_scan)
-
-    sub = subparsers.add_parser("hijack", parents=[common], help="hijack reach or surface of an artifact")
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--attacker", help="coordinate whose reach to compute")
-    group.add_argument("--target", help="coordinate whose surface to compute")
-    sub.add_argument("--ecosystem", choices=_ECOSYSTEMS, default="maven")
-    sub.set_defaults(handler=cmd_hijack)
-
-    sub = subparsers.add_parser("check", parents=[common], help="run mitigation checks")
-    sub.add_argument("--rules", type=_rules_argument, default=_ALL_RULES)
-    sub.add_argument("--allowlist", type=_allowlist_argument, help="file of allowed collision patterns")
-    sub.add_argument("--root-module", action="store_true", dest="root_module")
-    sub.set_defaults(handler=cmd_check)
-
-    sub = subparsers.add_parser("compare", parents=[common], help="diff Maven vs Gradle winners")
-    sub.set_defaults(handler=cmd_compare)
+    for command, (handler, summary, own, *needs) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary)
+        needs = (*_SHARED_NEEDS, *needs)
+        # a need of one option is a required option, a need of more a required one-of group
+        groups = {need: sub.add_mutually_exclusive_group(required=True)
+                  for need in needs if len(need) > 1}
+        for option, (default, check, text) in {**_SHARED, **own}.items():
+            holder = next((group for need, group in groups.items() if option in need), sub)
+            kind = ({"action": "store_true"} if check is None else
+                    {"choices": check} if check.__class__ is tuple else {"type": check})
+            holder.add_argument(option, default=default() if callable(default) else default,
+                                required=(option,) in needs, help=text, **kind)
+        sub.set_defaults(handler=handler)
     return parser
-
-
-# The plain reader's grammar: each command's handler and options, in build_parser's
-# order, with their defaults and checks. A check is a tuple of choices, a type
-# function, or None for a flag; --repo's default is read from the environment.
-_COMMON = {"--repo": (None, str), "--root": (None, str), "--format": ("text", _FORMATS),
-           "--max-depth": (DEFAULT_MAX_DEPTH, _depth_argument)}
-_ECOSYSTEM = {"--ecosystem": ("maven", _ECOSYSTEMS)}
-_COMMANDS = {
-    "resolve": (cmd_resolve, {}),
-    "classpath": (cmd_classpath, {**_ECOSYSTEM, "--layout": ("none", _LAYOUTS)}),
-    "scan": (cmd_scan, {**_ECOSYSTEM, "--fail-on-shadow": (False, None)}),
-    "hijack": (cmd_hijack, {"--attacker": (None, str), "--target": (None, str), **_ECOSYSTEM}),
-    "check": (cmd_check, {"--rules": (_ALL_RULES, _rules_argument),
-                          "--allowlist": (None, _allowlist_argument), "--root-module": (False, None)}),
-    "compare": (cmd_compare, {}),
-}
 
 
 def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` returns if argv is plain, else None.
 
-    Plain is a command, then its long options in full, none twice, each value in its own
-    token that does not start with ``-`` and passes the option's check, with ``--root``
-    given and, for ``hijack``, exactly one of ``--attacker`` and ``--target``.
+    Plain is what ``_COMMANDS`` declares, with each option spelled in full and given at
+    most once, and each value in its own token that does not start with ``-``.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    handler, own = _COMMANDS[argv[0]]
-    options = {**_COMMON, **own}
+    handler, _, own, *needs = _COMMANDS[argv[0]]
+    options = {**_SHARED, **own}
     given: dict[str, Any] = {}
     tokens = iter(argv[1:])
     for option in tokens:
@@ -320,17 +300,17 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
             given[option] = value if check.__class__ is tuple else check(value)
         except Exception:  # argparse reads the value again and reports the error
             return None
-    if "--root" not in given or argv[0] == "hijack" and ("--attacker" in given) == ("--target" in given):
+    if any(sum(option in given for option in need) != 1 for need in (*_SHARED_NEEDS, *needs)):
         return None
-    given.setdefault("--repo", os.environ.get(REPO_ENV_VAR))
-    values = {option[2:].replace("-", "_"): given.get(option, default)
-              for option, (default, _) in options.items()}
+    values = {option[2:].replace("-", "_"): given.get(option, default() if callable(default) else default)
+              for option, (default, _, _) in options.items()}
     return SimpleNamespace(command=argv[0], **values, handler=handler)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     # argparse is loaded only to read an argv that the plain reader declines
-    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
+    args = (_plain_args(sys.argv[1:] if argv is None else argv)
+            or build_parser().parse_args(argv, SimpleNamespace()))
     if not args.repo:
         _print_error(f"no repository given (--repo or ${REPO_ENV_VAR})")
         return EXIT_INPUT_ERROR

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 import xml.etree.ElementTree as ET
 from collections import deque
 from pathlib import Path
 from random import Random
 from types import ModuleType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NoReturn, Sequence
 
-from shadowscan import jsonv1, pom
+from shadowscan import cli, jsonv1, pom
 from shadowscan.analysis import EcosystemComparison, ShadowFinding, WinnerComparison
 from shadowscan.errors import (
     DuplicateClassName,
@@ -20,6 +21,7 @@ from shadowscan.errors import (
     MalformedXml,
     MissingContent,
     MissingCoordinate,
+    inert,
 )
 from shadowscan.inventory import ClassInventory, EffectiveClassMap, effective_classes
 from shadowscan.mitigations import (
@@ -44,6 +46,9 @@ from shadowscan.model import (
 from shadowscan.ordering import Ecosystem, build_classpath
 from shadowscan.pom import Repository, RepositoryEntry
 from shadowscan.resolver import ResolutionReport
+
+if TYPE_CHECKING:
+    from argparse import ArgumentParser
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the root project of each bundled fixture
@@ -694,3 +699,114 @@ def reference_comparison_payload(comparison: EcosystemComparison) -> list[dict[s
         }
         for entry in comparison.entries
     ]
+
+
+# ---------------------------------------------------------------------------
+# command lines: a hand-declared parser and random argv
+
+def reference_parser() -> ArgumentParser:
+    """The command line declared option by option, apart from ``cli``'s grammar table.
+
+    ``cli.build_parser`` builds its parser from the table that the plain reader
+    also reads, so comparing the two readers cannot see a wrong default, choice,
+    required option, one-of group or help text in that table; comparing
+    ``cli.build_parser`` with this parser can. The checks and handlers are
+    ``cli``'s own, which other tests cover.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            print(f"error: {inert(message)}", file=sys.stderr)
+            raise SystemExit(1)
+
+    common = Parser(add_help=False)
+    common.add_argument("--repo", default=os.environ.get("SHADOWSCAN_REPO"),
+                        help="repository root directory (default: $SHADOWSCAN_REPO)")
+    common.add_argument("--root", required=True, help="root project coordinate group:artifact:version")
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--max-depth", type=cli._depth_argument, default=64)
+
+    description = "Command-line interface: resolve, classpath, scan, hijack, check, compare."
+    parser = Parser(prog="shadowscan", description=description)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+
+    sub = subparsers.add_parser("resolve", parents=[common], help="print the resolved tree")
+    sub.set_defaults(handler=cli.cmd_resolve)
+
+    sub = subparsers.add_parser("classpath", parents=[common], help="print the ordered classpath")
+    sub.add_argument("--ecosystem", choices=("maven", "gradle"), default="maven")
+    sub.add_argument("--layout", choices=("flat", "nested", "none"), default="none")
+    sub.set_defaults(handler=cli.cmd_classpath)
+
+    sub = subparsers.add_parser("scan", parents=[common], help="report shadowed classes")
+    sub.add_argument("--ecosystem", choices=("maven", "gradle"), default="maven")
+    sub.add_argument("--fail-on-shadow", action="store_true")
+    sub.set_defaults(handler=cli.cmd_scan)
+
+    sub = subparsers.add_parser("hijack", parents=[common], help="hijack reach or surface of an artifact")
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--attacker", help="coordinate whose reach to compute")
+    group.add_argument("--target", help="coordinate whose surface to compute")
+    sub.add_argument("--ecosystem", choices=("maven", "gradle"), default="maven")
+    sub.set_defaults(handler=cli.cmd_hijack)
+
+    sub = subparsers.add_parser("check", parents=[common], help="run mitigation checks")
+    sub.add_argument("--rules", type=cli._rules_argument, default=(
+        MitigationRule.BAN_DUPLICATE_CLASSES, MitigationRule.SEALED_JARS, MitigationRule.JAVA_MODULES))
+    sub.add_argument("--allowlist", type=cli._allowlist_argument,
+                     help="file of allowed collision patterns")
+    sub.add_argument("--root-module", action="store_true")
+    sub.set_defaults(handler=cli.cmd_check)
+
+    sub = subparsers.add_parser("compare", parents=[common], help="diff Maven vs Gradle winners")
+    sub.set_defaults(handler=cli.cmd_compare)
+    return parser
+
+
+# the options of every command, with values that pass each option's check
+GOOD_VALUES = {
+    "--repo": ["repo", "a b"], "--root": ["g:a:1", "x"], "--format": ["text", "json"],
+    "--max-depth": ["0", "12", " 7"], "--ecosystem": ["maven", "gradle"],
+    "--layout": ["flat", "nested", "none"], "--attacker": ["g:a:1"], "--target": ["g:b:1"],
+    "--rules": ["dup", "sealed,dup", " modules , dup,dup"], "--allowlist": ["allow.txt", "a b"],
+    "--fail-on-shadow": [], "--root-module": [],
+}
+ARGV_VALUES = ["", "-", "-1", "--root", "x1", "xml", "ant", "dup,bogus", "resolve", "a b", " -x"]
+ARGV_EXTRAS = ["-h", "--help", "--", "-", "extra", "--unknown", "-x", "--rep", "--max", "--fail"]
+# each command's own options; every command also takes --repo, --root, --format and --max-depth
+ARGV_COMMANDS = {
+    "resolve": [], "classpath": ["--ecosystem", "--layout"],
+    "scan": ["--ecosystem", "--fail-on-shadow"], "hijack": ["--attacker", "--target", "--ecosystem"],
+    "check": ["--rules", "--allowlist", "--root-module"], "compare": [],
+}
+
+
+def random_argv(rng: Random) -> list[str]:
+    """A mostly well-formed argv: a command and its options, then a few faults."""
+    command = rng.choice(list(ARGV_COMMANDS)) if rng.random() < 0.95 else rng.choice(["", "-h", "x"])
+    own = ["--repo", "--format", "--max-depth", *ARGV_COMMANDS.get(command, [])]
+    options = rng.sample(own if rng.random() < 0.85 else list(GOOD_VALUES), rng.randint(0, 3))
+    if command == "hijack" and rng.random() < 0.9:
+        options.append(rng.choice(["--attacker", "--target"]))
+    if rng.random() < 0.9:
+        options.append("--root")
+    rng.shuffle(options)
+    argv = [command]
+    for option in options:
+        values = GOOD_VALUES[option] if rng.random() < 0.9 else ARGV_VALUES
+        value = [rng.choice(values)] if values and rng.random() < 0.97 else []
+        if rng.random() < 0.04:  # an abbreviation, which may be ambiguous
+            option = option[:rng.randint(3, len(option) - 1)]
+        if value and rng.random() < 0.04:
+            argv.append(f"{option}={value[0]}")
+        else:
+            argv += [option, *value]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        start = rng.randint(1, len(argv))
+        if rng.random() < 0.5:  # a repeat of a token or of a token and the next
+            argv += argv[start:start + rng.randint(1, 2)]
+        else:
+            argv.insert(start, rng.choice([*ARGV_EXTRAS, *ARGV_VALUES, *GOOD_VALUES]))
+    return argv

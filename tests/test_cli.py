@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -34,6 +35,7 @@ from shadowscan.model import OmittedConflict, ResolvedNode
 from shadowscan.pom import fetch_pom, load_repository
 from shadowscan.resolver import resolve
 from tests.helpers import (
+    ARGV_COMMANDS,
     FIXTURE_ROOTS,
     FIXTURES,
     coord,
@@ -41,6 +43,8 @@ from tests.helpers import (
     json_report,
     load_spans,
     make_repo,
+    random_argv,
+    reference_parser,
     write_pom,
 )
 from tests.test_golden import COMMANDS as GOLDEN_COMMANDS
@@ -1390,3 +1394,21 @@ def test_an_argv_the_plain_reader_declines_reads_as_argparse_reads_it(capsys, mo
     else:  # argparse reads it as the plain argv, so the command runs as that one does
         assert list(vars(parsed[0]).items()) == list(vars(cli._plain_args(plain)).items())
         assert outcome(capsys, lambda: main(argv)) == outcome(capsys, lambda: main(plain))
+
+
+@pytest.mark.parametrize("repo", [None, "env-repo"], ids=["no-env", "env"])
+def test_the_grammar_table_builds_the_hand_declared_parser(capsys, monkeypatch, repo):
+    # each command line's exit code or namespace items, stdout and stderr: its help,
+    # its usage error or its reading, by the parser that cli builds from its table
+    # and by the parser declared option by option
+    if repo is None:
+        monkeypatch.delenv(cli.REPO_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.REPO_ENV_VAR, repo)
+    built, reference = cli.build_parser(), reference_parser()
+    rng = Random(20261022)
+    argvs = [["--help"], ["-h"], [], *([command, "--help"] for command in ARGV_COMMANDS),
+             *(argv for argv, _ in DECLINED.values()), *(random_argv(rng) for _ in range(2000))]
+    for argv in argvs:
+        assert outcome(capsys, lambda: list(vars(built.parse_args(argv)).items())) == outcome(
+            capsys, lambda: list(vars(reference.parse_args(argv)).items())), argv

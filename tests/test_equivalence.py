@@ -58,6 +58,7 @@ from tests.helpers import (
     json_report,
     memory_repo,
     random_conflict_repo,
+    random_argv,
     random_inventories,
     random_tree,
     read_or_error,
@@ -525,53 +526,6 @@ def test_check_modules_matches_the_list_reference(rng, root_is_module):
     assert typed(check_modules(inventories, root_is_module)) == typed(
         reference_check_modules(inventories, root_is_module)
     )
-
-
-# the options of every command, with values that pass each option's check
-GOOD_VALUES = {
-    "--repo": ["repo", "a b"], "--root": ["g:a:1", "x"], "--format": ["text", "json"],
-    "--max-depth": ["0", "12", " 7"], "--ecosystem": ["maven", "gradle"],
-    "--layout": ["flat", "nested", "none"], "--attacker": ["g:a:1"], "--target": ["g:b:1"],
-    "--rules": ["dup", "sealed,dup", " modules , dup,dup"], "--allowlist": ["allow.txt", "a b"],
-    "--fail-on-shadow": [], "--root-module": [],
-}
-ARGV_VALUES = ["", "-", "-1", "--root", "x1", "xml", "ant", "dup,bogus", "resolve", "a b", " -x"]
-ARGV_EXTRAS = ["-h", "--help", "--", "-", "extra", "--unknown", "-x", "--rep", "--max", "--fail"]
-# each command's own options; every command also takes --repo, --root, --format and --max-depth
-ARGV_COMMANDS = {
-    "resolve": [], "classpath": ["--ecosystem", "--layout"],
-    "scan": ["--ecosystem", "--fail-on-shadow"], "hijack": ["--attacker", "--target", "--ecosystem"],
-    "check": ["--rules", "--allowlist", "--root-module"], "compare": [],
-}
-
-
-def random_argv(rng: Random) -> list[str]:
-    """A mostly well-formed argv: a command and its options, then a few faults."""
-    command = rng.choice(list(ARGV_COMMANDS)) if rng.random() < 0.95 else rng.choice(["", "-h", "x"])
-    own = ["--repo", "--format", "--max-depth", *ARGV_COMMANDS.get(command, [])]
-    options = rng.sample(own if rng.random() < 0.85 else list(GOOD_VALUES), rng.randint(0, 3))
-    if command == "hijack" and rng.random() < 0.9:
-        options.append(rng.choice(["--attacker", "--target"]))
-    if rng.random() < 0.9:
-        options.append("--root")
-    rng.shuffle(options)
-    argv = [command]
-    for option in options:
-        values = GOOD_VALUES[option] if rng.random() < 0.9 else ARGV_VALUES
-        value = [rng.choice(values)] if values and rng.random() < 0.97 else []
-        if rng.random() < 0.04:  # an abbreviation, which may be ambiguous
-            option = option[:rng.randint(3, len(option) - 1)]
-        if value and rng.random() < 0.04:
-            argv.append(f"{option}={value[0]}")
-        else:
-            argv += [option, *value]
-    for _ in range(rng.choice([0, 0, 0, 1, 2])):
-        start = rng.randint(1, len(argv))
-        if rng.random() < 0.5:  # a repeat of a token or of a token and the next
-            argv += argv[start:start + rng.randint(1, 2)]
-        else:
-            argv.insert(start, rng.choice([*ARGV_EXTRAS, *ARGV_VALUES, *GOOD_VALUES]))
-    return argv
 
 
 @settings(max_examples=250)

@@ -5,17 +5,31 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from shadowscan import cli
 from shadowscan.inventory import inspect_classlist
 from tests.helpers import coord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section_text(section: str) -> str:
+    """The README's text under the ``## section`` heading, up to the next such heading."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def fenced_blocks(section: str) -> list[tuple[str, str]]:
     """The (language, body) of every fenced block under the ``## section`` heading."""
-    text = README.read_text(encoding="utf-8")
-    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^```(\w*)\n(.*?)^```$", body, flags=re.MULTILINE | re.DOTALL)
+    return re.findall(r"^```(\w*)\n(.*?)^```$", section_text(section), flags=re.MULTILINE | re.DOTALL)
+
+
+def test_the_cli_section_names_every_command_and_option():
+    text = section_text("CLI")
+    for command, (_, _, options, *_) in cli._COMMANDS.items():
+        assert re.search(rf"`{command}[ `]", text), command
+        for option in (*cli._SHARED, *options):
+            # a whole option: --root is not found in --root-module
+            assert re.search(rf"{option}(?![\w-])", text), (command, option)
 
 
 def test_the_library_example_runs_from_the_repo_root(monkeypatch, capsys):
