@@ -21,7 +21,7 @@ from shadowscan.errors import (
     ShadowscanError,
     inert,
 )
-from shadowscan.model import Coordinate, PomDocument
+from shadowscan.model import _COORDINATE_TEXT, Coordinate, PomDocument
 
 JAR_NAME = "artifact.jar"
 CLASSLIST_NAME = "classes.txt"
@@ -89,23 +89,28 @@ def _warn(message: str, *args: object) -> None:
 # The plain POM subset, read without ElementTree: an optional UTF-8 declaration,
 # then <project> with at most a default namespace whose URI holds no "}" (which
 # ElementTree refuses), no control character and no reference; then tokens, each
-# followed only by [ \t\n]: a section or dependency tag, the end of the root, or
-# an unprefixed ASCII-named leaf of character data without "&", "<" or a control
-# character (a CR would be normalized). A token begins with "<", so a scan that
-# fails costs at most its own name and text: the reader is linear in the input.
+# followed only by [ \t\n]: a conventional dependency (its groupId, artifactId
+# and version leaves in that order, with only [ \t\n] between tags), a section
+# or dependency tag, the end of the root, or an unprefixed ASCII-named leaf of
+# character data without "&", "<" or a control character (a CR would be
+# normalized). A token begins with "<", so a scan that fails costs at most one
+# dependency's names and texts: the reader is linear in the input.
 _PLAIN_HEAD = re.compile(
     r'(?:<\?xml version="1\.0" encoding="UTF-8"\?>)?[ \t\n]*<project(?: xmlns="([^\x00-\x1f"&<}]*)")?>'
 )
+_COORDINATES = ["groupId", "artifactId", "version"]
+_TEXT = r"([^\x00-\x08\x0b-\x1f&<]*)"  # a leaf's character data
 _PLAIN_TOKEN = re.compile(
-    r"<(?:(/?dependenc(?:y|ies)|/project)"
-    r"|([A-Za-z_][A-Za-z0-9._-]*)>([^\x00-\x08\x0b-\x1f&<]*)</\2)>"
+    "<(?:dependency>" + "".join(rf"[ \t\n]*<{name}>{_TEXT}</{name}>" for name in _COORDINATES)
+    + rf"[ \t\n]*</dependency|(/?dependenc(?:y|ies)|/project)|([A-Za-z_][A-Za-z0-9._-]*)>{_TEXT}</\5)>"
 )
 # Namespaces in XML 1.0 §3: no default namespace may be bound to these; expat refuses them
 _RESERVED_NAMESPACES = ("http://www.w3.org/XML/1998/namespace", "http://www.w3.org/2000/xmlns/")
 
 # Each front end gives the root's local name, its children's local names and
 # texts, and the children's names and texts of every dependency of the first
-# dependencies section; a text is "" where ElementTree's is None.
+# dependencies section; a text is "" where ElementTree's is None. The plain
+# reader gives every conventional dependency the one list ``_COORDINATES``.
 _Read = tuple[str, list[str], list[str], list[tuple[list[str], list[str]]]]
 
 
@@ -122,12 +127,12 @@ def _read_plain(xml_text: str) -> _Read | None:
     if (head is None or head[1] in _RESERVED_NAMESPACES or "]]>" in xml_text
             or not xml_text.isascii() and re.search("[\ud800-\udfff\ufffe\uffff]", xml_text)):
         return None
-    # gap, tag, leaf name, leaf text, gap, ...: every gap must be whitespace,
-    # and the last token must end the root
+    # gap, three dependency texts, tag, leaf name, leaf text, gap, ...: every gap
+    # must be whitespace, and the last token must end the root
     parts = _PLAIN_TOKEN.split(xml_text[head.end():])
-    if parts[-4:-3] != ["/project"] or "".join(parts[::4]).strip(" \t\n"):
+    if parts[-4:-3] != ["/project"] or "".join(parts[::7]).strip(" \t\n"):
         return None
-    tags, names, values = parts[1:-4:4], parts[2:-4:4], parts[3:-4:4]
+    tags, names, values = parts[4:-4:7], parts[5:-4:7], parts[6:-4:7]
     children: list[str] = []
     texts: list[str] = []
     dependencies: list[tuple[list[str], list[str]]] | None = None
@@ -135,8 +140,13 @@ def _read_plain(xml_text: str) -> _Read | None:
     opened = None  # the first token of the open dependency
     start = 0  # the first token of the current run of the project's leaves
     for index, tag in enumerate(tags):
-        if tag is None:  # a leaf belongs to the project or to a dependency
-            if section is not None and opened is None:
+        if tag is None:
+            if names[index] is None:  # a conventional dependency belongs to a section
+                if section is None or opened is not None:
+                    return None
+                if section is dependencies:
+                    section.append((_COORDINATES, parts[7 * index + 1:7 * index + 4]))
+            elif section is not None and opened is None:  # a leaf of the project or a dependency
                 return None
         elif opened is not None:
             if tag != "/dependency":
@@ -156,7 +166,7 @@ def _read_plain(xml_text: str) -> _Read | None:
             children += names[start:index]
             texts += values[start:index]
             children.append(tag)
-            texts.append(parts[4 * index + 4])  # the whitespace before its first tag
+            texts.append(parts[7 * index + 7])  # the whitespace before its first tag
             section = []
             if dependencies is None:
                 dependencies = section
@@ -194,7 +204,7 @@ def _read_tree(xml_text: str) -> _Read:
     return _local(root.tag), names, [child.text or "" for child in root], dependencies
 
 
-def _prefix(source: str) -> str:
+def _prefix(source: object) -> str:
     return f"{source}: " if source else ""
 
 
@@ -203,7 +213,7 @@ def _where(project: Coordinate | None, index: int) -> str:
 
 
 def _read_coordinate(
-    names: list[str], values: list[str], source: str,
+    names: list[str], values: list[str], source: object,
     project: Coordinate | None = None, index: int = 0,
 ) -> Coordinate:
     """The coordinate that the first child of each coordinate name spells.
@@ -226,7 +236,7 @@ def _read_coordinate(
     return Coordinate.of(*tokens)
 
 
-def parse_pom(xml_text: str, source: str = "") -> PomDocument:
+def parse_pom(xml_text: str, source: object = "") -> PomDocument:
     """Parse the supported POM subset into a document.
 
     Only ``project``, ``groupId``, ``artifactId``, ``version``,
@@ -236,10 +246,14 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
     per-dependency ``exclusions`` are ignored with a warning; other unknown
     elements are ignored silently. A group:artifact declared twice raises
     ``DuplicateDeclaration``. A nonempty ``source`` begins every warning, so
-    that it names the file the text came from.
+    that it names the file the text came from; it is formatted as text only
+    when a warning is written.
 
     A text in the plain subset (``_read_plain``) is read without
     ElementTree; any other text is read by ElementTree, to the same result.
+    A dependency of exactly ``groupId``, ``artifactId`` and ``version``
+    whose joined text is a coordinate with no placeholder is checked in one
+    match; any other is read leaf by leaf, with the same result.
     """
     root, names, values, sections = _read_plain(xml_text) or _read_tree(xml_text)
     if root != "project":
@@ -250,16 +264,21 @@ def parse_pom(xml_text: str, source: str = "") -> PomDocument:
             _warn("%sproject %s: ignoring <%s>", _prefix(source), coordinate, name)
     dependencies: list[Coordinate] = []
     for index, (child_names, child_values) in enumerate(sections):
-        dependency = _read_coordinate(child_names, child_values, source, coordinate, index)
-        for _ in range(child_names.count("exclusions")):
-            _warn("%sdependency %s: ignoring <exclusions>", _prefix(source), dependency)
+        text = ":".join(child_values)
+        if child_names == _COORDINATES and "${" not in text and _COORDINATE_TEXT.fullmatch(text):
+            dependency = str.__new__(Coordinate, text)  # what Coordinate.of checks and builds
+        else:
+            dependency = _read_coordinate(child_names, child_values, source, coordinate, index)
+            for _ in range(child_names.count("exclusions")):
+                _warn("%sdependency %s: ignoring <exclusions>", _prefix(source), dependency)
         dependencies.append(dependency)
-    seen: set[str] = set()
-    for dependency in dependencies:
-        ga = dependency.ga
-        if ga in seen:
-            raise DuplicateDeclaration(f"{ga} declared more than once")
-        seen.add(ga)
+    if len({dependency.ga for dependency in dependencies}) < len(dependencies):
+        seen: set[str] = set()
+        for dependency in dependencies:  # name the first repeat
+            ga = dependency.ga
+            if ga in seen:
+                raise DuplicateDeclaration(f"{ga} declared more than once")
+            seen.add(ga)
     return PomDocument(coordinate, tuple(dependencies))
 
 
@@ -273,23 +292,26 @@ class RepositoryEntry:
     ``pom_path`` is ``<root>/<group>/<artifact>/<version>/pom.xml`` for
     ``coordinate``, a ``str`` spelled as ``pathlib`` would spell it. The POM
     is read, parsed and checked against the coordinate on the first read of
-    ``document`` (every parse warning and error names the file and the
-    coordinate), and the content source is looked up on the first read of
-    ``content_path``; each result is then kept on the entry.
+    ``document`` (every parse warning and error begins with the entry's
+    ``str``, which names the file and the coordinate), and the content
+    source is looked up on the first read of ``content_path``; each result
+    is then kept on the entry.
     """
 
     def __init__(self, coordinate: Coordinate, pom_path: str) -> None:
         self.coordinate = coordinate
         self.pom_path = pom_path
 
+    def __str__(self) -> str:
+        return f"{self.pom_path} ({self.coordinate})"
+
     @cached_property
     def document(self) -> PomDocument:
         text = read_text_file(self.pom_path, POM_LIMIT)
-        source = f"{self.pom_path} ({self.coordinate})"
         try:
-            document = parse_pom(text, source)
+            document = parse_pom(text, self)
         except ShadowscanError as exc:  # the same error, naming the file
-            raise type(exc)(f"{source}: {exc}") from exc
+            raise type(exc)(f"{self}: {exc}") from exc
         if document.coordinate != self.coordinate:
             raise CoordinateMismatch(
                 f"{self.pom_path} declares {document.coordinate} but its "
@@ -338,7 +360,9 @@ class Repository(NamedTuple):
         """The entry at the coordinate's path, found on first use and then kept.
 
         The path is ``<root>/<group>/<artifact>/<version>/pom.xml``, a ``str``
-        spelled as ``Path.joinpath`` would, and one ``os.stat`` checks it. A
+        spelled as ``Path.joinpath`` would: the coordinate's colons become
+        slashes after the root, which is left out if it is ``.`` and gets a
+        slash unless it ends with one. One ``os.stat`` checks the path. A
         token that is ``.`` or ``..`` or holds ``/`` or NUL names no entry,
         so a lookup never leaves the root's three-level layout. Any existing
         ``pom.xml``, even a directory, is an entry; reading it decides the
@@ -351,7 +375,8 @@ class Repository(NamedTuple):
         if _NOT_A_NAME.search(coordinate):
             return None
         root = os.fspath(self.root_directory)  # pathlib spells a root of "." as no prefix
-        pom_path = os.path.join("" if root == "." else root, *coordinate.split(":"), "pom.xml")
+        prefix = "" if root == "." else root if root.endswith("/") else f"{root}/"
+        pom_path = f"{prefix}{coordinate.replace(':', '/')}/pom.xml"
         try:
             os.stat(pom_path)
         except OSError as exc:

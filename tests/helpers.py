@@ -11,6 +11,7 @@ from pathlib import Path
 from random import Random
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NoReturn, Sequence
+from unittest import mock
 
 from shadowscan import cli, jsonv1, pom
 from shadowscan.analysis import EcosystemComparison, ShadowFinding, WinnerComparison
@@ -21,6 +22,7 @@ from shadowscan.errors import (
     MalformedXml,
     MissingContent,
     MissingCoordinate,
+    ShadowscanError,
     inert,
 )
 from shadowscan.inventory import ClassInventory, EffectiveClassMap, effective_classes
@@ -699,6 +701,126 @@ def reference_comparison_payload(comparison: EcosystemComparison) -> list[dict[s
         }
         for entry in comparison.entries
     ]
+
+
+# ---------------------------------------------------------------------------
+# plain-shaped POMs and the outcome of parsing one
+
+def parsed(parse, text: str) -> tuple[Any, list[str]]:
+    """The document or the error that ``parse`` gives, and the warnings it logs in order."""
+    warnings: list[str] = []
+    with mock.patch.object(pom, "_warn", lambda message, *args: warnings.append(message % args)):
+        try:
+            result = parse(text, "pom.xml")
+        except ShadowscanError as exc:
+            result = (type(exc), str(exc))
+    return result, warnings
+
+
+# POMs of the plain shape: leaves of character data and dependencies sections
+# in any order, the coordinate elements now and then missing or repeated,
+# ignored and unknown leaves, empty dependencies and a second section. About
+# two in three dependencies are conventional (the three coordinate leaves in order),
+# now and then with a non-space gap or a placeholder, empty or padded text, and
+# from small pools, so that group:artifacts repeat; a few stand directly under
+# the project. One in three POMs then holds a construct outside the plain
+# subset, at any boundary between tags and texts; a few hold a namespace URI
+# or a text that ElementTree refuses or reads otherwise, or are truncated.
+PLAIN_SPACES = ["", "\n", "\n  ", " ", "\t"]
+PLAIN_VALUES = {
+    "groupId": ["g", "h"], "artifactId": ["a", "b", "c"], "version": ["1", "2"],
+}
+ODD_VALUES = ["", " g\n", "${x}", "a b", "a:b", "a>b", "]]", "é", "\U0001F600", "\x7f", "\x85",
+              "\tg", "1\n\t", "a\tb", "a\nb", " "]
+TRAP_VALUES = ["\x01", "\x1f", "\x0c", "\ufffe", "\uffff", "a]]>b", "a\rb", "a\r\nb"]
+# what may stand between a conventional dependency's tags but is not plain
+TRAP_GAPS = ["x", "\r\n", "\xa0", "\x0c", " <!-- c --> ", "<x/>", "&#32;"]
+TRAP_URIS = [
+    "http://www.w3.org/XML/1998/namespace", "http://www.w3.org/2000/xmlns/", "urn:a}b",
+    "urn:\x01", "urn:\ufffe", "urn:\uffff", "urn:a\tb", "urn:a&amp;b",
+]
+OUTSIDE = [
+    "<!-- c -->", "<![CDATA[x]]>", "&amp;", "&lt;", "&#65;", "&#x41;", "<x/>", "<dependency/>",
+    '<name a="1">x</name>', '<p:name xmlns:p="urn:p">x</p:name>', "<?pi x?>", "\r\n",
+    "<dependency><groupId>g</groupId></dependency>", "<x><y>1</y></x>", "</dependency>",
+]
+ROOTS = [
+    ("<project>", "</project>"),
+    ('<project xmlns="http://maven.apache.org/POM/4.0.0">', "</project>"),
+    ('<project xmlns="urn:x" xmlns:p="urn:p">', "</project>"),
+    ('<p:project xmlns:p="urn:p">', "</p:project>"),
+    ("<projects>", "</projects>"),
+]
+COORDINATE_LEAVES = ["groupId", "artifactId", "version"]
+
+
+def plain_pom(rng: Random) -> str:
+    """A POM of the plain shape, mostly inside the plain subset."""
+    pieces: list[str] = []  # each a tag, a text or the whitespace between tags
+
+    def value(name: str) -> str:
+        if rng.random() < 0.005:
+            return rng.choice(TRAP_VALUES)
+        if rng.random() < 0.1:
+            return rng.choice(ODD_VALUES)
+        return rng.choice(PLAIN_VALUES.get(name, ["x", "1"]))
+
+    def leaf(name: str) -> None:
+        pieces.extend((rng.choice(PLAIN_SPACES), f"<{name}>", value(name), f"</{name}>"))
+
+    def conventional() -> None:
+        gaps = [rng.choice(PLAIN_SPACES) for _ in range(4)]
+        if rng.random() < 0.03:
+            gaps[rng.randrange(4)] = rng.choice(TRAP_GAPS)
+        pieces.extend((rng.choice(PLAIN_SPACES), "<dependency>"))
+        for gap, name in zip(gaps, COORDINATE_LEAVES):
+            pieces.extend((gap, f"<{name}>", value(name), f"</{name}>"))
+        pieces.extend((gaps[3], "</dependency>"))
+
+    def children(names: list[str]) -> None:
+        coordinates = list(COORDINATE_LEAVES)
+        if rng.random() < 0.1:
+            coordinates.remove(rng.choice(coordinates))
+        if rng.random() < 0.1:
+            coordinates.append(rng.choice(coordinates))
+        names += coordinates
+        rng.shuffle(names)
+        for name in names:
+            if name == "dependencies":
+                section()
+            elif name == "dependency":
+                conventional()
+            else:
+                leaf(name)
+
+    def section() -> None:
+        pieces.extend((rng.choice(PLAIN_SPACES), "<dependencies>"))
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.7:
+                conventional()
+                continue
+            pieces.extend((rng.choice(PLAIN_SPACES), "<dependency>"))
+            if rng.random() >= 0.1:  # else an empty dependency
+                children(rng.choices(["scope", "exclusions", "type"], k=rng.randint(0, 2)))
+            pieces.extend((rng.choice(PLAIN_SPACES), "</dependency>"))
+        pieces.extend((rng.choice(PLAIN_SPACES), "</dependencies>"))
+
+    children([
+        *rng.choices(["modelVersion", "name", "properties", "profiles", "dependencyManagement"],
+                     k=rng.randint(0, 2)),
+        *["dependencies"] * rng.choice([0, 1, 1, 1, 1, 1, 2, 2]),
+        *["dependency"] * (rng.random() < 0.03),
+    ])
+    start, end = ROOTS[0 if rng.random() < 0.4 else 1] if rng.random() < 0.9 else rng.choice(ROOTS)
+    if rng.random() < 0.1:
+        start = f'<project xmlns="{rng.choice(TRAP_URIS)}">'
+    if rng.random() < 1 / 3:
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(OUTSIDE))
+    declaration = '<?xml version="1.0" encoding="UTF-8"?>\n' if rng.random() < 0.5 else ""
+    text = f"{declaration}{start}{''.join(pieces)}{rng.choice(PLAIN_SPACES)}{end}\n"
+    if rng.random() < 0.05:
+        text = text[: rng.randrange(len(text))]
+    return text
 
 
 # ---------------------------------------------------------------------------

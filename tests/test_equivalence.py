@@ -32,7 +32,7 @@ from shadowscan.analysis import (
 from shadowscan.inventory import ClassInventory, effective_classes, inspect_classlist
 from shadowscan.jar import inspect_jar
 from shadowscan.jsonv1 import _MAX_NESTING
-from shadowscan.errors import InvalidClassName, InvalidCoordinate, ReportTooDeep, ShadowscanError
+from shadowscan.errors import InvalidClassName, InvalidCoordinate, ReportTooDeep
 from shadowscan.mitigations import (
     DuplicateClassViolation,
     SealedPackageViolation,
@@ -57,6 +57,8 @@ from tests.helpers import (
     full_expansion_winners,
     json_report,
     memory_repo,
+    parsed,
+    plain_pom,
     random_conflict_repo,
     random_argv,
     random_inventories,
@@ -390,108 +392,10 @@ def pom_texts(draw):
     return text
 
 
-def parsed(parse, text):
-    """The document or the error that ``parse`` gives, and the warnings it logs in order."""
-    warnings = []
-    with mock.patch.object(pom, "_warn", lambda message, *args: warnings.append(message % args)):
-        try:
-            result = parse(text, "pom.xml")
-        except ShadowscanError as exc:
-            result = (type(exc), str(exc))
-    return result, warnings
-
-
 @settings(max_examples=500)
 @given(pom_texts())
 def test_pom_parsing_matches_the_per_name_walk(text):
     assert parsed(parse_pom, text) == parsed(reference_parse_pom, text)
-
-
-# POMs of the plain shape: leaves of character data and dependencies sections
-# in any order, the coordinate elements now and then missing or repeated,
-# ignored and unknown leaves, empty dependencies and a second section. One in
-# three then holds a construct outside the plain subset, at any boundary
-# between tags and texts; a few hold a namespace URI or a text that
-# ElementTree refuses or reads otherwise, or are truncated.
-PLAIN_SPACES = ["", "\n", "\n  ", " ", "\t"]
-PLAIN_VALUES = {
-    "groupId": ["g", "h"], "artifactId": ["a", "b", "c"], "version": ["1", "2"],
-}
-ODD_VALUES = ["", " g\n", "${x}", "a b", "a:b", "a>b", "]]", "é", "\U0001F600", "\x7f", "\x85"]
-TRAP_VALUES = ["\x01", "\x1f", "\x0c", "\ufffe", "\uffff", "a]]>b", "a\rb", "a\r\nb"]
-TRAP_URIS = [
-    "http://www.w3.org/XML/1998/namespace", "http://www.w3.org/2000/xmlns/", "urn:a}b",
-    "urn:\x01", "urn:\ufffe", "urn:\uffff", "urn:a\tb", "urn:a&amp;b",
-]
-OUTSIDE = [
-    "<!-- c -->", "<![CDATA[x]]>", "&amp;", "&lt;", "&#65;", "&#x41;", "<x/>", "<dependency/>",
-    '<name a="1">x</name>', '<p:name xmlns:p="urn:p">x</p:name>', "<?pi x?>", "\r\n",
-    "<dependency><groupId>g</groupId></dependency>", "<x><y>1</y></x>", "</dependency>",
-]
-ROOTS = [
-    ("<project>", "</project>"),
-    ('<project xmlns="http://maven.apache.org/POM/4.0.0">', "</project>"),
-    ('<project xmlns="urn:x" xmlns:p="urn:p">', "</project>"),
-    ('<p:project xmlns:p="urn:p">', "</p:project>"),
-    ("<projects>", "</projects>"),
-]
-
-
-def plain_pom(rng: Random) -> str:
-    pieces: list[str] = []  # each a tag, a text or the whitespace between tags
-
-    def leaf(name: str) -> None:
-        if rng.random() < 0.01:
-            value = rng.choice(TRAP_VALUES)
-        elif rng.random() < 0.1:
-            value = rng.choice(ODD_VALUES)
-        else:
-            value = rng.choice(PLAIN_VALUES.get(name, ["x", "1"]))
-        pieces.extend((rng.choice(PLAIN_SPACES), f"<{name}>", value, f"</{name}>"))
-
-    def children(names: list[str]) -> None:
-        coordinates = ["groupId", "artifactId", "version"]
-        if rng.random() < 0.1:
-            coordinates.remove(rng.choice(coordinates))
-        if rng.random() < 0.1:
-            coordinates.append(rng.choice(coordinates))
-        names += coordinates
-        rng.shuffle(names)
-        for name in names:
-            if name == "dependencies":
-                section()
-            else:
-                leaf(name)
-
-    def section() -> None:
-        pieces.extend((rng.choice(PLAIN_SPACES), "<dependencies>"))
-        for _ in range(rng.randint(0, 3)):
-            pieces.extend((rng.choice(PLAIN_SPACES), "<dependency>"))
-            if rng.random() >= 0.1:  # else an empty dependency
-                children(rng.choices(["scope", "exclusions", "type"], k=rng.randint(0, 2)))
-            pieces.extend((rng.choice(PLAIN_SPACES), "</dependency>"))
-        pieces.extend((rng.choice(PLAIN_SPACES), "</dependencies>"))
-
-    children([
-        *rng.choices(["modelVersion", "name", "properties", "profiles", "dependencyManagement"],
-                     k=rng.randint(0, 2)),
-        *["dependencies"] * rng.choice([0, 1, 1, 1, 2]),
-    ])
-    start, end = ROOTS[0 if rng.random() < 0.4 else 1] if rng.random() < 0.9 else rng.choice(ROOTS)
-    if rng.random() < 0.1:
-        start = f'<project xmlns="{rng.choice(TRAP_URIS)}">'
-    if rng.random() < 1 / 3:
-        pieces.insert(rng.randint(0, len(pieces)), rng.choice(OUTSIDE))
-    declaration = '<?xml version="1.0" encoding="UTF-8"?>\n' if rng.random() < 0.5 else ""
-    text = f"{declaration}{start}{''.join(pieces)}{rng.choice(PLAIN_SPACES)}{end}\n"
-    if rng.random() < 0.05:
-        text = text[: rng.randrange(len(text))]
-    return text
-
-
-def test_most_plain_shaped_poms_take_the_plain_reader():
-    accepted = sum(pom._read_plain(plain_pom(Random(seed))) is not None for seed in range(500))
-    assert accepted >= 200
 
 
 # a true random source: Hypothesis's own draws favour the first choice and the

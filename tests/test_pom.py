@@ -5,8 +5,12 @@ from __future__ import annotations
 import errno
 import logging
 import os
+import re
+import shutil
 import time
 import zipfile
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -27,15 +31,26 @@ from shadowscan.errors import (
 from shadowscan.jar import inspect_jar
 from shadowscan.model import Coordinate
 from shadowscan.pom import (
+    _PLAIN_TOKEN,
     POM_LIMIT,
+    Repository,
     _read_plain,
+    _read_tree,
     fetch_pom,
     load_repository,
     parse_pom,
     read_text_file,
 )
 from shadowscan.resolver import resolve
-from tests.helpers import FIXTURES, coord, make_repo, reference_parse_pom
+from tests.helpers import (
+    FIXTURE_ROOTS,
+    FIXTURES,
+    coord,
+    make_repo,
+    parsed,
+    plain_pom,
+    reference_parse_pom,
+)
 
 POC_COORDINATES = [
     coord(text)
@@ -269,6 +284,14 @@ def dependencies_section(size: int) -> str:
     )
 
 
+def repeated_dependencies(size: int, end: str) -> str:
+    """About ``size`` characters of a section of dependencies that each end with ``end``."""
+    return "<dependencies>" + "".join(
+        f"<dependency><groupId>g</groupId><artifactId>a{i}</artifactId><version>1</version>{end}\n"
+        for i in range(size // (84 + len(end)))
+    )
+
+
 HOSTILE_SHAPES = {
     "many leaves, then a bad end tag":
         lambda size: PROJECT + "<name>x</name>\n" * (size // 15) + "<name>x</nam></project>",
@@ -280,6 +303,11 @@ HOSTILE_SHAPES = {
         + "<groupId>g</groupId>\n" * (size // 21) + "</project>",
     "deep nesting": lambda size: PROJECT + "<nested-element-name>" * (size // 21),
     "alternating whitespace": lambda size: PROJECT + " \t" * (size // 2) + "\n<",
+    # aimed at the conventional dependency token: each attempt reads three leaves, then fails
+    "conventional dependencies that never close":
+        lambda size: PROJECT + repeated_dependencies(size, "") + "</dependencies></project>",
+    "near-miss dependencies, a non-space in the last gap":
+        lambda size: PROJECT + repeated_dependencies(size, "x</dependency>") + "</dependencies></project>",
 }
 
 
@@ -310,6 +338,55 @@ class TestPlainReader:
             assert outcome(text, parse_pom) == outcome(text, reference_parse_pom)
         small, large = map(decline_seconds, texts)
         assert large <= 16 * small
+
+    def test_seeded_plain_shaped_poms_read_as_elementtree_and_the_per_name_walk_read_them(self):
+        # Hypothesis draws the same shapes in test_equivalence.py; these seeds
+        # hold the gate where it is not installed
+        for seed in range(3000):
+            text = plain_pom(Random(seed))
+            plain = _read_plain(text)
+            if plain is not None:
+                assert plain == _read_tree(text), seed
+            assert parsed(parse_pom, text) == parsed(reference_parse_pom, text), seed
+
+    def test_most_seeded_plain_shaped_poms_take_the_plain_reader_and_its_one_token_dependency(self):
+        texts = [plain_pom(Random(seed)) for seed in range(500)]
+        accepted = [text for text in texts if _read_plain(text) is not None]
+        assert len(accepted) >= 200
+        tokens = [[token for token in _PLAIN_TOKEN.finditer(text) if token[1] is not None]
+                  for text in accepted]
+        assert sum(map(bool, tokens)) >= 150
+
+    def test_every_fixture_pom_with_dependencies_reads_them_in_one_token_each(self):
+        for path in FIXTURES.rglob("pom.xml"):
+            text = path.read_text(encoding="utf-8")
+            dependencies = _read_plain(text)[3]
+            tokens = [token for token in _PLAIN_TOKEN.finditer(text) if token[1] is not None]
+            assert len(tokens) == len(dependencies) == text.count("<dependency>"), path
+
+    @pytest.mark.parametrize("command", [["resolve"], ["scan"], ["check", "--root-module"]])
+    def test_a_scope_leaf_in_every_dependency_keeps_the_reports(
+        self, tmp_path, monkeypatch, capsys, command,
+    ):
+        # the fixture's dependencies are all conventional; with a scope leaf each is
+        # read leaf by leaf, and the reports must not tell the two readings apart
+        scoped = tmp_path / "cwa-server"
+        shutil.copytree(FIXTURES / "cwa-server", scoped)
+        for path in scoped.rglob("pom.xml"):
+            text, count = re.subn(
+                "<dependency>", "<dependency><scope>compile</scope>", path.read_text(encoding="utf-8"),
+            )
+            path.write_text(text, encoding="utf-8")
+            assert not any(token[1] is not None for token in _PLAIN_TOKEN.finditer(text))
+            assert len(_read_plain(text)[3]) == count
+        argv = [*command, "--repo", "cwa-server", "--root", FIXTURE_ROOTS["cwa-server"],
+                "--format", "json"]
+        reports = []
+        for directory in (FIXTURES, tmp_path):
+            monkeypatch.chdir(directory)
+            reports.append((main(argv), capsys.readouterr()))
+        assert reports[0] == reports[1]
+        assert reports[0][1].out and not reports[0][1].err
 
     def test_a_lone_surrogate_is_left_to_elementtree(self):
         text = "<project><groupId>\ud800</groupId></project>"
@@ -406,6 +483,13 @@ class TestFetchPom:
         assert fetch_pom(repo, coord("g:b:2")).coordinate == coord("g:b:2")
         with pytest.raises(PomNotFound):
             fetch_pom(repo, coord("g:c:1"))
+
+    @pytest.mark.parametrize("root", [".", "/", "//", "/srv/repo", "repo", "repo/sub", "../up"])
+    def test_the_path_is_spelled_as_pathlib_joins_it(self, monkeypatch, root):
+        checked = []
+        monkeypatch.setattr(os, "stat", lambda path: checked.append(path))
+        entry = Repository(Path(root), {}).lookup(coord("org.g:art-1:1.0"))
+        assert entry.pom_path == checked[0] == str(Path(root, "org.g", "art-1", "1.0", "pom.xml"))
 
     def test_a_token_holding_nul_is_not_found(self, tmp_path):
         make_repo(tmp_path, {"g:a:1": []})
